@@ -52,9 +52,25 @@ USAGE_EXIT = 64
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(USAGE_EXIT)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_int_list(text: str) -> str:
+    """Check a comma list of positive ints; the text itself is kept for the report."""
+    for part in text.split(","):
+        _positive_int(part)
+    return text
 
 
 def _out_path(args, default_name: str) -> str:
@@ -341,7 +357,7 @@ def build_parser() -> _Parser:
             p.add_argument(flag, **kw)
         if seed:
             p.add_argument("--seed", type=int, required=True)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=_positive_int, default=1)
         p.set_defaults(fn=fn)
         return p
 
@@ -352,7 +368,7 @@ def build_parser() -> _Parser:
         cmd_graph,
         s=True,
         extras=[
-            ("--cap", dict(type=int, default=500)),
+            ("--cap", dict(type=_positive_int, default=500)),
             ("--format", dict(choices=["dot", "csv", "both"], default="dot")),
         ],
     )
@@ -360,19 +376,19 @@ def build_parser() -> _Parser:
         "verify-tree",
         cmd_verify_tree,
         s=True,
-        extras=[("--cap", dict(type=int, default=2000))],
+        extras=[("--cap", dict(type=_positive_int, default=2000))],
     )
     add(
         "kernel",
         cmd_kernel,
         s=True,
         extras=[
-            ("--cap", dict(type=int, default=500)),
-            ("--sample", dict(type=int, default=200)),
+            ("--cap", dict(type=_positive_int, default=500)),
+            ("--sample", dict(type=_positive_int, default=200)),
         ],
     )
     walk_extras = [
-        ("--T", dict(type=int, default=20000)),
+        ("--T", dict(type=_positive_int, default=20000)),
         ("--epsilon", dict(default="1/4")),
         ("--alpha", dict(default="4/5")),
     ]
@@ -382,7 +398,7 @@ def build_parser() -> _Parser:
         cmd_witness,
         s=True,
         seed=True,
-        extras=walk_extras + [("--M", dict(type=int, default=500))],
+        extras=walk_extras + [("--M", dict(type=_positive_int, default=500))],
     )
     add(
         "summability",
@@ -390,8 +406,8 @@ def build_parser() -> _Parser:
         s=True,
         seed=True,
         extras=[
-            ("--T", dict(type=int, default=2000)),
-            ("--M", dict(type=int, default=200)),
+            ("--T", dict(type=_positive_int, default=2000)),
+            ("--M", dict(type=_positive_int, default=200)),
             ("--epsilon", dict(default="1/4")),
             ("--alpha", dict(default="4/5")),
         ],
@@ -402,8 +418,8 @@ def build_parser() -> _Parser:
         s=True,
         seed=True,
         extras=[
-            ("--n", dict(type=int, default=8)),
-            ("--M", dict(type=int, default=500)),
+            ("--n", dict(type=_positive_int, default=8)),
+            ("--M", dict(type=_positive_int, default=500)),
             ("--epsilon", dict(default="1/4")),
             ("--alpha", dict(default="4/5")),
         ],
@@ -414,8 +430,8 @@ def build_parser() -> _Parser:
         seed=True,
         extras=[
             ("--alpha", dict(default="4/5")),
-            ("--T", dict(type=int, default=10000)),
-            ("--M", dict(type=int, default=1000)),
+            ("--T", dict(type=_positive_int, default=10000)),
+            ("--M", dict(type=_positive_int, default=1000)),
         ],
     )
     add(
@@ -425,8 +441,8 @@ def build_parser() -> _Parser:
         extras=[
             ("--target", dict(choices=["z", "prechain"], default="prechain")),
             ("--s", dict(default="0+1*sqrt(3)")),
-            ("--horizons", dict(default="10000,20000")),
-            ("--M", dict(type=int, default=500)),
+            ("--horizons", dict(type=_positive_int_list, default="10000,20000")),
+            ("--M", dict(type=_positive_int, default=500)),
         ],
     )
     return parser

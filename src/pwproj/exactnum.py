@@ -1,7 +1,8 @@
 """Exact arithmetic over Q and real quadratic fields Q(sqrt k).
 
-Every value is canonical: the radicand is square-free, rationals are the
-k == 1 case, and equality/ordering are decided symbolically (no floats).
+Every value is canonical integers (A + B*sqrt(k)) / D: the radicand is
+square-free, rationals are the k == 1 case, and equality/ordering are
+decided with integer arithmetic (no floats).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
+from operator import itemgetter
 from typing import Dict, Iterable, Tuple, Union
 
 Rational = Fraction
@@ -17,10 +18,6 @@ Rational = Fraction
 
 class MixedFieldError(ArithmeticError):
     """Combination of irrationals from two distinct quadratic fields."""
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _factor_trial(n: int) -> Dict[int, int]:
@@ -98,39 +95,73 @@ def squarefree_of_factors(parts: Iterable[int]) -> Tuple[int, int]:
     return k, m
 
 
-@total_ordering
-class QuadraticNumber:
-    """Element a + b*sqrt(k) of Q(sqrt k), with k square-free (k == 1 on Q)."""
+def _join(k: int, l: int) -> int:
+    if k == 1:
+        return l
+    if l == 1 or l == k:
+        return k
+    raise MixedFieldError(f"cannot combine sqrt({k}) with sqrt({l})")
 
-    __slots__ = ("k", "a", "b")
 
-    def __init__(self, a=0, b=0, k: int = 1):
+def _sign_root(u: int, v: int, k: int) -> int:
+    """Sign of u + v*sqrt(k) for integers u, v and k >= 1."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return (v > 0) - (v < 0)
+    if (u > 0) == (v > 0):
+        return 1 if u > 0 else -1
+    s = 1 if u > 0 else -1
+    n = u * u - v * v * k
+    return s * ((n > 0) - (n < 0))
+
+
+class QuadraticNumber(tuple):
+    """Element (A + B*sqrt(k)) / D of Q(sqrt k) over the integers.
+
+    The number is the immutable tuple (A, B, D, k) in canonical form:
+    D > 0, gcd(A, B, D) == 1, k square-free, and B == 0 forces k == 1 (the
+    rationals).  QuadraticNumber(a, b, k) builds a + b*sqrt(k) from
+    rationals; .a and .b give them back as Fractions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a=0, b=0, k: int = 1):
         a = Fraction(a)
         b = Fraction(b)
         k = int(k)
         if k < 0:
             raise ValueError("radicand must be nonnegative")
-        if k == 0:
+        if k == 0 or b == 0:
             b = Fraction(0)
-            k = 1
-        if b == 0:
             k = 1
         elif k == 1:
             a, b = a + b, Fraction(0)
         else:
-            k0, m = normalize_radicand(k)
-            if k0 == 1:
+            k, m = normalize_radicand(k)
+            if k == 1:
                 a, b = a + b * m, Fraction(0)
-                k = 1
             else:
                 b = b * m
-                k = k0
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        ad, bd = a.denominator, b.denominator
+        D = ad * bd // math.gcd(ad, bd)
+        # a, b in lowest terms and D = lcm of their denominators: gcd is 1
+        return _new(cls, (a.numerator * (D // ad), b.numerator * (D // bd), D, k))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticNumber is immutable")
+    k = property(itemgetter(3), doc="square-free radicand (1 on Q)")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self[1], self[2])
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the number through the constructor
+        return (self.a, self.b, self[3])
 
     @classmethod
     def sqrt_of(cls, n: int) -> "QuadraticNumber":
@@ -138,128 +169,165 @@ class QuadraticNumber:
 
     @property
     def is_rational(self) -> bool:
-        return self.k == 1
+        return self[3] == 1
 
     def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.k)
+        A, B, D, k = self
+        return _new(QuadraticNumber, (A, -B, D, k))
 
     def sign(self) -> int:
-        if self.b == 0:
-            return _sgn(self.a)
-        if self.a == 0:
-            return _sgn(self.b)
-        sa, sb = _sgn(self.a), _sgn(self.b)
-        if sa == sb:
-            return sa
-        return sa * _sgn(self.a * self.a - self.b * self.b * self.k)
-
-    # -- field plumbing -------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, QuadraticNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other)
-        return None
-
-    def _join(self, other: "QuadraticNumber") -> int:
-        if self.k == 1:
-            return other.k
-        if other.k == 1 or other.k == self.k:
-            return self.k
-        raise MixedFieldError(
-            f"cannot combine sqrt({self.k}) with sqrt({other.k})"
-        )
+        return _sign_root(self[0], self[1], self[3])
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        k = self._join(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, k)
+        A, B, D, k = self
+        E, F, G, l = o
+        return qn_normalize(A * G + E * D, B * G + F * D, D * G, _join(k, l))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.k)
+        A, B, D, k = self
+        return _new(QuadraticNumber, (-A, -B, D, k))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        A, B, D, k = self
+        E, F, G, l = o
+        return qn_normalize(A * G - E * D, B * G - F * D, D * G, _join(k, l))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        A, B, D, k = self
+        E, F, G, l = o
+        return qn_normalize(E * D - A * G, F * D - B * G, D * G, _join(k, l))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        k = self._join(o)
-        return QuadraticNumber(
-            self.a * o.a + self.b * o.b * k, self.a * o.b + self.b * o.a, k
-        )
+        A, B, D, k = self
+        E, F, G, l = o
+        k = _join(k, l)
+        return qn_normalize(A * E + B * F * k, A * F + B * E, D * G, k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        k = self._join(o)
-        norm = o.a * o.a - o.b * o.b * k
-        if o.a == 0 and o.b == 0:
-            raise ZeroDivisionError("division by zero quadratic number")
-        return QuadraticNumber(
-            (self.a * o.a - self.b * o.b * k) / norm,
-            (self.b * o.a - self.a * o.b) / norm,
-            k,
-        )
+        return _divide(self, o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _divide(o, self)
 
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
         if other is INFINITY:
             return False
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.k == o.k and self.a == o.a and self.b == o.b
+        return tuple.__eq__(self, o)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __lt__(self, other):
-        if other is INFINITY:
-            return True
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return qn_compare(self, o) < 0
+        c = _order(self, other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = _order(self, other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = _order(self, other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = _order(self, other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.a)
-        return hash((self.k, self.a, self.b))
+        A, B, D, _ = self
+        if B:
+            return tuple.__hash__(self)
+        # a rational point hashes like the equal int or Fraction
+        return hash(A) if D == 1 else hash(Fraction(A, D))
 
     def __float__(self):
         # diagnostics only; all decisions in the library are exact
-        return float(self.a) + float(self.b) * math.sqrt(self.k)
+        A, B, D, k = self
+        return A / D + B / D * math.sqrt(k)
 
     def __repr__(self):
-        return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.k})"
+        return f"QuadraticNumber({self.a!r}, {self.b!r}, {self[3]})"
 
     def __str__(self):
         return qn_to_text(self)
+
+
+_new = tuple.__new__
+
+
+def qn_normalize(A: int, B: int, D: int, k: int) -> QuadraticNumber:
+    """The point (A + B*sqrt(k)) / D for integers, D nonzero, k square-free."""
+    if D < 0:
+        A, B, D = -A, -B, -D
+    g = math.gcd(A, B, D)
+    if g > 1:
+        A //= g
+        B //= g
+        D //= g
+    if B == 0:
+        k = 1
+    return _new(QuadraticNumber, (A, B, D, k))
+
+
+def _parts(x):
+    """(A, B, D, k) of a quadratic number, int or Fraction; None otherwise."""
+    if isinstance(x, QuadraticNumber):
+        return x
+    if isinstance(x, int):
+        return (x, 0, 1, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator, 1)
+    return None
+
+
+def _order(x: QuadraticNumber, other):
+    """Sign of x - other, with INFINITY above every point; None if not a number."""
+    if other is INFINITY:
+        return -1
+    o = _parts(other)
+    return None if o is None else qn_compare(x, o)
+
+
+def _divide(x, y) -> QuadraticNumber:
+    A, B, D, k = x
+    E, F, G, l = y
+    if E == 0 and F == 0:
+        raise ZeroDivisionError("division by zero quadratic number")
+    k = _join(k, l)
+    # (A + B r) / D * G / (E + F r) with r = sqrt(k), times (E - F r) / (E - F r)
+    return qn_normalize(
+        (A * E - B * F * k) * G, (B * E - A * F) * G, D * (E * E - F * F * k), k
+    )
 
 
 class _InfinityType:
@@ -306,41 +374,31 @@ def is_infinity(p: ExtendedPoint) -> bool:
 
 def qn_compare(x: QuadraticNumber, y: QuadraticNumber) -> int:
     """Exact sign of x - y, valid across distinct quadratic fields."""
-    if x.k == y.k or x.k == 1 or y.k == 1:
-        k = x.k if x.k != 1 else y.k
-        return QuadraticNumber(x.a - y.a, x.b - y.b, k).sign()
-    # x.a - y.a + x.b*sqrt(kx) - y.b*sqrt(ky), both radicands >= 2 and distinct
-    part = QuadraticNumber(x.a - y.a, x.b, x.k)
-    return _sign_plus_root(part, -y.b, y.k)
-
-
-def _sign_plus_root(part: QuadraticNumber, c: Fraction, radicand: int) -> int:
-    # sign of part + c*sqrt(radicand) with part in a different field
-    if c == 0:
-        return part.sign()
-    sc = _sgn(c)
-    sp = part.sign()
-    if sp == 0:
-        return sc
-    if sp == sc:
-        return sp
-    return sp * (part * part - QuadraticNumber(c * c * radicand)).sign()
-
-
-def ext_compare(p: ExtendedPoint, q: ExtendedPoint) -> int:
-    """Total-order comparison with INFINITY above every finite point."""
-    if p is INFINITY:
-        return 0 if q is INFINITY else 1
-    if q is INFINITY:
-        return -1
-    return qn_compare(p, q)
+    A, B, D, k = x
+    E, F, G, l = y
+    # x - y = (u + v*sqrt(k) + w*sqrt(l)) / (D*G) with D*G > 0
+    u = A * G - E * D
+    v = B * G
+    w = -F * D
+    if k == l:
+        return _sign_root(u, v + w, k)
+    if v == 0:
+        return _sign_root(u, w, l)
+    if w == 0:
+        return _sign_root(u, v, k)
+    # both radicands >= 2 and distinct: p = u + v*sqrt(k) against w*sqrt(l)
+    sp = _sign_root(u, v, k)
+    sw = 1 if w > 0 else -1
+    if sp == 0 or sp == sw:
+        return sw if sp == 0 else sp
+    return sp * _sign_root(u * u + v * v * k - w * w * l, 2 * u * v, k)
 
 
 def canonical_key(p: ExtendedPoint):
     """Injective, hashable, run-stable key for an extended point."""
     if p is INFINITY:
         return ("inf",)
-    return (p.k, p.a.numerator, p.a.denominator, p.b.numerator, p.b.denominator)
+    return tuple(p)
 
 
 # -- text form ----------------------------------------------------------

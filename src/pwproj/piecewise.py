@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactnum import (
@@ -111,7 +112,7 @@ class PiecewiseProjectiveMap:
     # -- action ----------------------------------------------------------
 
     def apply(self, x: ExtendedPoint) -> ExtendedPoint:
-        if is_infinity(x):
+        if x is INFINITY:
             return INFINITY
         return self.pieces[self.piece_index(x)].apply(x)
 
@@ -175,7 +176,7 @@ class PiecewiseProjectiveMap:
                 and (lo is None or qn_compare(f, lo) > 0)
                 and (hi is None or qn_compare(f, hi) < 0)
             ]
-            cuts = [lo, *sorted(fixed, key=SortableQn), hi]
+            cuts = [lo, *sorted(fixed), hi]
             for j in range(len(cuts) - 1):
                 events.append((cuts[j], cuts[j + 1]))
         # merge adjacent moved intervals that share an endpoint the map moves
@@ -225,16 +226,6 @@ class PiecewiseProjectiveMap:
         return f"PiecewiseProjectiveMap({self.to_text()!r})"
 
 
-class SortableQn:
-    __slots__ = ("x",)
-
-    def __init__(self, x: QuadraticNumber):
-        self.x = x
-
-    def __lt__(self, other: "SortableQn") -> bool:
-        return qn_compare(self.x, other.x) < 0
-
-
 def _same_bound(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
@@ -242,7 +233,7 @@ def _same_bound(a, b) -> bool:
 
 
 def _sorted_unique(points: Iterable[QuadraticNumber]) -> List[QuadraticNumber]:
-    pts = sorted(points, key=SortableQn)
+    pts = sorted(points)
     out: List[QuadraticNumber] = []
     for p in pts:
         if not out or out[-1] != p:
@@ -376,7 +367,7 @@ class Configuration:
 
     def items(self) -> List[Tuple[ExtendedPoint, int]]:
         pairs = [(self.points[k], v) for k, v in self.entries.items()]
-        pairs.sort(key=lambda pv: SortableQn(pv[0]))
+        pairs.sort(key=itemgetter(0))
         return pairs
 
     def copy(self) -> "Configuration":

@@ -20,6 +20,7 @@ from .exactnum import (
     QuadraticNumber,
     canonical_key,
     is_infinity,
+    qn_normalize,
     squarefree_of_factors,
 )
 
@@ -105,14 +106,22 @@ class ProjectiveMatrix:
 
     def apply(self, p: ExtendedPoint) -> ExtendedPoint:
         """Moebius action (a p + b) / (c p + d); poles map to INFINITY."""
-        if is_infinity(p):
-            if self.c == 0:
-                return INFINITY
-            return QuadraticNumber(Fraction(self.a, self.c))
-        denom = p * self.c + self.d
-        if denom.sign() == 0:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if p is INFINITY:
+            return INFINITY if c == 0 else qn_normalize(a, 0, c, 1)
+        A, B, D, k = p
+        # p = (A + B r) / D with r = sqrt(k)
+        nA = a * A + b * D
+        nB = a * B
+        if c == 0:
+            return qn_normalize(nA, nB, d * D, k)
+        dA = c * A + d * D
+        dB = c * B
+        den = dA * dA - dB * dB * k
+        if den == 0:
             return INFINITY
-        return (p * self.a + self.b) / denom
+        # (nA + nB r) / (dA + dB r), times (dA - dB r) / (dA - dB r)
+        return qn_normalize(nA * dA - nB * dB * k, nB * dA - nA * dB, den, k)
 
     def derivative_at(self, p: QuadraticNumber) -> QuadraticNumber:
         """Exact derivative 1 / (c p + d)**2 at a finite non-pole point."""
@@ -201,12 +210,21 @@ def _pell_one(d: int) -> Tuple[int, int]:
 
 
 def _icbrt(n: int) -> int:
-    x = round(n ** (1.0 / 3.0)) if n < (1 << 50) else 1 << ((n.bit_length() + 2) // 3)
-    while x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
+    """floor(cbrt(n)) for n >= 0, by integer Newton iteration.
+
+    Starting at or above the root, each step stays at or above floor(cbrt(n))
+    (AM-GM) and strictly decreases until it reaches it.
+    """
+    if n < 0:
+        raise ValueError("cube root of a negative integer")
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def pell_fundamental(k: int, rhs: int = 1) -> Tuple[int, int]:
@@ -439,21 +457,14 @@ def _form_of(x: QuadraticNumber) -> Tuple[int, int, int]:
     x is the root (-B + sqrt(disc)) / (2A).  This makes the PSL2(Z) action
     on points match proper equivalence of forms.
     """
-    # x^2 - 2 a x + (a^2 - b^2 k) = 0
-    two_a = 2 * x.a
-    norm = x.a * x.a - x.b * x.b * x.k
-    den = (two_a.denominator * norm.denominator) // gcd(
-        two_a.denominator, norm.denominator
-    )
-    A = den
-    B = -two_a * den
-    C = norm * den
-    B_int, C_int = int(B), int(C)
-    g = gcd(gcd(A, abs(B_int)), abs(C_int))
-    A, B_int, C_int = A // g, B_int // g, C_int // g
-    if x.b < 0:
-        A, B_int, C_int = -A, -B_int, -C_int
-    return A, B_int, C_int
+    # x = (P + Q sqrt(k)) / D is a root of (D x - P)^2 - Q^2 k
+    P, Q, D, k = x
+    A, B, C = D * D, -2 * P * D, P * P - Q * Q * k
+    g = gcd(A, B, C)
+    A, B, C = A // g, B // g, C // g
+    if Q < 0:
+        A, B, C = -A, -B, -C
+    return A, B, C
 
 
 def _rho(form: Tuple[int, int, int], disc: int, sq: int) -> Tuple[int, int, int]:

@@ -19,7 +19,7 @@ from .exactnum import (
     point_to_text,
     qn_compare,
 )
-from .piecewise import PiecewiseProjectiveMap, Prechain, SortableQn
+from .piecewise import PiecewiseProjectiveMap, Prechain
 
 
 class StructureViolationError(AssertionError):
@@ -68,10 +68,7 @@ class OrbitGraph:
         return out
 
     def sorted_keys(self) -> List[tuple]:
-        return [
-            canonical_key(p)
-            for p in sorted(self.points.values(), key=SortableQn)
-        ]
+        return [canonical_key(p) for p in sorted(self.points.values())]
 
 
 def build_orbit_graph(

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exactnum import (
-    ExtendedPoint,
-    QuadraticNumber,
-)
+from .exactnum import ExtendedPoint, QuadraticNumber, canonical_key
 from .piecewise import (
     Configuration,
     PiecewiseProjectiveMap,
@@ -27,121 +25,6 @@ from .piecewise import (
 )
 
 DEFAULT_FREEZE_BITS = 1500
-
-
-# -- integer triple points for the walk hot path -----------------------------
-#
-# A walk point is (A, B, D, k) meaning (A + B*sqrt(k)) / D with D > 0,
-# gcd(A, B, D) == 1 and B == 0 forcing k == 1.  One gcd per matrix apply
-# instead of one per Fraction operation.
-
-
-def _tp_norm(A: int, B: int, D: int, k: int):
-    if D < 0:
-        A, B, D = -A, -B, -D
-    g = math.gcd(math.gcd(A, B), D)
-    if g > 1:
-        A //= g
-        B //= g
-        D //= g
-    if B == 0:
-        k = 1
-    return (A, B, D, k)
-
-
-def _tp_from_qn(x: QuadraticNumber):
-    an, ad = x.a.numerator, x.a.denominator
-    bn, bd = x.b.numerator, x.b.denominator
-    lcm = ad * bd // math.gcd(ad, bd)
-    return _tp_norm(an * (lcm // ad), bn * (lcm // bd), lcm, x.k)
-
-
-def _tp_to_qn(p) -> QuadraticNumber:
-    A, B, D, k = p
-    return QuadraticNumber(Fraction(A, D), Fraction(B, D), k)
-
-
-def _tp_key(p):
-    A, B, D, k = p
-    g1 = math.gcd(A, D)
-    g2 = math.gcd(B, D)
-    return (k, A // g1, D // g1, B // g2, D // g2)
-
-
-def _tp_bits(p) -> int:
-    A, B, D, _ = p
-    return A.bit_length() + B.bit_length() + D.bit_length()
-
-
-def _int_sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _tp_sign2(u: int, v: int, k: int) -> int:
-    # sign of u + v*sqrt(k)
-    if v == 0:
-        return _int_sign(u)
-    if u == 0:
-        return _int_sign(v)
-    su, sv = _int_sign(u), _int_sign(v)
-    if su == sv:
-        return su
-    return su * _int_sign(u * u - v * v * k)
-
-
-def _tp_compare(p, q) -> int:
-    A, B, D, k = p
-    E, F, G, l = q
-    u = A * G - E * D
-    v = B * G
-    w = -F * D
-    if k == l:
-        return _tp_sign2(u, v + w, k)
-    if v == 0:
-        return _tp_sign2(u, w, l)
-    if w == 0:
-        return _tp_sign2(u, v, k)
-    sp = _tp_sign2(u, v, k)
-    sc = _int_sign(w)
-    if sp == 0:
-        return sc
-    if sp == sc:
-        return sp
-    return sp * _tp_sign2(u * u + v * v * k - w * w * l, 2 * u * v, k)
-
-
-def _tp_apply(mat, p):
-    a, b, c, d = mat
-    A, B, D, k = p
-    nA = a * A + b * D
-    nB = a * B
-    if c == 0:
-        return _tp_norm(nA, nB, d * D, k)
-    dA = c * A + d * D
-    dB = c * B
-    den = dA * dA - dB * dB * k
-    if den == 0:
-        raise ZeroDivisionError("walk point hit a piece pole")
-    return _tp_norm(nA * dA - nB * dB * k, nB * dA - nA * dB, den, k)
-
-
-class _FastMap:
-    """Piecewise map compiled to integer-triple arithmetic."""
-
-    __slots__ = ("breaks", "mats")
-
-    def __init__(self, pm: PiecewiseProjectiveMap):
-        self.breaks = [_tp_from_qn(b) for b in pm.breaks]
-        self.mats = [(piece.a, piece.b, piece.c, piece.d) for piece in pm.pieces]
-
-    def apply(self, tp):
-        i = 0
-        for br in self.breaks:
-            if _tp_compare(tp, br) > 0:
-                i += 1
-            else:
-                break
-        return _tp_apply(self.mats[i], tp)
 
 
 def _zeta_tail(s: float, n: int) -> float:
@@ -190,14 +73,7 @@ class PowerLawSampler:
     def sample_magnitude(self, rng: random.Random) -> int:
         u = rng.random()
         if u <= self._table[-1]:
-            lo, hi = 0, self.TABLE - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._table[mid] >= u:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo + 1
+            return bisect_left(self._table, u) + 1
         lo = self.TABLE
         hi = 2 * lo
         while self._cdf(hi) < u and hi < 1 << 62:
@@ -267,12 +143,10 @@ class GroupMeasure:
 
     def _sample_once(self, rng: random.Random) -> Tuple[int, PiecewiseProjectiveMap]:
         """Returns (atom index or -1 for tail draws, element)."""
-        u = rng.random()
-        for i, cut in enumerate(self._cuts):
-            if u < cut:
-                return i, self.atoms[i][0]
-        n = self._sampler.sample_signed(rng)
-        return -1, self._tail_power(n)
+        i = bisect_right(self._cuts, rng.random())
+        if i < len(self.atoms):
+            return i, self.atoms[i][0]
+        return -1, self._tail_power(self._sampler.sample_signed(rng))
 
     def sample(self, rng: random.Random) -> PiecewiseProjectiveMap:
         if not self.smoothing:
@@ -350,12 +224,11 @@ class ConfigTracker:
 class _MeasureWalker:
     """Shared exact-step engine over interned orbit points.
 
-    Walk points are integer triples (A + B sqrt(k)) / D.  Points with small
-    coordinates are interned to dense ids with per-atom transition tables
-    shared across trajectories; deeper points are handled verbatim until
-    they shrink back or hit the freeze bound.  Configuration deltas can
-    only occur at interned points because every slope-change support point
-    of the measure is itself small.
+    Points with small coordinates are interned to dense ids with per-atom
+    transition tables shared across trajectories; deeper points are handled
+    verbatim until they shrink back or hit the freeze bound.  Configuration
+    deltas can only occur at interned points because every slope-change
+    support point of the measure is itself small.
     """
 
     RAW = -1
@@ -369,27 +242,22 @@ class _MeasureWalker:
         if mu.tail is not None and not configuration(mu.tail.base, s).is_zero:
             raise ValueError("tail base must have empty configuration")
         entry_bits = [
-            _tp_bits(_tp_from_qn(p))
-            for conf in self.atom_confs
-            for p in conf.points.values()
+            _bits(p) for conf in self.atom_confs for p in conf.points.values()
         ]
         self.share_bits = max(512, max(entry_bits, default=0) + 1)
-        self.fast_atoms = [_FastMap(m) for m, _ in mu.atoms]
-        self.cuts = list(mu._cuts)
         self.registry: Dict[tuple, int] = {}
-        self.points: List[tuple] = []
+        self.points: List[QuadraticNumber] = []
         self.atom_trans: List[List[int]] = [[] for _ in mu.atoms]
         self.atom_delta: List[Dict[int, int]] = [dict() for _ in mu.atoms]
         self.tail_trans: Dict[Tuple[int, int], int] = {}
-        self.tail_fast: Dict[int, _FastMap] = {}
 
-    def intern(self, tp) -> int:
-        key = _tp_key(tp)
+    def intern(self, x: QuadraticNumber) -> int:
+        key = canonical_key(x)
         pid = self.registry.get(key)
         if pid is None:
             pid = len(self.points)
             self.registry[key] = pid
-            self.points.append(tp)
+            self.points.append(x)
             for trans in self.atom_trans:
                 trans.append(self.RAW)
             for ai, conf in enumerate(self.atom_confs):
@@ -398,68 +266,89 @@ class _MeasureWalker:
                     self.atom_delta[ai][pid] = val
         return pid
 
-    def state_for_point(self, point: ExtendedPoint):
-        return self.state_for(_tp_from_qn(point))
+    def run(
+        self,
+        start: QuadraticNumber,
+        steps: int,
+        rng: random.Random,
+        freeze_bits: Optional[int],
+    ):
+        """Walk `steps` mu-steps from `start`, the module's one step loop.
 
-    def state_for(self, tp):
-        if _tp_bits(tp) <= self.share_bits:
-            return self.intern(tp), tp
-        return self.RAW, tp
-
-    def _tail_apply(self, n: int, tp):
-        fast = self.tail_fast.get(n)
-        if fast is None:
-            fast = _FastMap(self.mu._tail_power(n))
-            if len(self.tail_fast) < 4096:
-                self.tail_fast[n] = fast
-        return fast.apply(tp)
-
-    def step(self, state, rng: random.Random):
-        """One mu-step: returns ((id, triple), delta)."""
-        if self.mu.smoothing:
-            count = _poisson_one(rng)
+        Returns (changes, visits, x, frozen_at): the (n, delta) of each step
+        n whose increment changed the configuration value at the walking
+        point, the steps that ended on `start`, the last point, and the
+        step at which the walk froze (None if it ran to the end).  A step
+        freezes the walk when its point is not interned and the bit sizes
+        of its A, B and D sum past freeze_bits.  The start point is always
+        interned, so a return to it is recognized by its id.
+        """
+        raw = self.RAW
+        share_bits = self.share_bits
+        intern = self.intern
+        points = self.points
+        atoms = [m for m, _ in self.mu.atoms]
+        natoms = len(atoms)
+        cuts = self.mu._cuts
+        atom_trans = self.atom_trans
+        atom_delta = self.atom_delta
+        tail_trans = self.tail_trans
+        sampler = self.mu._sampler
+        tail_power = self.mu._tail_power
+        smoothing = self.mu.smoothing
+        uniform = rng.random
+        x = start
+        pid = start_pid = intern(start)
+        bits = 0
+        changes: List[Tuple[int, int]] = []
+        visits: List[int] = []
+        for n in range(1, steps + 1):
             delta = 0
-            for _ in range(count):
-                state, d = self._step_once(state, rng)
-                delta += d
-            return state, delta
-        return self._step_once(state, rng)
+            for _ in range(_poisson_one(rng) if smoothing else 1):
+                ai = bisect_right(cuts, uniform())
+                if ai < natoms:
+                    if pid != raw:
+                        delta += atom_delta[ai].get(pid, 0)
+                        nid = atom_trans[ai][pid]
+                        if nid != raw:
+                            pid = nid
+                            x = points[nid]
+                            continue
+                    x = atoms[ai].apply(x)
+                else:
+                    j = sampler.sample_signed(rng)
+                    if pid != raw:
+                        slot = (pid, j)
+                        nid = tail_trans.get(slot)
+                        if nid is not None:
+                            pid = nid
+                            x = points[nid]
+                            continue
+                    x = tail_power(j).apply(x)
+                A, B, D, _ = x
+                bits = A.bit_length() + B.bit_length() + D.bit_length()
+                if bits > share_bits:
+                    pid = raw
+                    continue
+                nid = intern(x)
+                if pid != raw:
+                    if ai < natoms:
+                        atom_trans[ai][pid] = nid
+                    elif len(tail_trans) < (1 << 22):
+                        tail_trans[slot] = nid
+                pid = nid
+            if delta:
+                changes.append((n, delta))
+            if pid == start_pid:
+                visits.append(n)
+            elif pid == raw and freeze_bits is not None and bits > freeze_bits:
+                return changes, visits, x, n
+        return changes, visits, x, None
 
-    def _step_once(self, state, rng: random.Random):
-        pid, tp = state
-        u = rng.random()
-        ai = -1
-        for i, cut in enumerate(self.cuts):
-            if u < cut:
-                ai = i
-                break
-        if ai >= 0:
-            if pid != self.RAW:
-                delta = self.atom_delta[ai].get(pid, 0)
-                nxt_id = self.atom_trans[ai][pid]
-                if nxt_id != self.RAW:
-                    return (nxt_id, self.points[nxt_id]), delta
-                nxt = self.fast_atoms[ai].apply(tp)
-                if _tp_bits(nxt) <= self.share_bits:
-                    nid = self.intern(nxt)
-                    self.atom_trans[ai][pid] = nid
-                    return (nid, nxt), delta
-                return (self.RAW, nxt), delta
-            return self.state_for(self.fast_atoms[ai].apply(tp)), 0
-        n = self.mu._sampler.sample_signed(rng)
-        if pid != self.RAW:
-            cache_key = (pid, n)
-            nxt_id = self.tail_trans.get(cache_key)
-            if nxt_id is not None:
-                return (nxt_id, self.points[nxt_id]), 0
-            nxt = self._tail_apply(n, tp)
-            if _tp_bits(nxt) <= self.share_bits:
-                nid = self.intern(nxt)
-                if len(self.tail_trans) < (1 << 22):
-                    self.tail_trans[cache_key] = nid
-                return (nid, nxt), 0
-            return (self.RAW, nxt), 0
-        return self.state_for(self._tail_apply(n, tp)), 0
+
+def _bits(x: QuadraticNumber) -> int:
+    A, B, D, _ = x
+    return A.bit_length() + B.bit_length() + D.bit_length()
 
 
 def simulate_config_walk(
@@ -483,22 +372,16 @@ def simulate_config_walk(
 
 
 def _run_config_walk(walker, gamma, steps, rng, freeze_bits):
-    tracker = ConfigTracker(gamma=gamma, x=gamma)
-    state = walker.state_for_point(gamma)
-    raw = walker.RAW
-    limit = freeze_bits if freeze_bits is not None else None
-    for n in range(1, steps + 1):
-        state, delta = walker.step(state, rng)
-        if delta:
-            tracker.value += delta
-            tracker.last_change = n
-            tracker.change_log.append(n)
-        if limit is not None and state[0] == raw and _tp_bits(state[1]) > limit:
-            tracker.frozen_at = n
-            break
-    tracker.steps = steps
-    tracker.x = _tp_to_qn(state[1])
-    return tracker
+    changes, _, x, frozen_at = walker.run(gamma, steps, rng, freeze_bits)
+    return ConfigTracker(
+        gamma=gamma,
+        x=x,
+        value=sum(delta for _, delta in changes),
+        last_change=changes[-1][0] if changes else -1,
+        change_log=[n for n, _ in changes],
+        steps=steps,
+        frozen_at=frozen_at,
+    )
 
 
 # -- returns ------------------------------------------------------------------
@@ -562,31 +445,10 @@ def estimate_returns(
                 out[t] = walk_target.root_visits(top, rng, horizons)
             return out
         walker = _MeasureWalker(walk_target, start)
-        start_tp = _tp_from_qn(start)
-        start_id = walker.intern(start_tp)
-        raw = walker.RAW
         for t in indices:
             rng = trajectory_rng(master_seed, t)
-            state = (start_id, start_tp)
-            hit = 0
-            hi = 0
-            frozen = False
-            row = [0] * len(horizons)
-            for n in range(1, top + 1):
-                if not frozen:
-                    state, _ = walker.step(state, rng)
-                    if state[0] == start_id:
-                        hit += 1
-                    elif (
-                        freeze_bits is not None
-                        and state[0] == raw
-                        and _tp_bits(state[1]) > freeze_bits
-                    ):
-                        frozen = True
-                while hi < len(horizons) and horizons[hi] == n:
-                    row[hi] = hit
-                    hi += 1
-            out[t] = row
+            visits = walker.run(start, top, rng, freeze_bits)[1]
+            out[t] = [bisect_right(visits, h) for h in horizons]
         return out
 
     rows = _run_chunked(trajectories, threads, chunk)
@@ -707,21 +569,12 @@ def summability_diagnostic(
     the measure's configuration-support function restricted to atoms.
     """
     walker = _MeasureWalker(mu, s)
-    raw = walker.RAW
     hits = [0] * (steps + 1)
     for t in range(trajectories):
         rng = trajectory_rng(master_seed, t)
-        state = walker.state_for_point(origin)
-        for n in range(1, steps + 1):
-            state, delta = walker.step(state, rng)
-            if delta:
-                hits[n] += 1
-            if (
-                freeze_bits is not None
-                and state[0] == raw
-                and _tp_bits(state[1]) > freeze_bits
-            ):
-                break
+        changes = walker.run(origin, steps, rng, freeze_bits)[0]
+        for n, _ in changes:
+            hits[n] += 1
     per_step = [h / trajectories for h in hits[1:]]
     cumulative = []
     acc = 0.0

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 
 BASE = [sys.executable, "-m", "pwproj.cli"]
 
@@ -27,6 +29,41 @@ def test_validation_error_exit_code(tmp_path):
 def test_missing_seed_is_usage_error(tmp_path):
     proc = run(["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2"], tmp_path)
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "0", "--seed", "1"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "0", "--M", "2", "--seed", "1"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+         "--threads", "0"],
+        ["entropy", "--s", "0+1*sqrt(3)", "--n", "0", "--M", "2", "--seed", "1"],
+        ["lamplighter", "--T", "10", "--M", "0", "--seed", "1"],
+        ["kernel", "--s", "0+1*sqrt(3)", "--cap", "10", "--sample", "-1"],
+        ["graph", "--s", "0+1*sqrt(3)", "--cap", "x"],
+        ["returns", "--target", "z", "--horizons", ",", "--M", "2", "--seed", "1"],
+        ["returns", "--target", "z", "--horizons", "0", "--M", "2", "--seed", "1"],
+        ["returns", "--target", "z", "--horizons", "10,-5", "--M", "2", "--seed", "1"],
+    ],
+)
+def test_bad_count_is_usage_error(tmp_path, args):
+    proc = run(args, tmp_path)
+    assert proc.returncode == 64
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error: argument --" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_returns_echoes_horizons_text(tmp_path):
+    proc = run(
+        ["returns", "--target", "z", "--horizons", "30, 60", "--M", "4", "--seed", "1"],
+        tmp_path,
+    )
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["config"]["horizons"] == "30, 60"
+    assert payload["horizons"] == [30, 60]
 
 
 def test_construct_hs_output(tmp_path):

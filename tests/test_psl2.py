@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 from math import isqrt
 
@@ -6,6 +7,7 @@ import pytest
 
 from pwproj.exactnum import INFINITY, QuadraticNumber
 from pwproj.psl2 import (
+    _icbrt,
     DeterminantError,
     IdentityMatrixError,
     NotInStabilizerError,
@@ -121,6 +123,32 @@ def test_pell_examples():
         pell_fundamental(9, 1)
     with pytest.raises(SquareRadicandError):
         pell_fundamental(1, 1)
+
+
+def test_icbrt_cubes_and_neighbours():
+    rng = random.Random(29)
+    roots = list(range(200)) + [rng.getrandbits(rng.randint(20, 133)) for _ in range(300)]
+    roots.append((1 << 133) + 1)  # cube just above 2^399
+    for m in roots:
+        cube = m**3
+        assert _icbrt(cube) == m
+        if m:
+            assert _icbrt(cube + 1) == m
+            assert _icbrt(cube - 1) == m - 1
+    with pytest.raises(ValueError):
+        _icbrt(-8)
+
+
+def test_pell_rhs4_large_cube_root_returns():
+    # 661 = 5 mod 8: the rhs-4 solution is the cube root of a 2^124 unit
+    out = []
+    worker = threading.Thread(target=lambda: out.append(pell_fundamental(661, 4)), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive(), "pell_fundamental(661, 4) took over a second"
+    x, y = out[0]
+    assert x > 0 and y > 0
+    assert x * x - 661 * y * y == 4
 
 
 def test_pell_matches_brute_force_small():

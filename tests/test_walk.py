@@ -164,6 +164,34 @@ def test_incremental_matches_full_product(wmu):
         assert tracker.value == expected, seed
 
 
+def _bit_size(x):
+    A, B, D, _ = x
+    return A.bit_length() + B.bit_length() + D.bit_length()
+
+
+@pytest.mark.parametrize("smoothing", [False, True])
+@pytest.mark.parametrize("freeze_bits", [1500, 600])
+def test_walk_kernel_matches_stepwise_oracle(wmu, smoothing, freeze_bits):
+    mu = GroupMeasure(wmu.atoms, wmu.tail, smoothing=smoothing)
+    walker = _MeasureWalker(mu, SQRT3)
+    steps = 1000
+    frozen = 0
+    for seed in range(50):
+        rng = random.Random(f"kernel:{seed}")
+        x, frozen_at = SQRT3, None
+        for n in range(1, steps + 1):
+            x = mu.sample(rng).apply(x)
+            if _bit_size(x) > freeze_bits:
+                frozen_at = n
+                break
+        tracker = _run_config_walk(
+            walker, SQRT3, steps, random.Random(f"kernel:{seed}"), freeze_bits
+        )
+        assert (tracker.x, tracker.frozen_at) == (x, frozen_at), seed
+        frozen += frozen_at is not None
+    assert 0 < frozen < 50  # both outcomes are exercised
+
+
 def test_incremental_with_smoothing_matches_full_product(pre3):
     mu = GroupMeasure(
         [
