@@ -205,8 +205,7 @@ def cmd_kernel(args) -> int:
     graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
     rows = []
     bad = 0
-    for key in graph.sorted_keys()[: args.sample]:
-        p = graph.points[key]
+    for p in graph.sorted_keys()[: args.sample]:
         row = kernel.row(p)
         total = sum(w for _, _, _, w in row)
         sym = kernel.check_symmetry(p)
@@ -357,7 +356,6 @@ def build_parser() -> _Parser:
             p.add_argument(flag, **kw)
         if seed:
             p.add_argument("--seed", type=int, required=True)
-            p.add_argument("--threads", type=_positive_int, default=1)
         p.set_defaults(fn=fn)
         return p
 
@@ -387,6 +385,8 @@ def build_parser() -> _Parser:
             ("--sample", dict(type=_positive_int, default=200)),
         ],
     )
+    # trajectories split across threads; the results never depend on the count
+    threads = ("--threads", dict(type=_positive_int, default=1))
     walk_extras = [
         ("--T", dict(type=_positive_int, default=20000)),
         ("--epsilon", dict(default="1/4")),
@@ -398,7 +398,7 @@ def build_parser() -> _Parser:
         cmd_witness,
         s=True,
         seed=True,
-        extras=walk_extras + [("--M", dict(type=_positive_int, default=500))],
+        extras=walk_extras + [("--M", dict(type=_positive_int, default=500)), threads],
     )
     add(
         "summability",
@@ -432,6 +432,7 @@ def build_parser() -> _Parser:
             ("--alpha", dict(default="4/5")),
             ("--T", dict(type=_positive_int, default=10000)),
             ("--M", dict(type=_positive_int, default=1000)),
+            threads,
         ],
     )
     add(
@@ -443,6 +444,7 @@ def build_parser() -> _Parser:
             ("--s", dict(default="0+1*sqrt(3)")),
             ("--horizons", dict(type=_positive_int_list, default="10000,20000")),
             ("--M", dict(type=_positive_int, default=500)),
+            threads,
         ],
     )
     return parser
@@ -452,9 +454,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (PiecewiseMapError, ConstructionFailedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone; the report file is already written.
+        # Point stdout at devnull so the flush at exit cannot fail again
+        # (the "Note on SIGPIPE" in the signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

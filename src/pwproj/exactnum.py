@@ -41,6 +41,7 @@ def _factor_trial(n: int) -> Dict[int, int]:
     return factors
 
 
+# pays on parsing h_s at sqrt(23): else its 115-bit break radicand is trial-divided for 6 s
 _RADICAND_CACHE: Dict[int, Tuple[int, int]] = {}
 
 
@@ -395,7 +396,13 @@ def qn_compare(x: QuadraticNumber, y: QuadraticNumber) -> int:
 
 
 def canonical_key(p: ExtendedPoint):
-    """Injective, hashable, run-stable key for an extended point."""
+    """Injective, hashable, run-stable key for an extended point.
+
+    A point is itself a dictionary key; this plain tuple is for the walk's
+    intern table, where its hash (in C, unlike the point's own) is worth
+    about 7% of witness throughput.  A rational point's key does not find
+    the point in a point-keyed table.
+    """
     if p is INFINITY:
         return ("inf",)
     return tuple(p)

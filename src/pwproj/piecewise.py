@@ -18,7 +18,6 @@ from .exactnum import (
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
-    canonical_key,
     is_infinity,
     point_to_text,
     point_from_text,
@@ -355,23 +354,20 @@ class Configuration:
 
     base: ExtendedPoint
     field: int
-    entries: Dict[tuple, int] = field(default_factory=dict)
-    points: Dict[tuple, ExtendedPoint] = field(default_factory=dict)
+    entries: Dict[ExtendedPoint, int] = field(default_factory=dict)
 
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
     def value_at(self, p: ExtendedPoint) -> int:
-        return self.entries.get(canonical_key(p), 0)
+        return self.entries.get(p, 0)
 
     def items(self) -> List[Tuple[ExtendedPoint, int]]:
-        pairs = [(self.points[k], v) for k, v in self.entries.items()]
-        pairs.sort(key=itemgetter(0))
-        return pairs
+        return sorted(self.entries.items(), key=itemgetter(0))
 
     def copy(self) -> "Configuration":
-        return Configuration(self.base, self.field, dict(self.entries), dict(self.points))
+        return Configuration(self.base, self.field, dict(self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Configuration):
@@ -401,9 +397,7 @@ def configuration(f: PiecewiseProjectiveMap, s: ExtendedPoint) -> Configuration:
         change = left.inverse() * right
         value = germ_exponent(change, beta)
         if value:
-            key = canonical_key(beta)
-            conf.entries[key] = value
-            conf.points[key] = beta
+            conf.entries[beta] = value
     return conf
 
 
@@ -411,17 +405,13 @@ def config_act(g: PiecewiseProjectiveMap, conf: Configuration) -> Configuration:
     """Action (g, C) -> C_g + C o g of the group on configurations."""
     result = configuration(g, conf.base)
     g_inv = g.inverse()
-    for key, value in conf.entries.items():
-        src = conf.points[key]
-        gamma = g_inv.apply(src)
-        gkey = canonical_key(gamma)
-        new_val = result.entries.get(gkey, 0) + value
+    for point, value in conf.entries.items():
+        gamma = g_inv.apply(point)
+        new_val = result.entries.get(gamma, 0) + value
         if new_val:
-            result.entries[gkey] = new_val
-            result.points[gkey] = gamma
+            result.entries[gamma] = new_val
         else:
-            result.entries.pop(gkey, None)
-            result.points.pop(gkey, None)
+            result.entries.pop(gamma, None)
     return result
 
 
@@ -484,22 +474,15 @@ class HsConstruction:
         return self.far_end, self.base
 
 
-_HS_CACHE: Dict[tuple, "HsConstruction"] = {}
-
-
 def build_hs(s: QuadraticNumber) -> HsConstruction:
     """Build a validated map whose configuration at s is exactly {s: +1}.
 
     The support is an open interval with endpoint s; the two auxiliary
     break points land in quadratic fields marked by a fresh prime, hence
     outside the orbit of s.  Every postcondition is checked exactly.
-    Results are cached per base point (the search is deterministic).
     """
     if s.is_rational:
         raise ValueError("base point must be a quadratic irrational")
-    cached = _HS_CACHE.get(canonical_key(s))
-    if cached is not None:
-        return cached
     k = s.k
     desc = stabilizer_generator(s)
     gen = desc.generator
@@ -530,7 +513,6 @@ def build_hs(s: QuadraticNumber) -> HsConstruction:
                         s, gen, w_mat, prime, a_par, n_scale, above, pole, ident
                     )
                     if built is not None:
-                        _HS_CACHE[canonical_key(s)] = built
                         return built
     raise ConstructionFailedError("parameter search exhausted")
 

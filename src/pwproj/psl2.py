@@ -18,7 +18,6 @@ from .exactnum import (
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
-    canonical_key,
     is_infinity,
     qn_normalize,
     squarefree_of_factors,
@@ -316,7 +315,8 @@ class StabilizerDescriptor:
     to_infinity: Optional[ProjectiveMatrix]
 
 
-_STABILIZER_CACHE: Dict[tuple, StabilizerDescriptor] = {}
+# pays on products (375 against 346 pairs/s): 287 lookups for 86 distinct points per 80 pairs
+_STABILIZER_CACHE: Dict[ExtendedPoint, StabilizerDescriptor] = {}
 
 
 def _bezout(p: int, q: int) -> Tuple[int, int]:
@@ -353,12 +353,11 @@ def _half_unit_power(t: int, w: int, k: int, e: int) -> Tuple[int, int]:
 
 
 def stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
-    key = canonical_key(p)
-    cached = _STABILIZER_CACHE.get(key)
+    cached = _STABILIZER_CACHE.get(p)
     if cached is not None:
         return cached
     desc = _stabilizer_generator(p)
-    _STABILIZER_CACHE[key] = desc
+    _STABILIZER_CACHE[p] = desc
     return desc
 
 

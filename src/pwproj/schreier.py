@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import (
     ExtendedPoint,
     QuadraticNumber,
-    canonical_key,
     point_to_text,
     qn_compare,
 )
@@ -46,29 +45,31 @@ class OrbitGraph:
 
     generators: List[PiecewiseProjectiveMap]
     labels: List[str]
-    root: tuple
-    points: Dict[tuple, ExtendedPoint] = field(default_factory=dict)
-    edges: List[Dict[tuple, tuple]] = field(default_factory=list)
+    root: ExtendedPoint
+    # the vertices in BFS order, as an insertion-ordered set
+    points: Dict[ExtendedPoint, None] = field(default_factory=dict)
+    edges: List[Dict[ExtendedPoint, ExtendedPoint]] = field(default_factory=list)
     truncated: bool = False
     incomplete: set = field(default_factory=set)
-    regions: Optional[Dict[tuple, str]] = None
+    regions: Optional[Dict[ExtendedPoint, str]] = None
 
     def order(self) -> int:
         return len(self.points)
 
-    def neighbors(self, key: tuple) -> List[Tuple[str, tuple]]:
-        out: List[Tuple[str, tuple]] = []
+    def neighbors(self, point: ExtendedPoint) -> List[Tuple[str, ExtendedPoint]]:
+        out: List[Tuple[str, ExtendedPoint]] = []
         for gi, emap in enumerate(self.edges):
-            if key in emap:
-                out.append((self.labels[gi], emap[key]))
+            if point in emap:
+                out.append((self.labels[gi], emap[point]))
         for gi, emap in enumerate(self.edges):
             for src, dst in emap.items():
-                if dst == key:
+                if dst == point:
                     out.append((self.labels[gi] + "^-1", src))
         return out
 
-    def sorted_keys(self) -> List[tuple]:
-        return [canonical_key(p) for p in sorted(self.points.values())]
+    def sorted_keys(self) -> List[ExtendedPoint]:
+        """The vertices in increasing order."""
+        return sorted(self.points)
 
 
 def build_orbit_graph(
@@ -82,35 +83,28 @@ def build_orbit_graph(
         raise ValueError("max_vertices must be at least 1")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
-    graph = OrbitGraph(
-        generators=list(gens),
-        labels=list(labels),
-        root=canonical_key(root),
-    )
+    graph = OrbitGraph(generators=list(gens), labels=list(labels), root=root)
     graph.edges = [dict() for _ in gens]
-    graph.points[graph.root] = root
+    graph.points[root] = None
     inverses = [g.inverse() for g in gens]
-    queue = [graph.root]
+    queue = [root]
     qi = 0
     while qi < len(queue):
-        key = queue[qi]
+        point = queue[qi]
         qi += 1
-        point = graph.points[key]
         for gi, gen in enumerate(gens):
             for mapped, forward in ((gen.apply(point), True), (inverses[gi].apply(point), False)):
-                mkey = canonical_key(mapped)
-                known = mkey in graph.points
-                if not known:
+                if mapped not in graph.points:
                     if len(graph.points) >= max_vertices:
                         graph.truncated = True
-                        graph.incomplete.add(key)
+                        graph.incomplete.add(point)
                         continue
-                    graph.points[mkey] = mapped
-                    queue.append(mkey)
+                    graph.points[mapped] = None
+                    queue.append(mapped)
                 if forward:
-                    graph.edges[gi][key] = mkey
+                    graph.edges[gi][point] = mapped
                 else:
-                    graph.edges[gi][mkey] = key
+                    graph.edges[gi][mapped] = point
     return graph
 
 
@@ -145,20 +139,20 @@ def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
     b, c = pre.b, pre.c
     g_inv_c = g.inverse().apply(c)
     f_b = f.apply(b)
-    regions: Dict[tuple, str] = {}
-    for key, p in graph.points.items():
+    regions: Dict[ExtendedPoint, str] = {}
+    for p in graph.points:
         if _in_closed(p, b, g_inv_c):
-            regions[key] = "A"
+            regions[p] = "A"
         elif _in_closed(p, f_b, c):
-            regions[key] = "B"
+            regions[p] = "B"
         elif _in_closed(p, b, c):
-            regions[key] = "C"
+            regions[p] = "C"
         elif qn_compare(p, b) < 0:
             n = first_entry_steps(f, p, b, c)
-            regions[key] = f"Ray(f,{n})"
+            regions[p] = f"Ray(f,{n})"
         else:
             n = first_entry_steps(g.inverse(), p, b, c)
-            regions[key] = f"Ray(g,{n})"
+            regions[p] = f"Ray(g,{n})"
     graph.regions = regions
 
 
@@ -188,20 +182,18 @@ def verify_tree_structure(
     f_inv = f.inverse()
     g_inv_c = g_inv.apply(c)
     f_b = f.apply(b)
-    root_key = graph.root
-    if graph.points[root_key] != b:
+    root = graph.root
+    if root != b:
         raise PreconditionViolatedError("graph root is not b")
 
-    inside: Dict[tuple, ExtendedPoint] = {
-        k: p for k, p in graph.points.items() if _in_closed(p, b, c)
-    }
+    inside = dict.fromkeys(p for p in graph.points if _in_closed(p, b, c))
     region_a = region_b = 0
-    parent: Dict[tuple, tuple] = {}
-    for key, p in inside.items():
+    parent: Dict[ExtendedPoint, ExtendedPoint] = {}
+    for p in inside:
         # (4) the middle gap C contains no orbit point
         if qn_compare(p, g_inv_c) > 0 and qn_compare(p, f_b) < 0:
             raise StructureViolationError(point_to_text(p), "orbit point inside C")
-        if key == root_key:
+        if p == root:
             continue
         in_a = _in_closed(p, b, g_inv_c)
         if in_a:
@@ -223,37 +215,41 @@ def verify_tree_structure(
                 )
         if not _in_closed(par, b, c):
             raise StructureViolationError(point_to_text(p), "parent left [b, c]")
-        parent[key] = canonical_key(par)
+        parent[p] = par
 
     # (1) parent links reach the root without cycles: the subgraph is a tree
-    depth: Dict[tuple, int] = {root_key: 0}
+    depth: Dict[ExtendedPoint, int] = {root: 0}
     max_depth = 0
 
-    def _depth(k: tuple) -> int:
+    def _depth(k: ExtendedPoint) -> int:
         chain = []
         cur = k
         while cur not in depth:
             chain.append(cur)
             if cur not in parent:
-                raise StructureViolationError(str(cur), "parent chain leaves the graph")
+                raise StructureViolationError(
+                    point_to_text(cur), "parent chain leaves the graph"
+                )
             cur = parent[cur]
             if len(chain) > len(inside):
-                raise StructureViolationError(str(k), "parent chain has a cycle")
+                raise StructureViolationError(
+                    point_to_text(k), "parent chain has a cycle"
+                )
         base = depth[cur]
         for i, node in enumerate(reversed(chain)):
             depth[node] = base + i + 1
         return depth[k]
 
-    for key in inside:
-        if key != root_key:
-            max_depth = max(max_depth, _depth(key))
+    for p in inside:
+        if p != root:
+            max_depth = max(max_depth, _depth(p))
 
     # (2) two children inside [b, c] for every fully expanded tree vertex
-    for key, p in inside.items():
-        if key in graph.incomplete:
+    for p in inside:
+        if p in graph.incomplete:
             continue
         for child, name in ((g_inv.apply(p), "g^-1"), (f.apply(p), "f")):
-            if key == root_key and name == "g^-1":
+            if p == root and name == "g^-1":
                 if child != p:
                     raise StructureViolationError(
                         point_to_text(p), "g does not fix the root"
@@ -263,12 +259,11 @@ def verify_tree_structure(
                 raise StructureViolationError(
                     point_to_text(p), f"{name} child left [b, c]"
                 )
-            ckey = canonical_key(child)
-            if ckey not in graph.points:
+            if child not in graph.points:
                 raise StructureViolationError(
                     point_to_text(p), f"{name} child missing from graph"
                 )
-            if parent.get(ckey) != key:
+            if parent.get(child) != p:
                 raise StructureViolationError(
                     point_to_text(p), f"{name} child has a different parent"
                 )
@@ -278,11 +273,11 @@ def verify_tree_structure(
 
     # (5) outside vertices sit on one-sided rays under a single generator
     ray_count = 0
-    for key, p in graph.points.items():
-        if key in inside:
+    for p in graph.points:
+        if p in inside:
             continue
         ray_count += 1
-        if key in graph.incomplete:
+        if p in graph.incomplete:
             continue
         if qn_compare(p, b) < 0:
             if g.apply(p) != p:
@@ -343,7 +338,9 @@ class ComparisonKernel:
         self.f_inv = f.inverse()
         self.g_inv = g.inverse()
         self.a, self.b, self.c, self.d = a, b, c, d
-        self._entry_cache: Dict[tuple, int] = {}
+        # pays on the kernel command (off-bench): check_symmetry asks again
+        # for each row's points; --cap 2000 --sample 2000 takes 0.32 s, 0.37 s without
+        self._entry_cache: Dict[QuadraticNumber, int] = {}
 
     def _maps(self, label: str, direction: int) -> PiecewiseProjectiveMap:
         if label == "f":
@@ -351,14 +348,13 @@ class ComparisonKernel:
         return self.g if direction > 0 else self.g_inv
 
     def _entry_count(self, x: QuadraticNumber) -> int:
-        key = canonical_key(x)
-        cached = self._entry_cache.get(key)
+        cached = self._entry_cache.get(x)
         if cached is None:
             if qn_compare(x, self.b) < 0:
                 cached = first_entry_steps(self.f, x, self.b, self.c)
             else:
                 cached = first_entry_steps(self.g_inv, x, self.b, self.c)
-            self._entry_cache[key] = cached
+            self._entry_cache[x] = cached
         return cached
 
     def weight(self, x: QuadraticNumber, label: str, direction: int) -> Fraction:
@@ -418,7 +414,7 @@ def comparison_kernel(
 # -- Foelner ratios along rays ------------------------------------------------
 
 
-def foelner_ratio(graph: OrbitGraph, ray_start: tuple, length: int) -> Fraction:
+def foelner_ratio(graph: OrbitGraph, ray_start: ExtendedPoint, length: int) -> Fraction:
     """|boundary(S)| / |S| for S the first `length` vertices out along a ray."""
     if graph.regions is None:
         raise NotARayError("graph has no region tags")
@@ -443,8 +439,8 @@ def foelner_ratio(graph: OrbitGraph, ray_start: tuple, length: int) -> Fraction:
         members.append(cur)
     sset = set(members)
     boundary = set()
-    for key in sset:
-        for _, nb in graph.neighbors(key):
+    for point in sset:
+        for _, nb in graph.neighbors(point):
             if nb not in sset:
                 boundary.add(nb)
     return Fraction(len(boundary), len(sset))
@@ -463,19 +459,18 @@ _REGION_COLORS = {
 def export_dot(graph: OrbitGraph, path: str) -> None:
     """Deterministic DOT rendering with generator labels and region colors."""
     order = graph.sorted_keys()
-    index = {key: i for i, key in enumerate(order)}
+    index = {p: i for i, p in enumerate(order)}
     lines = ["digraph orbit {"]
-    for key in order:
-        p = graph.points[key]
+    for p in order:
         attrs = [f'label="{point_to_text(p)}"']
         if graph.regions:
-            tag = graph.regions.get(key, "")
+            tag = graph.regions.get(p, "")
             color = _REGION_COLORS.get(tag, "lightyellow" if tag.startswith("Ray") else None)
             if color:
                 attrs.append(f'style=filled fillcolor="{color}"')
-        if key == graph.root:
+        if p == graph.root:
             attrs.append("shape=doublecircle")
-        lines.append(f'  v{index[key]} [{" ".join(attrs)}];')
+        lines.append(f'  v{index[p]} [{" ".join(attrs)}];')
     for gi, emap in enumerate(graph.edges):
         label = graph.labels[gi]
         for src in order:
@@ -488,16 +483,13 @@ def export_dot(graph: OrbitGraph, path: str) -> None:
 
 
 def export_csv(graph: OrbitGraph, path: str) -> None:
-    """Adjacency dump: src_key, label, dst_key."""
+    """Adjacency dump: src, label, dst points."""
     order = graph.sorted_keys()
     lines = ["src,label,dst"]
     for gi, emap in enumerate(graph.edges):
         label = graph.labels[gi]
         for src in order:
             if src in emap:
-                lines.append(
-                    f'"{point_to_text(graph.points[src])}",{label},'
-                    f'"{point_to_text(graph.points[emap[src]])}"'
-                )
+                lines.append(f'"{point_to_text(src)}",{label},"{point_to_text(emap[src])}"')
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -125,6 +125,7 @@ class GroupMeasure:
             acc += w
             self._cuts.append(float(acc))
         self._sampler = PowerLawSampler(tail.alpha) if tail is not None else None
+        # pays on witness: without it T=20000 M=50 takes twice as long
         self._tail_powers: Dict[int, PiecewiseProjectiveMap] = {}
 
     def is_symmetric(self) -> bool:
@@ -241,15 +242,13 @@ class _MeasureWalker:
         ]
         if mu.tail is not None and not configuration(mu.tail.base, s).is_zero:
             raise ValueError("tail base must have empty configuration")
-        entry_bits = [
-            _bits(p) for conf in self.atom_confs for p in conf.points.values()
-        ]
+        entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
         self.share_bits = max(512, max(entry_bits, default=0) + 1)
+        # these tables pay on returns-z, where nearly every step is a hit (4x)
         self.registry: Dict[tuple, int] = {}
         self.points: List[QuadraticNumber] = []
         self.atom_trans: List[List[int]] = [[] for _ in mu.atoms]
         self.atom_delta: List[Dict[int, int]] = [dict() for _ in mu.atoms]
-        self.tail_trans: Dict[Tuple[int, int], int] = {}
 
     def intern(self, x: QuadraticNumber) -> int:
         key = canonical_key(x)
@@ -261,7 +260,7 @@ class _MeasureWalker:
             for trans in self.atom_trans:
                 trans.append(self.RAW)
             for ai, conf in enumerate(self.atom_confs):
-                val = conf.entries.get(key)
+                val = conf.entries.get(x)
                 if val:
                     self.atom_delta[ai][pid] = val
         return pid
@@ -292,7 +291,6 @@ class _MeasureWalker:
         cuts = self.mu._cuts
         atom_trans = self.atom_trans
         atom_delta = self.atom_delta
-        tail_trans = self.tail_trans
         sampler = self.mu._sampler
         tail_power = self.mu._tail_power
         smoothing = self.mu.smoothing
@@ -316,26 +314,15 @@ class _MeasureWalker:
                             continue
                     x = atoms[ai].apply(x)
                 else:
-                    j = sampler.sample_signed(rng)
-                    if pid != raw:
-                        slot = (pid, j)
-                        nid = tail_trans.get(slot)
-                        if nid is not None:
-                            pid = nid
-                            x = points[nid]
-                            continue
-                    x = tail_power(j).apply(x)
+                    x = tail_power(sampler.sample_signed(rng)).apply(x)
                 A, B, D, _ = x
                 bits = A.bit_length() + B.bit_length() + D.bit_length()
                 if bits > share_bits:
                     pid = raw
                     continue
                 nid = intern(x)
-                if pid != raw:
-                    if ai < natoms:
-                        atom_trans[ai][pid] = nid
-                    elif len(tail_trans) < (1 << 22):
-                        tail_trans[slot] = nid
+                if pid != raw and ai < natoms:
+                    atom_trans[ai][pid] = nid
                 pid = nid
             if delta:
                 changes.append((n, delta))

@@ -195,13 +195,12 @@ def test_criterion_07_comparison_kernel(graph2000, pre3):
     quarter = Fraction(1, 4)
     three_quarter = Fraction(3, 4)
     checked = 0
-    for key in graph2000.sorted_keys():
+    for p in graph2000.sorted_keys():
         if checked >= 200:
             break
-        p = graph2000.points[key]
         assert kernel.row_sum(p) == 1
         assert kernel.check_symmetry(p)
-        tag = graph2000.regions[key]
+        tag = graph2000.regions[p]
         if tag in ("A", "B", "C"):
             for lbl, d in (("f", 1), ("f", -1), ("g", 1), ("g", -1)):
                 assert kernel.weight(p, lbl, d) == quarter
@@ -264,8 +263,8 @@ def test_criterion_09_br_subadditive(pre3):
 
 
 def test_criterion_10_orbit_cross_validation(graph2000):
-    root_point = graph2000.points[graph2000.root]
-    for p in graph2000.points.values():
+    root_point = graph2000.root
+    for p in graph2000.points:
         assert orbit_equivalent(root_point, p)
     rng = random.Random(10)
     for _ in range(100):

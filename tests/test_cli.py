@@ -220,6 +220,37 @@ def test_witness_threads_match(tmp_path):
     assert serial == threaded
 
 
+def test_threads_only_on_trajectory_commands(tmp_path):
+    proc = run(
+        ["walk", "--s", "0+1*sqrt(3)", "--T", "10", "--seed", "1", "--threads", "2"],
+        tmp_path,
+    )
+    assert proc.returncode == 64
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+def test_closed_stdout_is_not_a_traceback(tmp_path):
+    proc = subprocess.Popen(
+        BASE + ["prechain", "--s", "0+1*sqrt(3)"],
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # the reader is gone before the report is printed
+    try:
+        err = proc.stderr.read()
+        returncode = proc.wait(timeout=600)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert returncode == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+    assert (tmp_path / "prechain.json").exists()
+
+
 def test_out_dir_env(tmp_path):
     out = tmp_path / "reports"
     env = dict(os.environ, PWPROJ_OUT=str(out))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwproj.exactnum import QuadraticNumber, qn_compare
+from pwproj.exactnum import QuadraticNumber, qn_compare, qn_from_text
 from pwproj.piecewise import (
     DiscontinuousError,
     EndGermNotTranslationError,
@@ -123,6 +123,28 @@ def test_restrict(hs3):
     sub = pm_restrict(f, lo, hi)
     supp = sub.support_intervals()
     assert supp[0][0] == lo and supp[-1][1] == hi
+
+
+def test_configuration_on_rational_orbit():
+    # a generator of Thompson's group F; every rational is on the orbit of 0
+    x1 = pm_new(
+        [q(0), q(Fraction(1, 2)), q(1)],
+        [
+            IDENT,
+            ProjectiveMatrix.make(1, 0, -1, 1),
+            ProjectiveMatrix.make(3, -1, 1, 0),
+            ProjectiveMatrix.translation(1),
+        ],
+    )
+    conf = configuration(x1, q(0))
+    assert conf.as_text_dict() == {"0": 1, "1/2": -1, "1": 1}
+    # rational points are found by equal points built on their own
+    assert conf.value_at(qn_from_text("0")) == 1
+    assert conf.value_at(qn_from_text("1/2")) == -1
+    assert conf.value_at(QuadraticNumber(Fraction(1, 2))) == -1
+    assert conf.value_at(qn_from_text("1")) == 1
+    assert conf.value_at(qn_from_text("1/3")) == 0
+    assert config_act(x1, conf) == configuration(x1 * x1, q(0))
 
 
 def test_configuration_examples(hs3):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwproj.exactnum import QuadraticNumber, canonical_key, qn_compare
+from pwproj.exactnum import QuadraticNumber, qn_compare, qn_from_text
 from pwproj.piecewise import construct_prechain, pm_from_matrix
 from pwproj.psl2 import ProjectiveMatrix, orbit_equivalent
 from pwproj.schreier import (
@@ -43,8 +43,12 @@ def test_translation_orbit_path():
     graph = build_orbit_graph([a1], q(0), 5)
     assert graph.order() == 5
     assert graph.truncated
-    points = sorted(float(p) for p in graph.points.values())
+    points = sorted(float(p) for p in graph.points)
     assert points == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    # a rational vertex is found by an equal point built on its own
+    assert qn_from_text("-2") in graph.points
+    assert QuadraticNumber(Fraction(2)) in graph.points
+    assert qn_from_text("3") not in graph.points
 
 
 def test_fixed_point_loop(pre3):
@@ -72,13 +76,12 @@ def test_edges_realized_by_maps(graph600, pre3):
     for gi, emap in enumerate(graph600.edges):
         label = graph600.labels[gi]
         for src, dst in emap.items():
-            assert canonical_key(maps[label](graph600.points[src])) == dst
+            assert maps[label](src) == dst
 
 
 def test_all_vertices_orbit_equivalent(graph600):
-    root_point = graph600.points[graph600.root]
-    for p in graph600.points.values():
-        assert orbit_equivalent(root_point, p)
+    for p in graph600.points:
+        assert orbit_equivalent(graph600.root, p)
 
 
 def test_tree_structure(graph600, pre3):
@@ -89,7 +92,7 @@ def test_tree_structure(graph600, pre3):
 
 
 def test_c_not_in_graph(graph600, pre3):
-    assert canonical_key(pre3.c) not in graph600.points
+    assert pre3.c not in graph600.points
 
 
 def test_binary_growth(graph600, pre3):
@@ -101,19 +104,17 @@ def test_binary_growth(graph600, pre3):
     frontier = [graph600.root]
     while frontier:
         nxt = []
-        for key in frontier:
-            if key in graph600.incomplete:
+        for p in frontier:
+            if p in graph600.incomplete:
                 continue
-            p = graph600.points[key]
             for child in (g_map.inverse()(p), f_map(p)):
-                if key == graph600.root and child == p:
+                if p == graph600.root and child == p:
                     continue
                 if qn_compare(child, pre3.b) >= 0 and qn_compare(child, pre3.c) <= 0:
-                    ckey = canonical_key(child)
-                    if ckey in graph600.points and ckey not in depth:
-                        depth[ckey] = depth[key] + 1
-                        counts[depth[ckey]] = counts.get(depth[ckey], 0) + 1
-                        nxt.append(ckey)
+                    if child in graph600.points and child not in depth:
+                        depth[child] = depth[p] + 1
+                        counts[depth[child]] = counts.get(depth[child], 0) + 1
+                        nxt.append(child)
         frontier = nxt
     # the root has the single child f(b); every deeper vertex has two
     assert counts[0] == 1
@@ -124,8 +125,7 @@ def test_binary_growth(graph600, pre3):
 def test_kernel_weights(graph600, pre3):
     ker = comparison_kernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
     seen_cases = set()
-    for key in list(graph600.points)[:200]:
-        p = graph600.points[key]
+    for p in list(graph600.points)[:200]:
         assert ker.row_sum(p) == 1
         assert ker.check_symmetry(p)
         if qn_compare(p, pre3.b) >= 0 and qn_compare(p, pre3.c) <= 0:
@@ -210,9 +210,8 @@ def test_foelner_decreases_on_doubling(pre3):
         deep = f_inv(deep)
     graph = build_orbit_graph([pre3.f, pre3.g], deep, 40, labels=["f", "g"])
     attach_regions(graph, pre3)
-    start = canonical_key(deep)
-    assert graph.regions[start].startswith("Ray(f")
-    ratios = [foelner_ratio(graph, start, L) for L in (3, 6, 12)]
+    assert graph.regions[deep].startswith("Ray(f")
+    ratios = [foelner_ratio(graph, deep, L) for L in (3, 6, 12)]
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] <= Fraction(2, 12) + Fraction(1, 12)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -235,11 +236,30 @@ def test_thread_count_does_not_change_results(wmu):
     assert l1 == l3
 
 
+def _returns_on_z_exact(n):
+    """E #{1 <= m <= n : S_m = 0} for the simple +-1 walk: sum_j C(2j, j) / 4^j."""
+    j = n // 2
+    return Fraction((2 * j + 1) * math.comb(2 * j, j), 4**j) - 1
+
+
 def test_returns_on_z():
     mu = uniform_measure([A1, A1.inverse()])
     rep = estimate_returns(mu, q(0), [4000], 400, 42)
     expect = math.sqrt(2 * 4000 / math.pi)
     assert abs(rep.means[0] - expect) / expect < 0.10
+    exact = float(_returns_on_z_exact(4000))
+    assert abs(rep.means[0] - exact) <= 3 * rep.stderrs[0]
+
+
+def test_returns_on_z_exact_oracle():
+    for n in range(1, 13):
+        visits = 0
+        for path in itertools.product((1, -1), repeat=n):
+            pos = 0
+            for step in path:
+                pos += step
+                visits += pos == 0
+        assert Fraction(visits, 2**n) == _returns_on_z_exact(n)
 
 
 def test_returns_point_mass_fixed(pre3):
