@@ -2,7 +2,9 @@
 
 Every value is canonical integers (A + B*sqrt(k)) / D: the radicand is
 square-free, rationals are the k == 1 case, and equality/ordering are
-decided with integer arithmetic (no floats).
+decided with integer arithmetic.  qn_approx gives a float with a proven
+error bound, for callers that filter comparisons before deciding them
+exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 Rational = Fraction
 
@@ -393,6 +395,49 @@ def qn_compare(x: QuadraticNumber, y: QuadraticNumber) -> int:
     if sp == 0 or sp == sw:
         return sw if sp == 0 else sp
     return sp * _sign_root(u * u + v * v * k - w * w * l, 2 * u * v, k)
+
+
+_INF = math.inf
+
+
+def qn_approx(x: QuadraticNumber) -> Optional[Tuple[float, float]]:
+    """A float f and an error bound e with |x - f| < e/2; None if x does not fit.
+
+    With a = A/D, b = B/D and r = sqrt(k) rounded to floats,
+    f = a + b*r and e = 2**-48 * (|a| + |b|*r) + 2**-1000, in floats.
+
+    Why the bound holds (u = 2**-53): int/int true division and math.sqrt
+    are correctly rounded, and every float operation returns z*(1 + d) + h
+    with |d| <= u and |h| <= 2**-1075, where h is nonzero only when the
+    result underflows into the subnormals (never for a sum or difference).
+    For k < 2**53, float(k) is exact, so r = sqrt(k)*(1 + d).  Adding the
+    errors of the five roundings and bounding the exact |A/D| and
+    |B/D|*sqrt(k) by the computed |a| and |b|*r gives
+    |x - f| <= 4u(1 + 3u)(|a| + |b|*r) + 2**-1075 * (2r + 3),
+    below 2**-51 (1 + 3u)(|a| + |b|*r) + 2**-1047 since r < 2**27.
+    Rounding e itself costs at most a relative 4u and 2 * 2**-1075, so
+    e/2 >= 2**-49 (1 - 4u)(|a| + |b|*r) + 2**-1001 (1 - u) - 2**-1075,
+    which is larger.  The 2**-1000 term covers points whose parts
+    underflow to zero.
+
+    None when A/D or B/D is too large for a float (OverflowError), when f
+    or e is not finite (an overflow in a product or sum, or inf - inf), or
+    when k >= 2**53, where float(k) would round.
+    """
+    A, B, D, k = x
+    if k >= 1 << 53:
+        return None
+    try:
+        a = A / D
+        b = B / D
+    except OverflowError:
+        return None
+    r = math.sqrt(k)
+    f = a + b * r
+    e = 2.0**-48 * (abs(a) + abs(b) * r) + 2.0**-1000
+    if -_INF < f < _INF and e < _INF:
+        return f, e
+    return None
 
 
 def canonical_key(p: ExtendedPoint):

@@ -21,6 +21,7 @@ from .exactnum import (
     is_infinity,
     point_to_text,
     point_from_text,
+    qn_approx,
     qn_compare,
 )
 from .psl2 import (
@@ -64,17 +65,20 @@ class ConstructionFailedError(RuntimeError):
 
 
 _ONE = QuadraticNumber(1)
+_INF = float("inf")
 
 
 class PiecewiseProjectiveMap:
     """Increasing piecewise-PSL2(Z) bijection of R fixing infinity."""
 
-    __slots__ = ("breaks", "pieces")
+    __slots__ = ("breaks", "pieces", "_approx")
 
     def __init__(self, breaks: Sequence[QuadraticNumber], pieces: Sequence[ProjectiveMatrix]):
         # use pm_new for validated construction
         self.breaks: Tuple[QuadraticNumber, ...] = tuple(breaks)
         self.pieces: Tuple[ProjectiveMatrix, ...] = tuple(pieces)
+        # qn_approx of each break, filled by the first piece_index call
+        self._approx: Optional[List[Optional[Tuple[float, float]]]] = None
 
     # -- structure -------------------------------------------------------
 
@@ -88,11 +92,37 @@ class PiecewiseProjectiveMap:
         return len(self.breaks) + extra
 
     def piece_index(self, x: QuadraticNumber, side: int = 1) -> int:
-        """Index of the piece governing x; side=-1 gives the left germ at x."""
-        lo, hi = 0, len(self.breaks)
+        """Index of the piece governing x; side=-1 gives the left germ at x.
+
+        Each probe of the binary search first compares float enclosures
+        (qn_approx) of x and the break: when |fl(f_x - f_b)| > e_x + e_b, the
+        float gap has the sign of x - b (the enclosures leave room for the
+        rounding of the gap and of the sum).  Otherwise, or when either
+        side has no enclosure, qn_compare decides that break exactly, so the
+        result is always the exact one.
+        """
+        breaks = self.breaks
+        lo, hi = 0, len(breaks)
+        if not hi:
+            return 0
+        approx = self._approx
+        if approx is None:
+            approx = self._approx = [qn_approx(b) for b in breaks]
+        ax = qn_approx(x)
+        fx, ex = ax if ax is not None else (0.0, _INF)
         while lo < hi:
             mid = (lo + hi) // 2
-            cmp = qn_compare(x, self.breaks[mid])
+            ab = approx[mid]
+            if ab is not None:
+                gap = fx - ab[0]
+                err = ex + ab[1]
+                if gap > err:
+                    lo = mid + 1
+                    continue
+                if -gap > err:
+                    hi = mid
+                    continue
+            cmp = qn_compare(x, breaks[mid])
             if cmp > 0 or (cmp == 0 and side > 0):
                 lo = mid + 1
             else:

@@ -137,7 +137,8 @@ def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
     """Tag vertices as A, B, C inside [b, c] or Ray(label, index) outside."""
     f, g = pre.f, pre.g
     b, c = pre.b, pre.c
-    g_inv_c = g.inverse().apply(c)
+    g_inv = g.inverse()
+    g_inv_c = g_inv.apply(c)
     f_b = f.apply(b)
     regions: Dict[ExtendedPoint, str] = {}
     for p in graph.points:
@@ -151,7 +152,7 @@ def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
             n = first_entry_steps(f, p, b, c)
             regions[p] = f"Ray(f,{n})"
         else:
-            n = first_entry_steps(g.inverse(), p, b, c)
+            n = first_entry_steps(g_inv, p, b, c)
             regions[p] = f"Ray(g,{n})"
     graph.regions = regions
 

@@ -10,8 +10,10 @@ from pwproj.exactnum import (
     QuadraticNumber,
     canonical_key,
     normalize_radicand,
+    qn_approx,
     qn_compare,
     qn_from_text,
+    qn_normalize,
     qn_to_text,
     squarefree_of_factors,
 )
@@ -176,3 +178,56 @@ def test_keys_injective():
     assert canonical_key(q(2, 1, 3)) == canonical_key(q(2, 1, 3))
     assert canonical_key(q(0, 1, 3)) != canonical_key(q(0, 1, 2))
     assert canonical_key(INFINITY) != canonical_key(q(0))
+
+
+def _assert_encloses(x):
+    """qn_approx(x) = (f, e) with f - e/2 < x < f + e/2, decided exactly."""
+    approx = qn_approx(x)
+    assert approx is not None, x
+    f, e = approx
+    half = Fraction(e) / 2
+    assert qn_compare(x, QuadraticNumber(Fraction(f) - half)) > 0, x
+    assert qn_compare(x, QuadraticNumber(Fraction(f) + half)) < 0, x
+    return f, e
+
+
+def test_qn_approx_encloses_random_points():
+    rng = random.Random(5)
+    for k in (1, 2, 3, 23):
+        for _ in range(300):
+            bits = rng.randint(1, 3000)
+            # A and B within 2**60 of D, so that x fits a float
+            D = rng.getrandbits(bits) | 1 << (bits - 1)
+            A = rng.choice((-1, 1)) * rng.getrandbits(max(1, bits + rng.randint(-60, 60)))
+            B = rng.choice((-1, 1)) * rng.getrandbits(max(1, bits + rng.randint(-60, 60)))
+            _assert_encloses(qn_normalize(A, B if k > 1 else 0, D, k))
+
+
+def test_qn_approx_encloses_near_cancelling_points():
+    # p - q*sqrt(3) from the convergents p/q of sqrt(3): |x| ~ 1/q while A, B ~ q
+    p, q_ = 1, 1
+    checked = 0
+    while p.bit_length() < 1100:
+        for D in (1, 7, 1 << 40):
+            for sign in (1, -1):
+                x = qn_normalize(sign * p, -sign * q_, D, 3)
+                if p < 2**1000:
+                    _assert_encloses(x)
+                    checked += 1
+                elif p // D >= 2**1024:
+                    assert qn_approx(x) is None
+        p, q_ = p + 3 * q_, p + q_
+    assert checked > 100
+
+
+def test_qn_approx_subnormal_and_overflow():
+    D = 2**1100
+    for A, B, k in ((3, 5, 2), (2**80 + 1, 0, 1), (-(2**60), 2**61, 3), (0, 1, 23)):
+        f, e = _assert_encloses(qn_normalize(A, B, D, k))
+        assert abs(f) < 2.0**-1000 and e >= 2.0**-1000
+    assert qn_approx(qn_normalize(10**400, 0, 1, 1)) is None
+    assert qn_approx(qn_normalize(-(10**400), 3, 1, 2)) is None
+    assert qn_approx(qn_normalize(1, 10**400, 1, 3)) is None
+    # sqrt(k) of a square-free k >= 2**53 would be rounded twice
+    k = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    assert k >= 2**53 and qn_approx(qn_normalize(1, 1, 1, k)) is None

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from pwproj.exactnum import QuadraticNumber, qn_compare, qn_from_text
+from pwproj import piecewise
+from pwproj.exactnum import QuadraticNumber, qn_approx, qn_compare, qn_from_text, qn_normalize
 from pwproj.piecewise import (
     DiscontinuousError,
     EndGermNotTranslationError,
@@ -25,6 +26,7 @@ from pwproj.piecewise import (
     pm_translation,
 )
 from pwproj.psl2 import ProjectiveMatrix
+from pwproj.walk import witness_measure
 
 
 def q(a, b=0, k=1):
@@ -294,3 +296,104 @@ def test_map_text_round_trip(hs3):
     f = hs3.map
     assert PiecewiseProjectiveMap.from_text(f.to_text()) == f
     assert PiecewiseProjectiveMap.from_text(pm_identity().to_text()).is_identity
+
+
+def _exact_piece_index(f, x, side):
+    """Breaks b with b <= x (side 1) or b < x (side -1), by integer compares."""
+    least = 0 if side > 0 else 1
+    return sum(qn_compare(x, b) >= least for b in f.breaks)
+
+
+def _check_piece_index(f, points):
+    for x in points:
+        for side in (1, -1):
+            assert f.piece_index(x, side) == _exact_piece_index(f, x, side), (f, x, side)
+
+
+@pytest.fixture
+def exact_compares(monkeypatch):
+    """Counts the qn_compare calls piece_index falls back to."""
+    calls = [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return qn_compare(x, y)
+
+    monkeypatch.setattr(piecewise, "qn_compare", counting)
+    return calls
+
+
+def _near(points, eps):
+    return [p + d for p in points for d in (QuadraticNumber(eps), QuadraticNumber(-eps))]
+
+
+def test_piece_index_at_and_near_breaks(pre3, exact_compares):
+    maps = [pre3.hs.map, pre3.companion]
+    maps += [f.inverse() for f in maps]
+    breaks = [b for f in maps for b in f.breaks]
+    for f in maps:
+        _check_piece_index(f, breaks)
+        _check_piece_index(f, _near(breaks, Fraction(1, 2**60)))
+    for f in maps:
+        # 2**-200 from a break is below the filter's reach: its probe falls back
+        exact_compares[0] = 0
+        _check_piece_index(f, _near(f.breaks, Fraction(1, 2**200)))
+        assert exact_compares[0] >= 4 * len(f.breaks)
+
+
+def _walk_points(mu, count, rng):
+    """Points of witness walks from sqrt(3), as many of each 100-bit size
+    class up to 1500 bits; a walk restarts once it grows past 1500 bits."""
+    quota = [count // 15 + 1] * 15
+    points, x = [], SQRT3
+    while len(points) < count:
+        x = mu.sample(rng).apply(x)
+        A, B, D, _ = x
+        bits = A.bit_length() + B.bit_length() + D.bit_length()
+        if bits > 1500:
+            x = SQRT3
+        elif quota[bits // 100]:
+            quota[bits // 100] -= 1
+            points.append(x)
+    return points
+
+
+def test_piece_index_on_walk_points(pre3, exact_compares):
+    mu = witness_measure(pre3.hs.map, pre3.companion, pm_translation(1))
+    atoms = [f for f, _ in mu.atoms]
+    points = _walk_points(mu, 2000, random.Random(11))
+    exact_compares[0] = 0
+    for f in atoms:
+        _check_piece_index(f, points)
+    # the float filter settles all but a few calls (points within float
+    # resolution of a break, near the fixed points the walk accumulates at)
+    assert exact_compares[0] < len(atoms) * len(points) * 2 // 20
+
+
+def test_piece_index_many_breaks(pre3):
+    mu = witness_measure(pre3.hs.map, pre3.companion, pm_translation(1))
+    atoms = [f for f, _ in mu.atoms]
+    rng = random.Random(3)
+    f = pm_identity()
+    while len(f.breaks) <= 16:
+        f = rng.choice(atoms) * f
+    _check_piece_index(f, f.breaks)
+    _check_piece_index(f, _near(f.breaks, Fraction(1, 2**60)))
+    _check_piece_index(f, _near(f.breaks, Fraction(1, 2**200)))
+    _check_piece_index(f, _walk_points(mu, 300, random.Random(12)))
+
+
+def test_piece_index_points_without_float(pre3):
+    # square-free radicand >= 2**53, where qn_approx gives no enclosure
+    k = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    for f in (pre3.hs.map, pre3.companion, pre3.companion.inverse()):
+        points = [q(10**400), q(-(10**400)), qn_normalize(10**400, 1, 3, 3)]
+        for b in f.breaks:
+            r = Fraction(float(b))
+            for sign in (1, -1):
+                # r + sign*sqrt(k)/2**200 with r = float(b), next to the break b
+                points.append(
+                    qn_normalize(r.numerator << 200, sign * r.denominator, r.denominator << 200, k)
+                )
+        assert all(qn_approx(x) is None for x in points)
+        _check_piece_index(f, points)
