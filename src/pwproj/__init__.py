@@ -5,7 +5,6 @@ from .exactnum import (
     ExtendedPoint,
     MixedFieldError,
     QuadraticNumber,
-    Rational,
     canonical_key,
     normalize_radicand,
     qn_compare,
@@ -18,7 +17,6 @@ __all__ = [
     "ExtendedPoint",
     "MixedFieldError",
     "QuadraticNumber",
-    "Rational",
     "canonical_key",
     "normalize_radicand",
     "qn_compare",

@@ -26,10 +26,10 @@ from .piecewise import (
 )
 from .psl2 import ProjectiveMatrix
 from .schreier import (
+    ComparisonKernel,
     StructureViolationError,
     attach_regions,
     build_orbit_graph,
-    comparison_kernel,
     export_csv,
     export_dot,
     verify_tree_structure,
@@ -92,18 +92,12 @@ def _config_echo(args, fields) -> dict:
     return {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
 
 
-def _parse_point(text: str) -> QuadraticNumber:
-    value = qn_from_text(text)
-    return value
-
-
 def _prechain_for(args):
-    s = _parse_point(args.s)
-    return construct_prechain(s)
+    return construct_prechain(qn_from_text(args.s))
 
 
 def cmd_construct_hs(args) -> int:
-    s = _parse_point(args.s)
+    s = qn_from_text(args.s)
     built = build_hs(s)
     payload = {
         "command": "construct-hs",
@@ -201,7 +195,7 @@ def cmd_verify_tree(args) -> int:
 
 def cmd_kernel(args) -> int:
     pre = _prechain_for(args)
-    kernel = comparison_kernel(pre.f, pre.g, pre.a, pre.b, pre.c, pre.d)
+    kernel = ComparisonKernel(pre.f, pre.g, pre.a, pre.b, pre.c, pre.d)
     graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
     rows = []
     bad = 0
@@ -385,7 +379,8 @@ def build_parser() -> _Parser:
             ("--sample", dict(type=_positive_int, default=200)),
         ],
     )
-    # trajectories split across threads; the results never depend on the count
+    # trajectories split across threads; the results never depend on the count.
+    # The threads share the GIL and give no speed-up.
     threads = ("--threads", dict(type=_positive_int, default=1))
     walk_extras = [
         ("--T", dict(type=_positive_int, default=20000)),
@@ -457,7 +452,8 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (PiecewiseMapError, ConstructionFailedError, ValueError) as exc:
+    except (PiecewiseMapError, ConstructionFailedError, ValueError, ZeroDivisionError) as exc:
+        # ZeroDivisionError: a zero denominator in --s, --epsilon or --alpha
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

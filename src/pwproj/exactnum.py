@@ -15,8 +15,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-Rational = Fraction
-
 
 class MixedFieldError(ArithmeticError):
     """Combination of irrationals from two distinct quadratic fields."""
@@ -165,10 +163,6 @@ class QuadraticNumber(tuple):
     def __getnewargs__(self):
         # copy and pickle rebuild the number through the constructor
         return (self.a, self.b, self[3])
-
-    @classmethod
-    def sqrt_of(cls, n: int) -> "QuadraticNumber":
-        return cls(0, 1, n)
 
     @property
     def is_rational(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
     INFINITY,
@@ -132,12 +132,6 @@ class PiecewiseProjectiveMap:
     def right_germ(self, x: QuadraticNumber) -> ProjectiveMatrix:
         return self.pieces[self.piece_index(x, 1)]
 
-    def left_germ(self, x: QuadraticNumber) -> ProjectiveMatrix:
-        return self.pieces[self.piece_index(x, -1)]
-
-    def end_germ(self) -> Tuple[ProjectiveMatrix, ProjectiveMatrix]:
-        return self.pieces[0], self.pieces[-1]
-
     # -- action ----------------------------------------------------------
 
     def apply(self, x: ExtendedPoint) -> ExtendedPoint:
@@ -165,7 +159,7 @@ class PiecewiseProjectiveMap:
             pre = inner_inv_pieces[idx].apply(beta)
             if not is_infinity(pre):
                 candidates.append(pre)
-        candidates = _sorted_unique(candidates)
+        candidates = sorted(set(candidates))
         pieces = [self.pieces[0] * inner.pieces[0]]
         for beta in candidates:
             inner_right = inner.right_germ(beta)
@@ -211,7 +205,7 @@ class PiecewiseProjectiveMap:
         # merge adjacent moved intervals that share an endpoint the map moves
         merged: List[Tuple[Optional[QuadraticNumber], Optional[QuadraticNumber]]] = []
         for lo, hi in events:
-            if merged and _same_bound(merged[-1][1], lo) and lo is not None:
+            if merged and lo is not None and merged[-1][1] == lo:
                 if self.apply(lo) != lo:
                     merged[-1] = (merged[-1][0], hi)
                     continue
@@ -255,21 +249,6 @@ class PiecewiseProjectiveMap:
         return f"PiecewiseProjectiveMap({self.to_text()!r})"
 
 
-def _same_bound(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a == b
-
-
-def _sorted_unique(points: Iterable[QuadraticNumber]) -> List[QuadraticNumber]:
-    pts = sorted(points)
-    out: List[QuadraticNumber] = []
-    for p in pts:
-        if not out or out[-1] != p:
-            out.append(p)
-    return out
-
-
 def _preimage_piece_index(f: PiecewiseProjectiveMap, y: QuadraticNumber) -> int:
     """Index of the piece of f whose image interval contains y (right side)."""
     lo, hi = 0, len(f.breaks)
@@ -285,10 +264,6 @@ def _preimage_piece_index(f: PiecewiseProjectiveMap, y: QuadraticNumber) -> int:
 
 def pm_identity() -> PiecewiseProjectiveMap:
     return PiecewiseProjectiveMap((), (ProjectiveMatrix.identity(),))
-
-
-def pm_translation(n: int) -> PiecewiseProjectiveMap:
-    return PiecewiseProjectiveMap((), (ProjectiveMatrix.translation(n),))
 
 
 def pm_from_matrix(m: ProjectiveMatrix) -> PiecewiseProjectiveMap:
@@ -339,18 +314,6 @@ def pm_new(
     return PiecewiseProjectiveMap(red_breaks, red_pieces)
 
 
-def pm_apply(f: PiecewiseProjectiveMap, x: ExtendedPoint) -> ExtendedPoint:
-    return f.apply(x)
-
-
-def pm_compose(outer: PiecewiseProjectiveMap, inner: PiecewiseProjectiveMap) -> PiecewiseProjectiveMap:
-    return outer.compose(inner)
-
-
-def pm_inverse(f: PiecewiseProjectiveMap) -> PiecewiseProjectiveMap:
-    return f.inverse()
-
-
 def pm_restrict(
     f: PiecewiseProjectiveMap, a: QuadraticNumber, b: QuadraticNumber
 ) -> PiecewiseProjectiveMap:
@@ -395,9 +358,6 @@ class Configuration:
 
     def items(self) -> List[Tuple[ExtendedPoint, int]]:
         return sorted(self.entries.items(), key=itemgetter(0))
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.base, self.field, dict(self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Configuration):
@@ -651,11 +611,6 @@ def _try_hs_candidate(
     )
 
 
-def construct_h_s(s: QuadraticNumber) -> PiecewiseProjectiveMap:
-    """Element of H(Z) whose configuration at s is the delta at s."""
-    return build_hs(s).map
-
-
 # -- 2-prechain construction ----------------------------------------------
 
 
@@ -677,9 +632,6 @@ class Prechain:
     companion: PiecewiseProjectiveMap
     f_power: int
     g_power: int
-
-    def as_tuple(self):
-        return self.f, self.g, self.a, self.b, self.c, self.d
 
 
 def _positive_between(gmat: ProjectiveMatrix, lo: QuadraticNumber) -> ProjectiveMatrix:

@@ -151,10 +151,6 @@ class ProjectiveMatrix:
         return self.to_text()
 
 
-def mat_apply(m: ProjectiveMatrix, p: ExtendedPoint) -> ExtendedPoint:
-    return m.apply(p)
-
-
 def mat_classify(m: ProjectiveMatrix) -> str:
     if m.is_identity:
         return "identity"

@@ -43,7 +43,6 @@ _RAY_CAP = 1_000_000
 class OrbitGraph:
     """BFS-enumerated orbit of a root point under generators and inverses."""
 
-    generators: List[PiecewiseProjectiveMap]
     labels: List[str]
     root: ExtendedPoint
     # the vertices in BFS order, as an insertion-ordered set
@@ -83,7 +82,7 @@ def build_orbit_graph(
         raise ValueError("max_vertices must be at least 1")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
-    graph = OrbitGraph(generators=list(gens), labels=list(labels), root=root)
+    graph = OrbitGraph(labels=list(labels), root=root)
     graph.edges = [dict() for _ in gens]
     graph.points[root] = None
     inverses = [g.inverse() for g in gens]
@@ -164,7 +163,6 @@ class TreeReport:
     region_a: int
     region_b: int
     max_depth: int
-    checked: int
 
 
 def verify_tree_structure(
@@ -295,7 +293,6 @@ def verify_tree_structure(
         region_a=region_a,
         region_b=region_b,
         max_depth=max_depth,
-        checked=len(graph.points),
     )
 
 
@@ -399,17 +396,6 @@ class ComparisonKernel:
             if back != w:
                 return False
         return True
-
-
-def comparison_kernel(
-    f: PiecewiseProjectiveMap,
-    g: PiecewiseProjectiveMap,
-    a: QuadraticNumber,
-    b: QuadraticNumber,
-    c: QuadraticNumber,
-    d: QuadraticNumber,
-) -> ComparisonKernel:
-    return ComparisonKernel(f, g, a, b, c, d)
 
 
 # -- Foelner ratios along rays ------------------------------------------------

@@ -83,7 +83,7 @@ class PowerLawSampler:
             if self._cdf(mid) >= u:
                 hi = mid
             else:
-                lo = mid + 1
+                lo = mid
         return hi
 
     def sample_signed(self, rng: random.Random) -> int:
@@ -168,10 +168,6 @@ def _poisson_one(rng: random.Random) -> int:
         count += 1
         prod *= rng.random()
     return count
-
-
-def sample_increment(mu: GroupMeasure, rng: random.Random) -> PiecewiseProjectiveMap:
-    return mu.sample(rng)
 
 
 def point_mass(element: PiecewiseProjectiveMap) -> GroupMeasure:
@@ -390,25 +386,28 @@ class ReturnsReport:
         }
 
 
-def _run_chunked(trajectories: int, threads: int, chunk_fn):
-    """Run per-trajectory work, optionally across threads.
+def _run_trajectories(make_run, trajectories: int, master_seed: int, threads: int = 1) -> list:
+    """[run(trajectory_rng(master_seed, t)) for t in range(trajectories)].
 
-    Each chunk gets independent state, and per-trajectory results are
-    merged by index, so the output is identical for any thread count.
+    The module's one trajectory loop.  make_run() returns a run function
+    with its own state; each thread calls it once and runs a contiguous
+    span of indices.  Every index has its own random stream, so the list
+    is identical for any thread count.  The threads share the GIL and
+    give no speed-up.
     """
+
+    def span(indices):
+        run = make_run()
+        return [run(trajectory_rng(master_seed, t)) for t in indices]
+
     if threads <= 1:
-        return chunk_fn(range(trajectories))
+        return span(range(trajectories))
     from concurrent.futures import ThreadPoolExecutor
 
-    spans = []
     size = (trajectories + threads - 1) // threads
-    for lo in range(0, trajectories, size):
-        spans.append(range(lo, min(lo + size, trajectories)))
-    merged = {}
+    spans = [range(lo, min(lo + size, trajectories)) for lo in range(0, trajectories, size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(chunk_fn, spans):
-            merged.update(part)
-    return merged
+        return [row for part in pool.map(span, spans) for row in part]
 
 
 def estimate_returns(
@@ -424,24 +423,21 @@ def estimate_returns(
     horizons = sorted(horizons)
     top = horizons[-1]
 
-    def chunk(indices):
-        out = {}
+    def make_run():
         if isinstance(walk_target, PrechainTreeModel):
-            for t in indices:
-                rng = trajectory_rng(master_seed, t)
-                out[t] = walk_target.root_visits(top, rng, horizons)
-            return out
+            return lambda rng: walk_target.root_visits(top, rng, horizons)
         walker = _MeasureWalker(walk_target, start)
-        for t in indices:
-            rng = trajectory_rng(master_seed, t)
-            visits = walker.run(start, top, rng, freeze_bits)[1]
-            out[t] = [bisect_right(visits, h) for h in horizons]
-        return out
 
-    rows = _run_chunked(trajectories, threads, chunk)
+        def run(rng):
+            visits = walker.run(start, top, rng, freeze_bits)[1]
+            return [bisect_right(visits, h) for h in horizons]
+
+        return run
+
+    rows = _run_trajectories(make_run, trajectories, master_seed, threads)
     means, errs = [], []
     for hi in range(len(horizons)):
-        col = [rows[t][hi] for t in range(trajectories)]
+        col = [row[hi] for row in rows]
         m = sum(col) / trajectories
         var = sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
         means.append(m)
@@ -556,10 +552,12 @@ def summability_diagnostic(
     the measure's configuration-support function restricted to atoms.
     """
     walker = _MeasureWalker(mu, s)
+
+    def run(rng):
+        return walker.run(origin, steps, rng, freeze_bits)[0]
+
     hits = [0] * (steps + 1)
-    for t in range(trajectories):
-        rng = trajectory_rng(master_seed, t)
-        changes = walker.run(origin, steps, rng, freeze_bits)[0]
+    for changes in _run_trajectories(lambda: run, trajectories, master_seed):
         for n, _ in changes:
             hits[n] += 1
     per_step = [h / trajectories for h in hits[1:]]
@@ -603,25 +601,26 @@ def nontriviality_witness(
     """
     half = steps // 2
 
-    def chunk(indices):
+    def make_run():
         walker = _MeasureWalker(mu, s)
-        out = {}
-        for t in indices:
-            rng = trajectory_rng(master_seed, t)
-            tracker = _run_config_walk(walker, s, steps, rng, freeze_bits)
-            out[t] = (tracker.value, tracker.last_change, tracker.frozen_at)
-        return out
 
-    results = _run_chunked(trajectories, threads, chunk)
+        def run(rng):
+            changes, _, _, frozen_at = walker.run(s, steps, rng, freeze_bits)
+            return changes, frozen_at
+
+        return run
+
     histogram: Dict[int, int] = {}
     stabilized = 0
     frozen_runs = 0
-    for t in range(trajectories):
-        value, last_change, frozen_at = results[t]
+    for changes, frozen_at in _run_trajectories(
+        make_run, trajectories, master_seed, threads
+    ):
         if frozen_at is not None:
             frozen_runs += 1
-        if last_change <= half:
+        if not changes or changes[-1][0] <= half:
             stabilized += 1
+            value = sum(delta for _, delta in changes)
             histogram[value] = histogram.get(value, 0) + 1
     stab_frac = stabilized / trajectories
     frequent = {
@@ -650,13 +649,15 @@ def entropy_estimate(
 
     Biased low for small sample counts; diagnostic only.
     """
-    counts: Dict[str, int] = {}
-    for t in range(samples):
-        rng = trajectory_rng(master_seed, t)
+
+    def run(rng):
         prod = pm_identity()
         for _ in range(n):
             prod = mu.sample(rng) * prod
-        key = prod.to_text()
+        return prod.to_text()
+
+    counts: Dict[str, int] = {}
+    for key in _run_trajectories(lambda: run, samples, master_seed):
         counts[key] = counts.get(key, 0) + 1
     entropy = 0.0
     for c in counts.values():
@@ -692,32 +693,22 @@ def lamplighter_demo(
     sampler = PowerLawSampler(Fraction(alpha)) if heavy_tail else None
     half = steps // 2
 
-    def chunk(indices):
-        out = {}
-        for t in indices:
-            rng = trajectory_rng(master_seed, t)
-            pos = 0
-            last_origin_toggle = -1
-            for n in range(1, steps + 1):
-                if rng.random() < 0.5:
-                    if sampler is not None:
-                        pos += sampler.sample_signed(rng)
-                    else:
-                        pos += 1 if rng.random() < 0.5 else -1
+    def run(rng):
+        pos = 0
+        last_origin_toggle = -1
+        for n in range(1, steps + 1):
+            if rng.random() < 0.5:
+                if sampler is not None:
+                    pos += sampler.sample_signed(rng)
                 else:
-                    if pos == 0:
-                        last_origin_toggle = n
-            out[t] = last_origin_toggle
-        return out
+                    pos += 1 if rng.random() < 0.5 else -1
+            else:
+                if pos == 0:
+                    last_origin_toggle = n
+        return last_origin_toggle
 
-    results = _run_chunked(trajectories, threads, chunk)
-    stabilized = 0
-    toggles_after_half = 0
-    for t in range(trajectories):
-        if results[t] <= half:
-            stabilized += 1
-        else:
-            toggles_after_half += 1
+    last_toggles = _run_trajectories(lambda: run, trajectories, master_seed, threads)
+    stabilized = sum(1 for last in last_toggles if last <= half)
     return {
         "alpha": str(alpha) if heavy_tail else None,
         "heavy_tail": heavy_tail,
@@ -725,5 +716,5 @@ def lamplighter_demo(
         "trajectories": trajectories,
         "stabilization_horizon": half,
         "stabilized_fraction": stabilized / trajectories,
-        "late_toggle_runs": toggles_after_half,
+        "late_toggle_runs": trajectories - stabilized,
     }

@@ -18,21 +18,19 @@ from pwproj.piecewise import (
     configuration,
     construct_prechain,
     membership,
-    pm_compose,
     pm_from_matrix,
     pm_identity,
 )
 from pwproj.psl2 import (
     ProjectiveMatrix,
-    mat_apply,
     orbit_equivalent,
     pell_fundamental,
     stabilizer_generator,
 )
 from pwproj.schreier import (
+    ComparisonKernel,
     attach_regions,
     build_orbit_graph,
-    comparison_kernel,
     verify_tree_structure,
 )
 from pwproj.walk import (
@@ -151,7 +149,7 @@ def test_criterion_04_phi_orbit_constancy():
         m = ProjectiveMatrix.identity()
         for _ in range(rng.randint(1, 8)):
             m = m * rng.choice([T, T.inverse(), S])
-        point = mat_apply(m, SQRT3)
+        point = m.apply(SQRT3)
         assert stabilizer_generator(point).phi == phi
     print("ACCEPTANCE 4 PASS: stabilizer derivative constant on 50 orbit points")
 
@@ -191,7 +189,7 @@ def test_criterion_06_transience_surrogate(pre3):
 
 
 def test_criterion_07_comparison_kernel(graph2000, pre3):
-    kernel = comparison_kernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
+    kernel = ComparisonKernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
     quarter = Fraction(1, 4)
     three_quarter = Fraction(3, 4)
     checked = 0
@@ -258,7 +256,7 @@ def test_criterion_09_br_subadditive(pre3):
             g = g * rng.choice(gens)
         for _ in range(rng.randint(1, 4)):
             h = h * rng.choice(gens)
-        assert pm_compose(g, h).br() <= g.br() + h.br()
+        assert g.compose(h).br() <= g.br() + h.br()
     print("ACCEPTANCE 9 PASS: break count subadditive on 500 pairs")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -20,10 +21,22 @@ def test_usage_error_exit_code(tmp_path):
     assert proc.returncode == 64
 
 
-def test_validation_error_exit_code(tmp_path):
-    proc = run(["construct-hs", "--s", "1/2"], tmp_path)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct-hs", "--s", "1/2"],
+        ["construct-hs", "--s", "1/0"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+         "--alpha", "1/0"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+         "--epsilon", "1/0"],
+    ],
+)
+def test_validation_error_exit_code(tmp_path, args):
+    proc = run(args, tmp_path)
     assert proc.returncode == 1
     assert "error" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_missing_seed_is_usage_error(tmp_path):
@@ -53,6 +66,40 @@ def test_bad_count_is_usage_error(tmp_path, args):
     assert len(proc.stderr.splitlines()) == 1
     assert "error: argument --" in proc.stderr
     assert proc.stdout == ""
+
+
+# SHA-256 of the stdout of small seeded runs.  Any change to a digest is a
+# change to a seeded report, which the library promises to keep byte for byte.
+SEEDED_REPORTS = {
+    "walk": (
+        ["walk", "--s", "0+1*sqrt(3)", "--T", "3000", "--seed", "1"],
+        "e337a6a518a4e13ae4e143f9be155a554aebb98af41748ae3bf66cea51535d48",
+    ),
+    "witness": (
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "3000", "--M", "40", "--seed", "2"],
+        "c89433ca0b4d49396b8f55efbf1f7c7c1c30fcdafa8034852bd4ebc462182af0",
+    ),
+    "returns-z": (
+        ["returns", "--target", "z", "--horizons", "100,500", "--M", "30", "--seed", "3"],
+        "6e38df535f4b54c9ba340037b44bbf3c4f9dd8eec584c95f4894a6924709f1de",
+    ),
+    "lamplighter": (
+        ["lamplighter", "--T", "500", "--M", "40", "--seed", "4"],
+        "7ddd9addc21f595e29d5f8c425e5dfd106c35e3cdf47766a331628f0443d5800",
+    ),
+    "entropy": (
+        ["entropy", "--s", "0+1*sqrt(3)", "--n", "4", "--M", "100", "--seed", "5"],
+        "369190c5d18e4a3c038a2fc0aa0c9ef0a26ebe473f40d63032ae9486b20e674a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_REPORTS))
+def test_seeded_report_bytes(tmp_path, name):
+    args, digest = SEEDED_REPORTS[name]
+    proc = subprocess.run(BASE + args, cwd=tmp_path, capture_output=True, timeout=600)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_returns_echoes_horizons_text(tmp_path):

@@ -15,15 +15,12 @@ from pwproj.piecewise import (
     build_hs,
     config_act,
     configuration,
-    construct_h_s,
     construct_prechain,
     membership,
-    pm_compose,
+    pm_from_matrix,
     pm_identity,
-    pm_inverse,
     pm_new,
     pm_restrict,
-    pm_translation,
 )
 from pwproj.psl2 import ProjectiveMatrix
 from pwproj.walk import witness_measure
@@ -88,20 +85,27 @@ def test_hs_is_valid_four_piece(hs3):
 
 def test_compose_inverse_identity(hs3):
     f = hs3.map
-    assert pm_compose(f, pm_inverse(f)).is_identity
-    assert pm_compose(pm_identity(), f) == f
-    assert pm_inverse(pm_identity()).is_identity
-    assert pm_inverse(pm_translation(4)) == pm_translation(-4)
+    assert f.compose(f.inverse()).is_identity
+    assert pm_identity().compose(f) == f
+    assert pm_identity().inverse().is_identity
+    assert pm_from_matrix(ProjectiveMatrix.translation(4)).inverse() == pm_from_matrix(
+        ProjectiveMatrix.translation(-4)
+    )
 
 
 def test_compose_pointwise(hs3, pre3):
     rng = random.Random(9)
-    maps = [hs3.map, hs3.map.inverse(), pre3.companion, pm_translation(2)]
+    maps = [
+        hs3.map,
+        hs3.map.inverse(),
+        pre3.companion,
+        pm_from_matrix(ProjectiveMatrix.translation(2)),
+    ]
     composites = []
     for _ in range(20):
         g1 = rng.choice(maps)
         g2 = rng.choice(maps)
-        composites.append((pm_compose(g2, g1), g1, g2))
+        composites.append((g2.compose(g1), g1, g2))
     for _ in range(10_000):
         comp, g1, g2 = composites[rng.randrange(len(composites))]
         x = q(Fraction(rng.randint(-400, 400), rng.randint(1, 40)))
@@ -109,7 +113,7 @@ def test_compose_pointwise(hs3, pre3):
 
 
 def test_inverse_of_hs_configuration(hs3):
-    conf = configuration(pm_inverse(hs3.map), SQRT3)
+    conf = configuration(hs3.map.inverse(), SQRT3)
     assert conf.value_at(SQRT3) == -1
     assert len(conf.entries) == 1
 
@@ -120,7 +124,7 @@ def test_restrict(hs3):
     assert pm_restrict(f, lo, hi) == f
     assert pm_restrict(pm_identity(), q(0), q(1)).is_identity
     with pytest.raises(NotFixedError):
-        pm_restrict(pm_translation(1), q(0), q(1))
+        pm_restrict(pm_from_matrix(ProjectiveMatrix.translation(1)), q(0), q(1))
     # restriction to a sub-window between fixed points clips the support
     sub = pm_restrict(f, lo, hi)
     supp = sub.support_intervals()
@@ -154,11 +158,11 @@ def test_configuration_examples(hs3):
     assert configuration(f, SQRT3).as_text_dict() == {"0+1*sqrt(3)": 1}
     assert configuration(pm_identity(), SQRT3).is_zero
     assert configuration(f.power(2), SQRT3).value_at(SQRT3) == 2
-    assert configuration(pm_translation(5), SQRT3).is_zero
+    assert configuration(pm_from_matrix(ProjectiveMatrix.translation(5)), SQRT3).is_zero
 
 
 def test_membership_examples(hs3):
-    assert membership(pm_translation(1), "HS", SQRT3)
+    assert membership(pm_from_matrix(ProjectiveMatrix.translation(1)), "HS", SQRT3)
     assert not membership(hs3.map, "HS", SQRT3)
     assert membership(hs3.map, "HZ")
 
@@ -179,7 +183,7 @@ def test_config_act_matches_composition(hs3, pre3):
         h = rng.choice(gens)
         g = rng.choice(gens)
         left = config_act(g, configuration(h, SQRT3))
-        right = configuration(pm_compose(h, g), SQRT3)
+        right = configuration(h.compose(g), SQRT3)
         assert left == right
 
 
@@ -252,7 +256,7 @@ def smallest_text(s):
 
 def test_construct_h_s_rejects_rationals():
     with pytest.raises(ValueError):
-        construct_h_s(q(Fraction(1, 2)))
+        build_hs(q(Fraction(1, 2)))
 
 
 def test_one_sided(hs3):
@@ -359,7 +363,8 @@ def _walk_points(mu, count, rng):
 
 
 def test_piece_index_on_walk_points(pre3, exact_compares):
-    mu = witness_measure(pre3.hs.map, pre3.companion, pm_translation(1))
+    translation = pm_from_matrix(ProjectiveMatrix.translation(1))
+    mu = witness_measure(pre3.hs.map, pre3.companion, translation)
     atoms = [f for f, _ in mu.atoms]
     points = _walk_points(mu, 2000, random.Random(11))
     exact_compares[0] = 0
@@ -371,7 +376,8 @@ def test_piece_index_on_walk_points(pre3, exact_compares):
 
 
 def test_piece_index_many_breaks(pre3):
-    mu = witness_measure(pre3.hs.map, pre3.companion, pm_translation(1))
+    translation = pm_from_matrix(ProjectiveMatrix.translation(1))
+    mu = witness_measure(pre3.hs.map, pre3.companion, translation)
     atoms = [f for f, _ in mu.atoms]
     rng = random.Random(3)
     f = pm_identity()

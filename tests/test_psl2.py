@@ -15,7 +15,6 @@ from pwproj.psl2 import (
     SquareRadicandError,
     element_fixing_point,
     germ_exponent,
-    mat_apply,
     mat_classify,
     mat_fixed_points,
     orbit_equivalent,
@@ -50,10 +49,10 @@ def test_normalization_unique():
 
 
 def test_apply_conventions():
-    assert mat_apply(M23, INFINITY) == q(2)
-    assert mat_apply(ProjectiveMatrix.translation(5), q(3)) == q(8)
-    assert mat_apply(M23, q(-2)) == INFINITY
-    assert mat_apply(ProjectiveMatrix.translation(5), INFINITY) == INFINITY
+    assert M23.apply(INFINITY) == q(2)
+    assert ProjectiveMatrix.translation(5).apply(q(3)) == q(8)
+    assert M23.apply(q(-2)) == INFINITY
+    assert ProjectiveMatrix.translation(5).apply(INFINITY) == INFINITY
 
 
 def test_apply_is_action():
@@ -67,7 +66,7 @@ def test_apply_is_action():
             p = q(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
         else:
             p = q(rng.randint(-4, 4), rng.randint(1, 4), rng.choice([2, 3, 5]))
-        assert mat_apply(m2 * m1, p) == mat_apply(m2, mat_apply(m1, p))
+        assert (m2 * m1).apply(p) == m2.apply(m1.apply(p))
 
 
 def test_classify():
@@ -81,7 +80,7 @@ def test_fixed_points():
     pts = mat_fixed_points(M23)
     assert pts == [q(0, -1, 3), q(0, 1, 3)]
     for p in pts:
-        assert mat_apply(M23, p) == p
+        assert M23.apply(p) == p
         assert not p.is_rational
     assert pts[0] == pts[1].conjugate()
     assert mat_fixed_points(ProjectiveMatrix.translation(5)) == [INFINITY]
@@ -99,7 +98,7 @@ def test_hyperbolic_fixed_points_random():
             continue
         count += 1
         lo, hi = mat_fixed_points(m)
-        assert mat_apply(m, lo) == lo and mat_apply(m, hi) == hi
+        assert m.apply(lo) == lo and m.apply(hi) == hi
         assert lo.conjugate() == hi
 
 
@@ -166,14 +165,14 @@ def test_element_fixing_point():
     assert m == M23
     for s in [q(0, -1, 3), q(Fraction(1, 2), 1, 2), q(Fraction(2, 3), Fraction(3, 5), 7)]:
         m = element_fixing_point(s)
-        assert mat_apply(m, s) == s
+        assert m.apply(s) == s
         assert mat_classify(m) == "hyperbolic"
 
 
 def test_stabilizer_sqrt3():
     desc = stabilizer_generator(SQRT3)
     assert desc.phi == q(7, 4, 3)
-    assert mat_apply(desc.generator, SQRT3) == SQRT3
+    assert desc.generator.apply(SQRT3) == SQRT3
     assert desc.generator.derivative_at(SQRT3) == desc.phi
 
 
@@ -182,8 +181,8 @@ def test_stabilizer_infinity_and_rationals():
     for p in [q(0), q(Fraction(2, 5)), q(-3)]:
         desc = stabilizer_generator(p)
         assert desc.phi is None
-        assert mat_apply(desc.generator, p) == p
-        assert mat_apply(desc.to_infinity, p) == INFINITY
+        assert desc.generator.apply(p) == p
+        assert desc.to_infinity.apply(p) == INFINITY
 
 
 def test_germ_exponent():
@@ -207,7 +206,7 @@ def test_phi_constant_on_orbit():
     rng = random.Random(23)
     for _ in range(50):
         m = random_matrix(rng, 8)
-        moved = mat_apply(m, SQRT3)
+        moved = m.apply(SQRT3)
         assert stabilizer_generator(moved).phi == phi
 
 
@@ -215,7 +214,7 @@ def test_orbit_equivalent_basic():
     rng = random.Random(31)
     for _ in range(40):
         m = random_matrix(rng, 8)
-        assert orbit_equivalent(SQRT3, mat_apply(m, SQRT3))
+        assert orbit_equivalent(SQRT3, m.apply(SQRT3))
     assert not orbit_equivalent(SQRT3, q(0, 1, 2))
     assert orbit_equivalent(q(0), INFINITY)
     assert orbit_equivalent(q(Fraction(3, 7)), q(5))
@@ -226,13 +225,13 @@ def test_orbit_equivalent_sqrt3_neg_sqrt3():
     # M(sqrt3) = -sqrt3 forces 3c^2 - d^2 = 1, impossible mod 3
     assert not orbit_equivalent(SQRT3, q(0, -1, 3))
     # same CF cycle, different proper class: the GL2 criterion would say yes
-    assert orbit_equivalent(q(0, -1, 3), mat_apply(M23, q(0, -1, 3)))
+    assert orbit_equivalent(q(0, -1, 3), M23.apply(q(0, -1, 3)))
 
 
 def test_orbit_equivalent_is_equivalence():
     rng = random.Random(41)
-    sample = [mat_apply(random_matrix(rng, 6), SQRT3) for _ in range(12)]
-    sample += [mat_apply(random_matrix(rng, 6), q(0, -1, 3)) for _ in range(4)]
+    sample = [random_matrix(rng, 6).apply(SQRT3) for _ in range(12)]
+    sample += [random_matrix(rng, 6).apply(q(0, -1, 3)) for _ in range(4)]
     for x in sample:
         assert orbit_equivalent(x, x)
         for y in sample:
@@ -246,7 +245,7 @@ def test_orbit_zero_infinity_by_search():
     # depth-2 matrix words over the standard generators reach 0 -> infinity
     found = False
     for m in [S, S * T, T * S, S * T.inverse()]:
-        if mat_apply(m, q(0)) == INFINITY:
+        if m.apply(q(0)) == INFINITY:
             found = True
     assert found
 

@@ -7,11 +7,11 @@ from pwproj.exactnum import QuadraticNumber, qn_compare, qn_from_text
 from pwproj.piecewise import construct_prechain, pm_from_matrix
 from pwproj.psl2 import ProjectiveMatrix, orbit_equivalent
 from pwproj.schreier import (
+    ComparisonKernel,
     NotARayError,
     PreconditionViolatedError,
     attach_regions,
     build_orbit_graph,
-    comparison_kernel,
     export_csv,
     export_dot,
     foelner_ratio,
@@ -123,7 +123,7 @@ def test_binary_growth(graph600, pre3):
 
 
 def test_kernel_weights(graph600, pre3):
-    ker = comparison_kernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
+    ker = ComparisonKernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
     seen_cases = set()
     for p in list(graph600.points)[:200]:
         assert ker.row_sum(p) == 1
@@ -157,7 +157,7 @@ def test_kernel_weights(graph600, pre3):
 
 def test_kernel_preconditions(pre3):
     with pytest.raises(PreconditionViolatedError):
-        comparison_kernel(pre3.g, pre3.f, pre3.a, pre3.b, pre3.c, pre3.d)
+        ComparisonKernel(pre3.g, pre3.f, pre3.a, pre3.b, pre3.c, pre3.d)
 
 
 def test_foelner_ratio(graph600):

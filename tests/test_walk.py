@@ -23,7 +23,6 @@ from pwproj.walk import (
     lamplighter_demo,
     nontriviality_witness,
     point_mass,
-    sample_increment,
     simulate_config_walk,
     summability_diagnostic,
     trajectory_rng,
@@ -67,7 +66,7 @@ def test_point_mass_always_same(pre3):
     mu = point_mass(pre3.hs.map)
     rng = random.Random(0)
     for _ in range(5):
-        assert sample_increment(mu, rng) == pre3.hs.map
+        assert mu.sample(rng) == pre3.hs.map
 
 
 def test_power_law_head_probability():
@@ -96,6 +95,30 @@ def test_power_law_unbounded_tail():
     rng = random.Random(11)
     big = max(sampler.sample_magnitude(rng) for _ in range(50_000))
     assert big > PowerLawSampler.TABLE  # analytic tail actually fires
+
+
+class _FixedUniform:
+    """Stands in for a Random whose next uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("alpha", [Fraction(4, 5), Fraction(1, 2)])
+def test_power_law_tail_returns_least_quantile(alpha):
+    # beyond the table, the magnitude is the least j with cdf(j) >= u
+    sampler = PowerLawSampler(alpha)
+    head = sampler._cdf(PowerLawSampler.TABLE)
+    rng = random.Random(5)
+    for _ in range(2000):
+        u = head + (1 - head) * rng.random()
+        if u <= head:
+            continue
+        j = sampler.sample_magnitude(_FixedUniform(u))
+        assert sampler._cdf(j - 1) < u <= sampler._cdf(j), (u, j)
 
 
 def test_measure_frequencies(wmu):
