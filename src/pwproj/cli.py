@@ -92,12 +92,19 @@ def _config_echo(args, fields) -> dict:
     return {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
 
 
+def _base_point(args) -> QuadraticNumber:
+    try:
+        return qn_from_text(args.s)
+    except ZeroDivisionError:
+        raise ValueError(f"--s: zero denominator in {args.s!r}") from None
+
+
 def _prechain_for(args):
-    return construct_prechain(qn_from_text(args.s))
+    return construct_prechain(_base_point(args))
 
 
 def cmd_construct_hs(args) -> int:
-    s = qn_from_text(args.s)
+    s = _base_point(args)
     built = build_hs(s)
     payload = {
         "command": "construct-hs",
@@ -224,11 +231,32 @@ def cmd_kernel(args) -> int:
     return 2 if bad else 0
 
 
+# the fraction options: the condition each must meet, as text and as a test
+_FRACTION_RULES = {
+    "epsilon": ("0 <= epsilon < 1", lambda v: 0 <= v < 1),
+    "alpha": ("0 < alpha < 1", lambda v: 0 < v < 1),
+}
+
+
+def _fraction_option(args, name: str) -> Fraction:
+    """The fraction given as --name; ValueError naming it if it is bad."""
+    text = getattr(args, name)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{name}: not a fraction: {text!r}") from None
+    rule, holds = _FRACTION_RULES[name]
+    if not holds(value):
+        raise ValueError(f"--{name} must satisfy {rule}, got {text}")
+    return value
+
+
 def _witness_measure_for(args):
+    # options first: the construction can take seconds
+    eps = _fraction_option(args, "epsilon")
+    alpha = _fraction_option(args, "alpha")
     pre = _prechain_for(args)
     translation = pm_from_matrix(ProjectiveMatrix.translation(1))
-    eps = Fraction(args.epsilon)
-    alpha = Fraction(args.alpha)
     return pre, witness_measure(pre.hs.map, pre.companion, translation, eps, alpha)
 
 
@@ -298,12 +326,9 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_lamplighter(args) -> int:
-    heavy = lamplighter_demo(
-        Fraction(args.alpha), args.T, args.M, args.seed, True, threads=args.threads
-    )
-    control = lamplighter_demo(
-        Fraction(args.alpha), args.T, args.M, args.seed, False, threads=args.threads
-    )
+    alpha = _fraction_option(args, "alpha")
+    heavy = lamplighter_demo(alpha, args.T, args.M, args.seed, True, threads=args.threads)
+    control = lamplighter_demo(alpha, args.T, args.M, args.seed, False, threads=args.threads)
     payload = {
         "command": "lamplighter",
         "config": _config_echo(args, ["alpha", "T", "M", "seed"]),
@@ -453,7 +478,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except (PiecewiseMapError, ConstructionFailedError, ValueError, ZeroDivisionError) as exc:
-        # ZeroDivisionError: a zero denominator in --s, --epsilon or --alpha
+        # ZeroDivisionError: arithmetic on input that no option check caught
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exactnum import ExtendedPoint, QuadraticNumber, canonical_key
+from .exactnum import ExtendedPoint, QuadraticNumber, canonical_key, qn_approx
 from .piecewise import (
     Configuration,
     PiecewiseProjectiveMap,
@@ -119,14 +119,14 @@ class GroupMeasure:
             raise ValueError(f"weights must sum to 1, got {total}")
         if any(w <= 0 for _, w in self.atoms):
             raise ValueError("atom weights must be positive")
+        if tail is not None and tail.weight < 0:
+            raise ValueError("tail weight must be nonnegative")
         self._cuts = []
         acc = Fraction(0)
         for _, w in self.atoms:
             acc += w
             self._cuts.append(float(acc))
         self._sampler = PowerLawSampler(tail.alpha) if tail is not None else None
-        # pays on witness: without it T=20000 M=50 takes twice as long
-        self._tail_powers: Dict[int, PiecewiseProjectiveMap] = {}
 
     def is_symmetric(self) -> bool:
         bag: Dict[PiecewiseProjectiveMap, Fraction] = {}
@@ -134,20 +134,12 @@ class GroupMeasure:
             bag[m] = bag.get(m, Fraction(0)) + w
         return all(bag.get(m.inverse(), Fraction(0)) == w for m, w in bag.items())
 
-    def _tail_power(self, n: int) -> PiecewiseProjectiveMap:
-        cached = self._tail_powers.get(n)
-        if cached is None:
-            cached = self.tail.base.power(n)
-            if len(self._tail_powers) < 4096:
-                self._tail_powers[n] = cached
-        return cached
-
     def _sample_once(self, rng: random.Random) -> Tuple[int, PiecewiseProjectiveMap]:
         """Returns (atom index or -1 for tail draws, element)."""
         i = bisect_right(self._cuts, rng.random())
         if i < len(self.atoms):
             return i, self.atoms[i][0]
-        return -1, self._tail_power(self._sampler.sample_signed(rng))
+        return -1, self.tail.base.power(self._sampler.sample_signed(rng))
 
     def sample(self, rng: random.Random) -> PiecewiseProjectiveMap:
         if not self.smoothing:
@@ -226,6 +218,13 @@ class _MeasureWalker:
     verbatim until they shrink back or hit the freeze bound.  Configuration
     deltas can only occur at interned points because every slope-change
     support point of the measure is itself small.
+
+    An atom whose end pieces are the identity fixes every point outside its
+    first and last break.  On a raw point such an atom is skipped when float
+    enclosures place the point outside, by the test piece_index uses; an
+    overlap, or a point without an enclosure, takes the exact apply.  The
+    tail base must be a translation x -> x + t, so a tail draw n is one
+    integer add, A += t*n*D.
     """
 
     RAW = -1
@@ -236,10 +235,27 @@ class _MeasureWalker:
         self.atom_confs: List[Configuration] = [
             configuration(m, s) for m, _ in mu.atoms
         ]
-        if mu.tail is not None and not configuration(mu.tail.base, s).is_zero:
-            raise ValueError("tail base must have empty configuration")
+        self.tail_shift = 0
+        if mu.tail is not None:
+            # a translation x -> x + t, which has empty configuration
+            base = mu.tail.base
+            m = base.pieces[0]
+            if base.breaks or m.c != 0 or m.a != 1 or m.d != 1:
+                raise ValueError("tail base must be a translation x -> x + t")
+            self.tail_shift = m.b
+        # Float enclosures of the first and last break of each atom whose
+        # end pieces are the identity; the atom fixes every point outside.
+        self.hulls: List[Optional[Tuple[float, float, float, float]]] = []
+        for m, _ in mu.atoms:
+            hull = None
+            if m.breaks and m.pieces[0].is_identity and m.pieces[-1].is_identity:
+                lo, hi = qn_approx(m.breaks[0]), qn_approx(m.breaks[-1])
+                if lo is not None and hi is not None:
+                    hull = (*lo, *hi)
+            self.hulls.append(hull)
         entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
-        self.share_bits = max(512, max(entry_bits, default=0) + 1)
+        # only decides caching: above every entry, below the freeze bound
+        self.share_bits = max(128, max(entry_bits, default=0) + 1)
         # these tables pay on returns-z, where nearly every step is a hit (4x)
         self.registry: Dict[tuple, int] = {}
         self.points: List[QuadraticNumber] = []
@@ -276,7 +292,8 @@ class _MeasureWalker:
         step at which the walk froze (None if it ran to the end).  A step
         freezes the walk when its point is not interned and the bit sizes
         of its A, B and D sum past freeze_bits.  The start point is always
-        interned, so a return to it is recognized by its id.
+        interned, so a return to it is recognized by its id (or, for a
+        start above the intern bound, by comparing points).
         """
         raw = self.RAW
         share_bits = self.share_bits
@@ -284,16 +301,22 @@ class _MeasureWalker:
         points = self.points
         atoms = [m for m, _ in self.mu.atoms]
         natoms = len(atoms)
+        hulls = self.hulls
         cuts = self.mu._cuts
         atom_trans = self.atom_trans
         atom_delta = self.atom_delta
         sampler = self.mu._sampler
-        tail_power = self.mu._tail_power
+        shift = self.tail_shift
         smoothing = self.mu.smoothing
         uniform = rng.random
+        new_point = tuple.__new__
         x = start
         pid = start_pid = intern(start)
+        # a start above the intern bound is seen again only by comparing points
+        raw_start = _bits(start) > share_bits
         bits = 0
+        # None, or the qn_approx enclosure of x; set only while pid is raw
+        ax = None
         changes: List[Tuple[int, int]] = []
         visits: List[int] = []
         for n in range(1, steps + 1):
@@ -308,9 +331,27 @@ class _MeasureWalker:
                             pid = nid
                             x = points[nid]
                             continue
+                    else:
+                        hull = hulls[ai]
+                        if hull is not None:
+                            # the float test of piece_index: x lies strictly
+                            # below the first break or above the last, on
+                            # identity pieces, so the atom fixes x
+                            if ax is None:
+                                ax = qn_approx(x)
+                            if ax is not None:
+                                fx, ex = ax
+                                lo_f, lo_e, hi_f, hi_e = hull
+                                if lo_f - fx > ex + lo_e or fx - hi_f > ex + hi_e:
+                                    continue
                     x = atoms[ai].apply(x)
                 else:
-                    x = tail_power(sampler.sample_signed(rng)).apply(x)
+                    # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
+                    # gcd(A, B, D) = 1, so the point stays canonical
+                    A, B, D, k = x
+                    A += shift * sampler.sample_signed(rng) * D
+                    x = new_point(QuadraticNumber, (A, B, D, k))
+                ax = None
                 A, B, D, _ = x
                 bits = A.bit_length() + B.bit_length() + D.bit_length()
                 if bits > share_bits:
@@ -324,8 +365,11 @@ class _MeasureWalker:
                 changes.append((n, delta))
             if pid == start_pid:
                 visits.append(n)
-            elif pid == raw and freeze_bits is not None and bits > freeze_bits:
-                return changes, visits, x, n
+            elif pid == raw:
+                if raw_start and x == start:
+                    visits.append(n)
+                elif freeze_bits is not None and bits > freeze_bits:
+                    return changes, visits, x, n
         return changes, visits, x, None
 
 

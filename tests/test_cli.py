@@ -30,6 +30,14 @@ def test_usage_error_exit_code(tmp_path):
          "--alpha", "1/0"],
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
          "--epsilon", "1/0"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+         "--epsilon", "3/2"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+         "--epsilon=-1/2"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+         "--alpha", "1"],
+        ["walk", "--s", "0+1*sqrt(3)", "--T", "10", "--seed", "1", "--alpha", "0"],
+        ["lamplighter", "--T", "10", "--M", "2", "--seed", "1", "--alpha", "x"],
     ],
 )
 def test_validation_error_exit_code(tmp_path, args):
@@ -37,6 +45,34 @@ def test_validation_error_exit_code(tmp_path, args):
     assert proc.returncode == 1
     assert "error" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--alpha", "1/0"), ("--alpha", "0"), ("--alpha", "1"), ("--epsilon", "1/0"),
+     ("--epsilon", "3/2"), ("--epsilon", "-1/2"), ("--epsilon", "1")],
+)
+def test_bad_fraction_option_fails_before_construction(monkeypatch, capsys, option, value):
+    from pwproj import cli
+
+    def construct(args):
+        raise AssertionError("the construction ran before the options were checked")
+
+    monkeypatch.setattr(cli, "_prechain_for", construct)
+    argv = ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
+            f"{option}={value}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {option}")
+
+
+@pytest.mark.parametrize("command", ["construct-hs", "prechain"])
+def test_zero_denominator_names_the_option(capsys, command):
+    from pwproj import cli
+
+    assert cli.main([command, "--s", "1/0"]) == 1
+    assert capsys.readouterr().err == "error: --s: zero denominator in '1/0'\n"
 
 
 def test_missing_seed_is_usage_error(tmp_path):

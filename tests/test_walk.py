@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from pwproj.exactnum import QuadraticNumber, qn_compare
+from pwproj.exactnum import QuadraticNumber, qn_approx, qn_compare
 from pwproj.piecewise import (
     configuration,
     construct_prechain,
     pm_from_matrix,
     pm_identity,
+    pm_new,
 )
 from pwproj.psl2 import ProjectiveMatrix
 from pwproj.walk import (
@@ -60,6 +61,32 @@ def test_measure_validation(pre3):
     )
     with pytest.raises(ValueError):
         _MeasureWalker(bad, SQRT3)
+    # so is one that is not a translation, although its configuration at
+    # the base point is empty (its breaks are rational)
+    x1 = pm_new(
+        [q(0), q(Fraction(1, 2)), q(1)],
+        [
+            ProjectiveMatrix.identity(),
+            ProjectiveMatrix.make(1, 0, -1, 1),
+            ProjectiveMatrix.make(3, -1, 1, 0),
+            ProjectiveMatrix.translation(1),
+        ],
+    )
+    assert configuration(x1, SQRT3).is_zero
+    with pytest.raises(ValueError, match="translation"):
+        _MeasureWalker(
+            GroupMeasure([(A1, Fraction(3, 4))], TailSpec(x1, Fraction(4, 5), Fraction(1, 4))),
+            SQRT3,
+        )
+
+
+def test_measure_rejects_negative_tail_weight():
+    # the weights sum to 1, but the tail would take a negative share
+    with pytest.raises(ValueError, match="tail weight"):
+        GroupMeasure(
+            [(A1, Fraction(3, 4)), (A1.inverse(), Fraction(3, 4))],
+            TailSpec(A1, Fraction(4, 5), Fraction(-1, 2)),
+        )
 
 
 def test_point_mass_always_same(pre3):
@@ -199,6 +226,35 @@ def _exact_apply(f, x):
     return f.pieces[i].apply(x)
 
 
+def _oracle_path(mu, steps, rng, freeze_bits, confs=None):
+    """One walk from SQRT3 stepped by _exact_apply: (points, changes).
+
+    points are the points after steps 1, 2, ..., up to the first one whose
+    bit size passes freeze_bits.  With confs, a dict caching each sampled
+    increment's configuration, changes lists the (n, delta) of each step
+    that changed the value at the walking point; otherwise it is None.
+    """
+    x, points = SQRT3, []
+    changes = None if confs is None else []
+    for n in range(1, steps + 1):
+        h = mu.sample(rng)
+        if confs is not None:
+            if h not in confs:
+                confs[h] = configuration(h, SQRT3)
+            delta = confs[h].value_at(x)
+            if delta:
+                changes.append((n, delta))
+        x = _exact_apply(h, x)
+        points.append(x)
+        if _bit_size(x) > freeze_bits:
+            break
+    return points, changes
+
+
+def _frozen_at(points, freeze_bits):
+    return len(points) if _bit_size(points[-1]) > freeze_bits else None
+
+
 @pytest.mark.parametrize("smoothing", [False, True])
 @pytest.mark.parametrize("freeze_bits", [1500, 600])
 def test_walk_kernel_matches_stepwise_oracle(wmu, smoothing, freeze_bits):
@@ -207,19 +263,108 @@ def test_walk_kernel_matches_stepwise_oracle(wmu, smoothing, freeze_bits):
     steps = 1000
     frozen = 0
     for seed in range(50):
-        rng = random.Random(f"kernel:{seed}")
-        x, frozen_at = SQRT3, None
-        for n in range(1, steps + 1):
-            x = _exact_apply(mu.sample(rng), x)
-            if _bit_size(x) > freeze_bits:
-                frozen_at = n
-                break
+        points, _ = _oracle_path(mu, steps, random.Random(f"kernel:{seed}"), freeze_bits)
+        frozen_at = _frozen_at(points, freeze_bits)
         tracker = _run_config_walk(
             walker, SQRT3, steps, random.Random(f"kernel:{seed}"), freeze_bits
         )
-        assert (tracker.x, tracker.frozen_at) == (x, frozen_at), seed
+        assert (tracker.x, tracker.frozen_at) == (points[-1], frozen_at), seed
         frozen += frozen_at is not None
     assert 0 < frozen < 50  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("case", ["no_hull", "tail_3", "intern_bound"])
+def test_walk_kernel_paths_match_stepwise_oracle(pre3, wmu, case):
+    """The hull skip, the integer tail and the intern bound against the oracle.
+
+    no_hull: two atoms are hs after a translation, whose end pieces are not
+    the identity, so they always take the exact apply.  tail_3: the tail
+    adds 3n.  intern_bound: the witness measure, whose walks cross
+    share_bits both ways (raw points shrink back into the intern table).
+    """
+    hs, companion = pre3.hs.map, pre3.companion
+    if case == "no_hull":
+        mu = witness_measure(hs * A1, companion, A1)
+    elif case == "tail_3":
+        mu = witness_measure(hs, companion, pm_from_matrix(ProjectiveMatrix.translation(3)))
+    else:
+        mu = wmu
+    walker = _MeasureWalker(mu, SQRT3)
+    if case == "no_hull":
+        assert [h is None for h in walker.hulls] == [True, True, False, False]
+    else:
+        assert None not in walker.hulls
+    assert walker.tail_shift == (3 if case == "tail_3" else 1)
+    share = walker.share_bits
+    freeze_bits = 1500
+    confs = {}
+    down = up = 0
+    for seed in range(30):
+        rng = random.Random(f"paths:{seed}")
+        points, changes = _oracle_path(mu, 1000, rng, freeze_bits, confs)
+        got = walker.run(SQRT3, 1000, random.Random(f"paths:{seed}"), freeze_bits)
+        visits = [n for n, x in enumerate(points, 1) if x == SQRT3]
+        want = (changes, visits, points[-1], _frozen_at(points, freeze_bits))
+        assert got == want, seed
+        sizes = [_bit_size(x) > share for x in points]
+        down += sum(a and not b for a, b in zip(sizes, sizes[1:]))
+        up += sum(b and not a for a, b in zip(sizes, sizes[1:]))
+    if case == "intern_bound":
+        assert down > 0 and up > 0
+
+
+class _Draws:
+    """Stands in for a Random whose uniform draws are the given ones, in order."""
+
+    def __init__(self, draws):
+        self.random = iter(draws).__next__
+
+
+def _sqrt_convergents(k, lo_bits, hi_bits):
+    """Convergents p/q of sqrt(k) with lo_bits < bit length of p <= hi_bits."""
+    a0 = math.isqrt(k)
+    m, d, a = 0, 1, a0
+    p0, q0, p, q = 1, 0, a0, 1
+    out = []
+    while p.bit_length() <= hi_bits:
+        if p.bit_length() > lo_bits:
+            out.append((p, q))
+        m = d * a - m
+        d = (k - m * m) // d
+        a = (a0 + m) // d
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    return out
+
+
+def test_hull_skip_near_breaks_takes_exact_apply(wmu):
+    """Raw points within 2^-60 of an atom's first or last break, on either
+    side: the float test cannot place them, so the step is the exact apply.
+
+    Two kinds of point: b +- 2^-64, and b +- (p - q*sqrt(k)) for
+    convergents p/q of sqrt(k) with p of 71 to 110 bits, whose float value
+    cancels so badly that it can lie on the wrong side of b.
+    """
+    tail = TailSpec(A1, Fraction(4, 5), Fraction(1, 2))
+    tiny = q(Fraction(1, 2**64))
+    moved = wrong_side = 0
+    for atom, _ in wmu.atoms:
+        walker = _MeasureWalker(GroupMeasure([(atom, Fraction(1, 2))], tail), SQRT3)
+        assert walker.hulls[0] is not None
+        for b in (atom.breaks[0], atom.breaks[-1]):
+            near = [tiny] + [q(p, -q_, b.k) for p, q_ in _sqrt_convergents(b.k, 70, 110)]
+            fb = qn_approx(b)[0]
+            for x in [b + d for d in near] + [b - d for d in near]:
+                assert q(Fraction(-1, 2**60)) < x - b < q(Fraction(1, 2**60))
+                assert _bit_size(x) > walker.share_bits  # x is a raw point
+                # step 1: the tail, magnitude 1, sign +; step 2: the atom
+                rng = _Draws([0.75, 0.0, 0.0, 0.25])
+                _, _, y, _ = walker.run(x - 1, 2, rng, None)
+                assert y == atom.apply(x) == _exact_apply(atom, x)
+                moved += y != x
+                fx = qn_approx(x)[0]
+                wrong_side += fx != fb and (fx > fb) != (qn_compare(x, b) > 0)
+    assert moved  # some of these points lie inside the atom's support
+    assert wrong_side  # and only the error bound keeps them from a skip
 
 
 def test_incremental_with_smoothing_matches_full_product(pre3):
@@ -289,6 +434,19 @@ def test_returns_on_z_exact_oracle():
                 pos += step
                 visits += pos == 0
         assert Fraction(visits, 2**n) == _returns_on_z_exact(n)
+
+
+@pytest.mark.parametrize("bits", [200, 600])
+def test_returns_from_a_start_above_the_intern_bound(bits):
+    # a walk on Z + 2^bits is the walk on Z: the same returns, although
+    # its points are too large for the intern table
+    mu = uniform_measure([A1, A1.inverse()])
+    start = q(2**bits)
+    assert _bit_size(start) > _MeasureWalker(mu, start).share_bits
+    small = estimate_returns(mu, q(0), [50, 300], 30, 4)
+    large = estimate_returns(mu, start, [50, 300], 30, 4)
+    assert small.means[-1] > 0
+    assert large.means == small.means
 
 
 def test_returns_point_mass_fixed(pre3):
