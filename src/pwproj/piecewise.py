@@ -171,6 +171,9 @@ class PiecewiseProjectiveMap:
         return self.compose(other)
 
     def power(self, n: int) -> "PiecewiseProjectiveMap":
+        if not self.breaks:
+            # one global translation: its matrix power, with no compose
+            return pm_from_matrix(self.pieces[0].power(n))
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         result = pm_identity()

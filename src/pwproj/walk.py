@@ -213,11 +213,14 @@ class ConfigTracker:
 class _MeasureWalker:
     """Shared exact-step engine over interned orbit points.
 
-    Points with small coordinates are interned to dense ids with per-atom
-    transition tables shared across trajectories; deeper points are handled
-    verbatim until they shrink back or hit the freeze bound.  Configuration
-    deltas can only occur at interned points because every slope-change
-    support point of the measure is itself small.
+    Points with small coordinates are interned to dense ids.  Each interned
+    point has a successor row, shared across trajectories: per atom, the id
+    of its image, or RAW until the walk first takes that atom there.  The
+    row has one more slot, for tail draws, that stays RAW.  Deeper points
+    are handled verbatim until they shrink back or hit the freeze bound.
+    Configuration deltas can only occur at interned points because every
+    slope-change support point of the measure is itself small; a point's
+    delta row is None unless some atom's configuration is nonzero there.
 
     An atom whose end pieces are the identity fixes every point outside its
     first and last break.  On a raw point such an atom is skipped when float
@@ -256,11 +259,12 @@ class _MeasureWalker:
         entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
         # only decides caching: above every entry, below the freeze bound
         self.share_bits = max(128, max(entry_bits, default=0) + 1)
-        # these tables pay on returns-z, where nearly every step is a hit (4x)
+        # these rows pay on returns-z, where nearly every step is a hit
+        # (about 11x against apply and intern on every step)
         self.registry: Dict[tuple, int] = {}
         self.points: List[QuadraticNumber] = []
-        self.atom_trans: List[List[int]] = [[] for _ in mu.atoms]
-        self.atom_delta: List[Dict[int, int]] = [dict() for _ in mu.atoms]
+        self.succ: List[List[int]] = []
+        self.deltas: List[Optional[List[int]]] = []
 
     def intern(self, x: QuadraticNumber) -> int:
         key = canonical_key(x)
@@ -269,12 +273,9 @@ class _MeasureWalker:
             pid = len(self.points)
             self.registry[key] = pid
             self.points.append(x)
-            for trans in self.atom_trans:
-                trans.append(self.RAW)
-            for ai, conf in enumerate(self.atom_confs):
-                val = conf.entries.get(x)
-                if val:
-                    self.atom_delta[ai][pid] = val
+            self.succ.append([self.RAW] * (len(self.atom_confs) + 1))
+            row = [conf.entries.get(x, 0) for conf in self.atom_confs]
+            self.deltas.append(row if any(row) else None)
         return pid
 
     def run(
@@ -303,13 +304,15 @@ class _MeasureWalker:
         natoms = len(atoms)
         hulls = self.hulls
         cuts = self.mu._cuts
-        atom_trans = self.atom_trans
-        atom_delta = self.atom_delta
+        succ = self.succ
+        deltas = self.deltas
         sampler = self.mu._sampler
         shift = self.tail_shift
         smoothing = self.mu.smoothing
         uniform = rng.random
         new_point = tuple.__new__
+        # the walking point is points[pid], or x while pid is raw; a table
+        # hit moves pid alone, so x may be stale while pid is interned
         x = start
         pid = start_pid = intern(start)
         # a start above the intern bound is seen again only by comparing points
@@ -320,17 +323,36 @@ class _MeasureWalker:
         changes: List[Tuple[int, int]] = []
         visits: List[int] = []
         for n in range(1, steps + 1):
-            delta = 0
-            for _ in range(_poisson_one(rng) if smoothing else 1):
+            if smoothing:
+                draws = _poisson_one(rng)
+            else:
+                # the table hit: a known successor of an interned point
                 ai = bisect_right(cuts, uniform())
+                if pid != raw:
+                    nid = succ[pid][ai]
+                    if nid != raw:
+                        row = deltas[pid]
+                        if row is not None and row[ai]:
+                            changes.append((n, row[ai]))
+                        pid = nid
+                        if nid == start_pid:
+                            visits.append(n)
+                        continue
+                draws = 1
+            delta = 0
+            for _ in range(draws):
+                if smoothing:
+                    ai = bisect_right(cuts, uniform())
                 if ai < natoms:
                     if pid != raw:
-                        delta += atom_delta[ai].get(pid, 0)
-                        nid = atom_trans[ai][pid]
-                        if nid != raw:
+                        row = deltas[pid]
+                        if row is not None:
+                            delta += row[ai]
+                        nid = succ[pid][ai]
+                        if nid != raw:  # a table hit inside a smoothed step
                             pid = nid
-                            x = points[nid]
                             continue
+                        x = points[pid]
                     else:
                         hull = hulls[ai]
                         if hull is not None:
@@ -346,6 +368,8 @@ class _MeasureWalker:
                                     continue
                     x = atoms[ai].apply(x)
                 else:
+                    if pid != raw:
+                        x = points[pid]
                     # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
                     # gcd(A, B, D) = 1, so the point stays canonical
                     A, B, D, k = x
@@ -359,7 +383,7 @@ class _MeasureWalker:
                     continue
                 nid = intern(x)
                 if pid != raw and ai < natoms:
-                    atom_trans[ai][pid] = nid
+                    succ[pid][ai] = nid
                 pid = nid
             if delta:
                 changes.append((n, delta))
@@ -370,7 +394,7 @@ class _MeasureWalker:
                     visits.append(n)
                 elif freeze_bits is not None and bits > freeze_bits:
                     return changes, visits, x, n
-        return changes, visits, x, None
+        return changes, visits, (x if pid == raw else points[pid]), None
 
 
 def _bits(x: QuadraticNumber) -> int:

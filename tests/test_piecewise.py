@@ -161,6 +161,47 @@ def test_configuration_examples(hs3):
     assert configuration(pm_from_matrix(ProjectiveMatrix.translation(5)), SQRT3).is_zero
 
 
+def _power_by_compose(f, n):
+    """f^n by square-and-multiply over compose, as power does for a map with breaks."""
+    base = f if n >= 0 else f.inverse()
+    n, out = abs(n), pm_identity()
+    while n:
+        if n & 1:
+            out = out.compose(base)
+        n >>= 1
+        base = base.compose(base)
+    return out
+
+
+def _power_by_repeat(f, n):
+    step = f if n >= 0 else f.inverse()
+    out = pm_identity()
+    for _ in range(abs(n)):
+        out = step * out
+    return out
+
+
+@pytest.mark.parametrize("t", [1, -3])
+def test_power_of_translation_is_its_matrix_power(t):
+    f = pm_from_matrix(ProjectiveMatrix.translation(t))
+    for n in range(-9, 10):
+        want = _power_by_repeat(f, n)
+        assert f.power(n) == want
+        assert f.power(n).to_text() == want.to_text()
+    for n in (123456, -123456):
+        want = _power_by_compose(f, n)
+        assert f.power(n).to_text() == want.to_text()
+        assert f.power(n) == pm_from_matrix(ProjectiveMatrix.translation(t * n))
+
+
+def test_power_of_map_with_breaks_is_unchanged(hs3, pre3):
+    for f in (hs3.map, pre3.companion):
+        for n in range(-9, 10):
+            want = _power_by_repeat(f, n)
+            got = f.power(n)
+            assert got == want and got.to_text() == want.to_text(), n
+
+
 def test_membership_examples(hs3):
     assert membership(pm_from_matrix(ProjectiveMatrix.translation(1)), "HS", SQRT3)
     assert not membership(hs3.map, "HS", SQRT3)

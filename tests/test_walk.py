@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,92 @@ def test_hull_skip_near_breaks_takes_exact_apply(wmu):
                 wrong_side += fx != fb and (fx > fb) != (qn_compare(x, b) > 0)
     assert moved  # some of these points lie inside the atom's support
     assert wrong_side  # and only the error bound keeps them from a skip
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_z_walk_visits_match_integer_walk(reuse):
+    """The +-1 walk on Z against a plain integer walk on the same draws.
+
+    A reused walker takes nearly every step from its successor rows; a
+    fresh one fills them as it goes.
+    """
+    mu = uniform_measure([A1, A1.inverse()])
+    start = q(0)
+    walker = _MeasureWalker(mu, start)
+    steps = 3000
+    for seed in range(8):
+        if not reuse:
+            walker = _MeasureWalker(mu, start)
+        got = walker.run(start, steps, trajectory_rng(31, seed), 1500)
+        rng = trajectory_rng(31, seed)
+        pos, visits = 0, []
+        for n in range(1, steps + 1):
+            pos += 1 if bisect_right(mu._cuts, rng.random()) == 0 else -1
+            if pos == 0:
+                visits.append(n)
+        assert got == ([], visits, q(pos), None), seed
+        assert visits  # the walk comes back to 0
+
+
+def test_reused_walker_matches_fresh_walkers(wmu):
+    """Known successor rows change no trajectory: a walker reused across
+    trajectories gives what a fresh walker gives on each one."""
+    reused = _MeasureWalker(wmu, SQRT3)
+    hits = 0
+    for seed in range(30):
+        before = len(reused.points)
+        got = reused.run(SQRT3, 1000, trajectory_rng(41, seed), 1500)
+        fresh = _MeasureWalker(wmu, SQRT3).run(SQRT3, 1000, trajectory_rng(41, seed), 1500)
+        assert got == fresh, seed
+        hits += len(reused.points) == before
+    assert hits  # some trajectories found every point they needed interned
+
+
+def _atom_draw(mu, ai):
+    """A uniform draw that picks atom ai of mu."""
+    lo = mu._cuts[ai - 1] if ai else 0.0
+    return (lo + mu._cuts[ai]) / 2
+
+
+def test_table_hits_keep_the_walking_point(wmu):
+    """A table hit moves the point id alone; the point is read back where it
+    is used.  A run whose last step is a hit returns that point; an exact
+    apply and a tail draw right after hits start from it."""
+    atoms = [m for m, _ in wmu.atoms]
+    walker = _MeasureWalker(wmu, SQRT3)
+
+    def points_on(path):
+        xs = [SQRT3]
+        for ai in path:
+            xs.append(atoms[ai].apply(xs[-1]))
+        return xs
+
+    # three steps, each to a new point small enough to be interned
+    path = next(
+        path
+        for path in itertools.product(range(len(atoms)), repeat=3)
+        if len(set(points_on(path))) == 4
+        and all(_bit_size(y) <= walker.share_bits for y in points_on(path))
+    )
+    x = points_on(path)[-1]
+    draws = [_atom_draw(wmu, ai) for ai in path]
+    # first run: every step an exact apply, which fills the successor rows
+    first = walker.run(SQRT3, len(path), _Draws(draws), None)
+    assert first[2] == x
+    pid = walker.intern(SQRT3)
+    for ai in path:
+        assert walker.succ[pid][ai] != walker.RAW
+        pid = walker.succ[pid][ai]
+    # the same steps again: all table hits, the last one included
+    assert walker.run(SQRT3, len(path), _Draws(draws), None) == first
+    # hits, then the tail: magnitude 1, sign +
+    tail = [1 - 1 / 1024, 0.0, 0.0]
+    _, _, y, _ = walker.run(SQRT3, len(path) + 1, _Draws(draws + tail), None)
+    assert y == x + 1
+    # hits, then an atom at a point where its successor is not yet known
+    ai = next(i for i in range(len(atoms)) if walker.succ[pid][i] == walker.RAW)
+    _, _, y, _ = walker.run(SQRT3, len(path) + 1, _Draws(draws + [_atom_draw(wmu, ai)]), None)
+    assert y == atoms[ai].apply(x)
 
 
 def test_incremental_with_smoothing_matches_full_product(pre3):
