@@ -74,9 +74,7 @@ def _positive_int_list(text: str) -> str:
 
 
 def _out_path(args, default_name: str) -> str:
-    directory = args.out or os.environ.get("PWPROJ_OUT", ".")
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, default_name)
+    return os.path.join(args.out, default_name)
 
 
 def _emit(args, name: str, payload: dict) -> str:
@@ -279,12 +277,10 @@ def cmd_walk(args) -> int:
 
 def cmd_witness(args) -> int:
     pre, mu = _witness_measure_for(args)
-    report = nontriviality_witness(
-        mu, pre.hs.base, args.T, args.M, args.seed, threads=args.threads
-    )
+    report = nontriviality_witness(mu, pre.hs.base, args.T, args.M, args.seed)
     payload = {
         "command": "witness",
-        "config": _config_echo(args, ["s", "T", "M", "seed", "epsilon", "alpha", "threads"]),
+        "config": _config_echo(args, ["s", "T", "M", "seed", "epsilon", "alpha"]),
         **report,
     }
     _emit(args, "witness.json", payload)
@@ -327,8 +323,8 @@ def cmd_entropy(args) -> int:
 
 def cmd_lamplighter(args) -> int:
     alpha = _fraction_option(args, "alpha")
-    heavy = lamplighter_demo(alpha, args.T, args.M, args.seed, True, threads=args.threads)
-    control = lamplighter_demo(alpha, args.T, args.M, args.seed, False, threads=args.threads)
+    heavy = lamplighter_demo(alpha, args.T, args.M, args.seed, True)
+    control = lamplighter_demo(alpha, args.T, args.M, args.seed, False)
     payload = {
         "command": "lamplighter",
         "config": _config_echo(args, ["alpha", "T", "M", "seed"]),
@@ -344,15 +340,10 @@ def cmd_returns(args) -> int:
     if args.target == "z":
         translation = pm_from_matrix(ProjectiveMatrix.translation(1))
         mu = uniform_measure([translation, translation.inverse()])
-        rep = estimate_returns(
-            mu, QuadraticNumber(0), horizons, args.M, args.seed, threads=args.threads
-        )
+        rep = estimate_returns(mu, QuadraticNumber(0), horizons, args.M, args.seed)
     else:
         pre = _prechain_for(args)
-        rep = estimate_returns(
-            PrechainTreeModel(pre), pre.b, horizons, args.M, args.seed,
-            threads=args.threads,
-        )
+        rep = estimate_returns(PrechainTreeModel(pre), pre.b, horizons, args.M, args.seed)
     payload = {
         "command": "returns",
         "config": _config_echo(args, ["s", "target", "horizons", "M", "seed"]),
@@ -404,21 +395,19 @@ def build_parser() -> _Parser:
             ("--sample", dict(type=_positive_int, default=200)),
         ],
     )
-    # trajectories split across threads; the results never depend on the count.
-    # The threads share the GIL and give no speed-up.
-    threads = ("--threads", dict(type=_positive_int, default=1))
-    walk_extras = [
-        ("--T", dict(type=_positive_int, default=20000)),
+    # the witness measure's options, shared by every command that builds it
+    measure = [
         ("--epsilon", dict(default="1/4")),
         ("--alpha", dict(default="4/5")),
     ]
-    add("walk", cmd_walk, s=True, seed=True, extras=walk_extras)
+    long_walk = ("--T", dict(type=_positive_int, default=20000))
+    add("walk", cmd_walk, s=True, seed=True, extras=[long_walk] + measure)
     add(
         "witness",
         cmd_witness,
         s=True,
         seed=True,
-        extras=walk_extras + [("--M", dict(type=_positive_int, default=500)), threads],
+        extras=[long_walk, ("--M", dict(type=_positive_int, default=500))] + measure,
     )
     add(
         "summability",
@@ -428,9 +417,8 @@ def build_parser() -> _Parser:
         extras=[
             ("--T", dict(type=_positive_int, default=2000)),
             ("--M", dict(type=_positive_int, default=200)),
-            ("--epsilon", dict(default="1/4")),
-            ("--alpha", dict(default="4/5")),
-        ],
+        ]
+        + measure,
     )
     add(
         "entropy",
@@ -440,9 +428,8 @@ def build_parser() -> _Parser:
         extras=[
             ("--n", dict(type=_positive_int, default=8)),
             ("--M", dict(type=_positive_int, default=500)),
-            ("--epsilon", dict(default="1/4")),
-            ("--alpha", dict(default="4/5")),
-        ],
+        ]
+        + measure,
     )
     add(
         "lamplighter",
@@ -452,7 +439,6 @@ def build_parser() -> _Parser:
             ("--alpha", dict(default="4/5")),
             ("--T", dict(type=_positive_int, default=10000)),
             ("--M", dict(type=_positive_int, default=1000)),
-            threads,
         ],
     )
     add(
@@ -464,7 +450,6 @@ def build_parser() -> _Parser:
             ("--s", dict(default="0+1*sqrt(3)")),
             ("--horizons", dict(type=_positive_int_list, default="10000,20000")),
             ("--M", dict(type=_positive_int, default=500)),
-            threads,
         ],
     )
     return parser
@@ -473,6 +458,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # made before the run, so an unusable directory fails before the work
+    source = "--out" if args.out else "PWPROJ_OUT"
+    args.out = args.out or os.environ.get("PWPROJ_OUT", ".")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot make directory {args.out!r}: {exc.strerror}"
+        print(f"error: {source}: {message}", file=sys.stderr)
+        return 1
     try:
         code = args.fn(args)
         sys.stdout.flush()

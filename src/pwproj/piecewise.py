@@ -699,8 +699,14 @@ def _floor_times(x: QuadraticNumber, den: int) -> int:
     return n
 
 
-def construct_prechain(s: QuadraticNumber, max_power: int = 24) -> Prechain:
-    """2-prechain (f, g) built from the delta element at s and a companion."""
+PRECHAIN_MAX_POWER = 24
+
+
+def construct_prechain(s: QuadraticNumber) -> Prechain:
+    """2-prechain (f, g) built from the delta element at s and a companion.
+
+    Powers of the two bases are tried up to a total of 2 * PRECHAIN_MAX_POWER.
+    """
     hs = build_hs(s)
     bump, sigma_bar, sigma = build_companion(hs)
     if hs.branch == "above":
@@ -711,7 +717,7 @@ def construct_prechain(s: QuadraticNumber, max_power: int = 24) -> Prechain:
         # mirrored roles: supp(f) = (far, s), supp(g) = (sigma_bar, sigma)
         a, b, c, d = hs.far_end, sigma_bar, s, sigma
         f_base, g_base = hs.map, bump
-    for total in range(2, 2 * max_power + 1):
+    for total in range(2, 2 * PRECHAIN_MAX_POWER + 1):
         for g_pow in range(1, total):
             f_pow = total - g_pow
             f_cand = f_base.power(f_pow)

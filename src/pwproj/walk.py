@@ -454,28 +454,13 @@ class ReturnsReport:
         }
 
 
-def _run_trajectories(make_run, trajectories: int, master_seed: int, threads: int = 1) -> list:
+def _run_trajectories(run, trajectories: int, master_seed: int) -> list:
     """[run(trajectory_rng(master_seed, t)) for t in range(trajectories)].
 
-    The module's one trajectory loop.  make_run() returns a run function
-    with its own state; each thread calls it once and runs a contiguous
-    span of indices.  Every index has its own random stream, so the list
-    is identical for any thread count.  The threads share the GIL and
-    give no speed-up.
+    The module's one trajectory loop: every index has its own random
+    stream, so each row depends only on the seed and its index.
     """
-
-    def span(indices):
-        run = make_run()
-        return [run(trajectory_rng(master_seed, t)) for t in indices]
-
-    if threads <= 1:
-        return span(range(trajectories))
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = (trajectories + threads - 1) // threads
-    spans = [range(lo, min(lo + size, trajectories)) for lo in range(0, trajectories, size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [row for part in pool.map(span, spans) for row in part]
+    return [run(trajectory_rng(master_seed, t)) for t in range(trajectories)]
 
 
 def estimate_returns(
@@ -487,22 +472,25 @@ def estimate_returns(
     freeze_bits: Optional[int] = DEFAULT_FREEZE_BITS,
     threads: int = 1,
 ) -> ReturnsReport:
-    """Monte-Carlo mean visit counts to the start point at several horizons."""
+    """Monte-Carlo mean visit counts to the start point at several horizons.
+
+    threads must be 1 and selects nothing: perfbench's returns-z workload
+    still passes it, and it goes once perfbench stops.
+    """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     horizons = sorted(horizons)
     top = horizons[-1]
+    tree = isinstance(walk_target, PrechainTreeModel)
+    walker = None if tree else _MeasureWalker(walk_target, start)
 
-    def make_run():
-        if isinstance(walk_target, PrechainTreeModel):
-            return lambda rng: walk_target.root_visits(top, rng, horizons)
-        walker = _MeasureWalker(walk_target, start)
+    def run(rng):
+        if tree:
+            return walk_target.root_visits(top, rng, horizons)
+        visits = walker.run(start, top, rng, freeze_bits)[1]
+        return [bisect_right(visits, h) for h in horizons]
 
-        def run(rng):
-            visits = walker.run(start, top, rng, freeze_bits)[1]
-            return [bisect_right(visits, h) for h in horizons]
-
-        return run
-
-    rows = _run_trajectories(make_run, trajectories, master_seed, threads)
+    rows = _run_trajectories(run, trajectories, master_seed)
     means, errs = [], []
     for hi in range(len(horizons)):
         col = [row[hi] for row in rows]
@@ -625,7 +613,7 @@ def summability_diagnostic(
         return walker.run(origin, steps, rng, freeze_bits)[0]
 
     hits = [0] * (steps + 1)
-    for changes in _run_trajectories(lambda: run, trajectories, master_seed):
+    for changes in _run_trajectories(run, trajectories, master_seed):
         for n, _ in changes:
             hits[n] += 1
     per_step = [h / trajectories for h in hits[1:]]
@@ -649,6 +637,9 @@ def summability_diagnostic(
 
 # -- boundary non-triviality witness -------------------------------------------
 
+WITNESS_STABILIZATION_FRACTION = 0.95
+WITNESS_VALUE_FREQUENCY = 0.10
+
 
 def nontriviality_witness(
     mu: GroupMeasure,
@@ -656,34 +647,31 @@ def nontriviality_witness(
     steps: int,
     trajectories: int,
     master_seed: int,
-    stabilization_fraction: float = 0.95,
-    value_frequency: float = 0.10,
     freeze_bits: Optional[int] = DEFAULT_FREEZE_BITS,
     threads: int = 1,
 ) -> dict:
     """Empirical boundary witness from the marked-point configuration value.
 
     A run stabilizes when its value does not change after steps/2.  The
-    witness succeeds when at least the given fraction stabilizes and at
-    least two distinct stabilized values each carry the given frequency.
+    witness succeeds when at least WITNESS_STABILIZATION_FRACTION of the runs
+    stabilize and at least two distinct stabilized values each carry
+    WITNESS_VALUE_FREQUENCY of them.  threads must be 1 and selects nothing:
+    perfbench's witness workload still passes it, and it goes once
+    perfbench stops.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     half = steps // 2
+    walker = _MeasureWalker(mu, s)
 
-    def make_run():
-        walker = _MeasureWalker(mu, s)
-
-        def run(rng):
-            changes, _, _, frozen_at = walker.run(s, steps, rng, freeze_bits)
-            return changes, frozen_at
-
-        return run
+    def run(rng):
+        changes, _, _, frozen_at = walker.run(s, steps, rng, freeze_bits)
+        return changes, frozen_at
 
     histogram: Dict[int, int] = {}
     stabilized = 0
     frozen_runs = 0
-    for changes, frozen_at in _run_trajectories(
-        make_run, trajectories, master_seed, threads
-    ):
+    for changes, frozen_at in _run_trajectories(run, trajectories, master_seed):
         if frozen_at is not None:
             frozen_runs += 1
         if not changes or changes[-1][0] <= half:
@@ -692,9 +680,9 @@ def nontriviality_witness(
             histogram[value] = histogram.get(value, 0) + 1
     stab_frac = stabilized / trajectories
     frequent = {
-        v: c for v, c in histogram.items() if c / trajectories >= value_frequency
+        v: c for v, c in histogram.items() if c / trajectories >= WITNESS_VALUE_FREQUENCY
     }
-    succeed = stab_frac >= stabilization_fraction and len(frequent) >= 2
+    succeed = stab_frac >= WITNESS_STABILIZATION_FRACTION and len(frequent) >= 2
     return {
         "steps": steps,
         "trajectories": trajectories,
@@ -725,7 +713,7 @@ def entropy_estimate(
         return prod.to_text()
 
     counts: Dict[str, int] = {}
-    for key in _run_trajectories(lambda: run, samples, master_seed):
+    for key in _run_trajectories(run, samples, master_seed):
         counts[key] = counts.get(key, 0) + 1
     entropy = 0.0
     for c in counts.values():
@@ -750,7 +738,6 @@ def lamplighter_demo(
     trajectories: int,
     master_seed: int,
     heavy_tail: bool = True,
-    threads: int = 1,
 ) -> dict:
     """Wreath-product walk over Z with Z/2 lamps, tracking the origin lamp.
 
@@ -775,7 +762,7 @@ def lamplighter_demo(
                     last_origin_toggle = n
         return last_origin_toggle
 
-    last_toggles = _run_trajectories(lambda: run, trajectories, master_seed, threads)
+    last_toggles = _run_trajectories(run, trajectories, master_seed)
     stabilized = sum(1 for last in last_toggles if last <= half)
     return {
         "alpha": str(alpha) if heavy_tail else None,

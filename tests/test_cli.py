@@ -85,8 +85,7 @@ def test_missing_seed_is_usage_error(tmp_path):
     [
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "0", "--seed", "1"],
         ["witness", "--s", "0+1*sqrt(3)", "--T", "0", "--M", "2", "--seed", "1"],
-        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
-         "--threads", "0"],
+        ["summability", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "0", "--seed", "1"],
         ["entropy", "--s", "0+1*sqrt(3)", "--n", "0", "--M", "2", "--seed", "1"],
         ["lamplighter", "--T", "10", "--M", "0", "--seed", "1"],
         ["kernel", "--s", "0+1*sqrt(3)", "--cap", "10", "--sample", "-1"],
@@ -113,7 +112,7 @@ SEEDED_REPORTS = {
     ),
     "witness": (
         ["witness", "--s", "0+1*sqrt(3)", "--T", "3000", "--M", "40", "--seed", "2"],
-        "c89433ca0b4d49396b8f55efbf1f7c7c1c30fcdafa8034852bd4ebc462182af0",
+        "407046cf7b0bd87a945c70a29dd00303c913ec3d749341c1f527bef961d7cb05",
     ),
     "returns-z": (
         ["returns", "--target", "z", "--horizons", "100,500", "--M", "30", "--seed", "3"],
@@ -280,34 +279,18 @@ def test_prechain_idempotent_output(tmp_path):
     assert p1.stdout == p2.stdout
 
 
-def test_witness_threads_match(tmp_path):
-    base = [
-        "witness",
-        "--s",
-        "0+1*sqrt(3)",
-        "--T",
-        "200",
-        "--M",
-        "12",
-        "--seed",
-        "3",
-    ]
-    p1 = run(base + ["--threads", "1"], tmp_path)
-    p3 = run(base + ["--threads", "3"], tmp_path)
-    assert p1.returncode == 0
-    assert p3.returncode == 0
-    serial = json.loads(p1.stdout)
-    threaded = json.loads(p3.stdout)
-    serial["config"].pop("threads")
-    threaded["config"].pop("threads")
-    assert serial == threaded
-
-
-def test_threads_only_on_trajectory_commands(tmp_path):
-    proc = run(
-        ["walk", "--s", "0+1*sqrt(3)", "--T", "10", "--seed", "1", "--threads", "2"],
-        tmp_path,
-    )
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["walk", "--s", "0+1*sqrt(3)", "--T", "10", "--seed", "1"],
+        ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1"],
+        ["lamplighter", "--T", "10", "--M", "2", "--seed", "1"],
+        ["returns", "--target", "z", "--horizons", "10", "--M", "2", "--seed", "1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_threads_is_not_an_option(tmp_path, args):
+    proc = run(args + ["--threads", "2"], tmp_path)
     assert proc.returncode == 64
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
@@ -347,3 +330,25 @@ def test_out_dir_env(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "prechain.json").exists()
+
+
+@pytest.mark.parametrize("spelling", ["--out", "PWPROJ_OUT"])
+def test_unusable_out_dir_fails_before_the_run(monkeypatch, capsys, tmp_path, spelling):
+    # in process, so a traceback would be an exception escaping main
+    from pwproj import cli
+
+    def construct(args):
+        raise AssertionError("the construction ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "_prechain_for", construct)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = ["prechain", "--s", "0+1*sqrt(3)"]
+    if spelling == "--out":
+        argv = ["--out", str(blocker)] + argv
+    else:
+        monkeypatch.setenv("PWPROJ_OUT", str(blocker / "sub"))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {spelling}: ")
