@@ -12,36 +12,122 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 
 class MixedFieldError(ArithmeticError):
     """Combination of irrationals from two distinct quadratic fields."""
 
 
-def _factor_trial(n: int) -> Dict[int, int]:
-    # Trial division with a 2/3/5 wheel; fine for radicands at desk scale.
-    factors: Dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    p, i = 7, 0
-    while p * p <= n:
-        if n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+# Trial division covers the primes below this bound; a cofactor left below
+# its square is therefore prime.
+_TRIAL_BOUND = 10_000
+
+
+def _primes_below(n: int) -> List[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+# The first 13 primes: as Miller-Rabin bases they decide primality exactly
+# below 3.3 * 10**24 (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with _MR_BASES, for an odd n with no prime factor below
+    _TRIAL_BOUND.
+
+    Exact below 3317044064679887385961981, the smallest composite that
+    passes all 13 bases; above it, n is taken as prime when it is a strong
+    probable prime to every base.
+    """
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            p += inc[i]
-            i = (i + 1) % 8
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A nontrivial divisor of an odd composite n, by Pollard-Brent rho.
+
+    The polynomials x*x + c are tried for c = 1, 2, ... in turn, so the
+    divisor found is the same on every run.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:
+            # the batched product hit 0 mod n: redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor_trial(n: int) -> Dict[int, int]:
+    """Prime factorization {p: e} of n >= 1.
+
+    Trial division by the primes below _TRIAL_BOUND, then Miller-Rabin and
+    Pollard-Brent rho on what is left.
+    """
+    factors: Dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
     return factors
 
 
-# pays on parsing h_s at sqrt(23): else its 115-bit break radicand is trial-divided for 6 s
+# radicands already factored, and square-free parts that producers register
+# without factoring them (they may be too large for rho to split)
 _RADICAND_CACHE: Dict[int, Tuple[int, int]] = {}
 
 
@@ -434,6 +520,36 @@ def qn_approx(x: QuadraticNumber) -> Optional[Tuple[float, float]]:
     return None
 
 
+def point_order_key(p: ExtendedPoint, n: int = 64):
+    """Sort key (floor(p * 2**n), p) of an extended point; INFINITY sorts last.
+
+    The floor is exact integer arithmetic and monotone in p, so the keys
+    order points as the points do: two points closer than 2**-n tie on the
+    integer and are then compared exactly.  A larger n leaves fewer ties.
+    """
+    if p is INFINITY:
+        return (_INF, p)
+    A, B, D, k = p
+    if B == 0:
+        return ((A << n) // D, p)
+    # B*sqrt(k)*2**n lies strictly between t and t + 1: B*B*k*4**n is not a square
+    t = math.isqrt(B * B * k << 2 * n)
+    if B < 0:
+        t = -t - 1
+    return (((A << n) + t) // D, p)
+
+
+def sorted_points(points: Iterable[ExtendedPoint]) -> List[ExtendedPoint]:
+    """The points in increasing order, INFINITY last.
+
+    Sorted by point_order_key with n the largest denominator bit length
+    (at least 64), so that few pairs tie on the integer part.
+    """
+    points = list(points)
+    n = max([64] + [p[2].bit_length() for p in points if p is not INFINITY])
+    return sorted(points, key=lambda p: point_order_key(p, n))
+
+
 def canonical_key(p: ExtendedPoint):
     """Injective, hashable, run-stable key for an extended point.
 
@@ -461,11 +577,20 @@ _ROOT_RE = re.compile(
 )
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    if g != d:
+        return f"{n // g}/{d // g}"
+    return str(n // g)
+
+
 def qn_to_text(x: QuadraticNumber) -> str:
-    if x.is_rational:
-        return str(x.a)
-    sign = "+" if x.b >= 0 else "-"
-    return f"{x.a}{sign}{abs(x.b)}*sqrt({x.k})"
+    A, B, D, k = x
+    if k == 1:
+        return _ratio_text(A, D)
+    sign = "+" if B >= 0 else "-"
+    return f"{_ratio_text(A, D)}{sign}{_ratio_text(abs(B), D)}*sqrt({k})"
 
 
 def qn_from_text(text: str) -> QuadraticNumber:

@@ -17,6 +17,7 @@ from .exactnum import (
     QuadraticNumber,
     point_to_text,
     qn_compare,
+    sorted_points,
 )
 from .piecewise import PiecewiseProjectiveMap, Prechain
 
@@ -68,7 +69,7 @@ class OrbitGraph:
 
     def sorted_keys(self) -> List[ExtendedPoint]:
         """The vertices in increasing order."""
-        return sorted(self.points)
+        return sorted_points(self.points)
 
 
 def build_orbit_graph(
@@ -448,7 +449,7 @@ def export_dot(graph: OrbitGraph, path: str) -> None:
     order = graph.sorted_keys()
     index = {p: i for i, p in enumerate(order)}
     lines = ["digraph orbit {"]
-    for p in order:
+    for i, p in enumerate(order):
         attrs = [f'label="{point_to_text(p)}"']
         if graph.regions:
             tag = graph.regions.get(p, "")
@@ -457,13 +458,13 @@ def export_dot(graph: OrbitGraph, path: str) -> None:
                 attrs.append(f'style=filled fillcolor="{color}"')
         if p == graph.root:
             attrs.append("shape=doublecircle")
-        lines.append(f'  v{index[p]} [{" ".join(attrs)}];')
+        lines.append(f'  v{i} [{" ".join(attrs)}];')
     for gi, emap in enumerate(graph.edges):
         label = graph.labels[gi]
-        for src in order:
-            if src in emap:
-                dst = emap[src]
-                lines.append(f'  v{index[src]} -> v{index[dst]} [label="{label}"];')
+        for i, src in enumerate(order):
+            dst = emap.get(src)
+            if dst is not None:
+                lines.append(f'  v{i} -> v{index[dst]} [label="{label}"];')
     lines.append("}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -472,11 +473,13 @@ def export_dot(graph: OrbitGraph, path: str) -> None:
 def export_csv(graph: OrbitGraph, path: str) -> None:
     """Adjacency dump: src, label, dst points."""
     order = graph.sorted_keys()
+    text = {p: point_to_text(p) for p in order}
     lines = ["src,label,dst"]
     for gi, emap in enumerate(graph.edges):
         label = graph.labels[gi]
         for src in order:
-            if src in emap:
-                lines.append(f'"{point_to_text(src)}",{label},"{point_to_text(emap[src])}"')
+            dst = emap.get(src)
+            if dst is not None:
+                lines.append(f'"{text[src]}",{label},"{text[dst]}"')
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

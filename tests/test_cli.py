@@ -126,6 +126,25 @@ SEEDED_REPORTS = {
         ["entropy", "--s", "0+1*sqrt(3)", "--n", "4", "--M", "100", "--seed", "5"],
         "369190c5d18e4a3c038a2fc0aa0c9ef0a26ebe473f40d63032ae9486b20e674a",
     ),
+    "kernel": (
+        ["kernel", "--s", "0+1*sqrt(3)", "--cap", "500", "--sample", "200"],
+        "453cd8abe5c47d71d8d7d5e0751cabb027e53f2c9d2b19203b34be93906b20d3",
+    ),
+}
+
+# graph --cap 600 --format both: SHA-256 of the DOT and CSV files, which
+# pin the vertex order and the number text
+GRAPH_EXPORTS = {
+    "sqrt3": (
+        "0+1*sqrt(3)",
+        "3d18c166daa61061e55a84f443f63a54f2d082a2df88f067defbeeb8f3cd0b7b",
+        "926b7ef12bf457c4a2306733f1f8e241c9ac13c0a834fa1910052c1428c1054f",
+    ),
+    "rational-part": (
+        "1/3+2*sqrt(5)",
+        "05fcef0735496d9b1b5ccdc7aea8b28561c129a92eaeb547f8b381cd1663474d",
+        "b30f120f46c22beb8c9330f3eb2b454259386a1d347a4c2562279caf1e7d4434",
+    ),
 }
 
 
@@ -135,6 +154,15 @@ def test_seeded_report_bytes(tmp_path, name):
     proc = subprocess.run(BASE + args, cwd=tmp_path, capture_output=True, timeout=600)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_EXPORTS))
+def test_graph_export_bytes(tmp_path, name):
+    s, dot_digest, csv_digest = GRAPH_EXPORTS[name]
+    proc = run(["graph", f"--s={s}", "--cap", "600", "--format", "both"], tmp_path)
+    assert proc.returncode == 0
+    assert hashlib.sha256((tmp_path / "graph_600.dot").read_bytes()).hexdigest() == dot_digest
+    assert hashlib.sha256((tmp_path / "graph_600.csv").read_bytes()).hexdigest() == csv_digest
 
 
 def test_returns_echoes_horizons_text(tmp_path):

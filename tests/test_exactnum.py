@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import mpmath
 import pytest
@@ -8,13 +10,16 @@ from pwproj.exactnum import (
     INFINITY,
     MixedFieldError,
     QuadraticNumber,
+    _factor_trial,
     canonical_key,
     normalize_radicand,
+    point_order_key,
     qn_approx,
     qn_compare,
     qn_from_text,
     qn_normalize,
     qn_to_text,
+    sorted_points,
     squarefree_of_factors,
 )
 
@@ -38,6 +43,40 @@ def test_squarefree_of_factors_matches_direct():
         for p in parts:
             prod *= p
         assert squarefree_of_factors(parts) == normalize_radicand(prod)
+
+
+def _factor_plain(n):
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_factor_trial_matches_plain_trial_division():
+    rng = random.Random(11)
+    composites = [rng.randint(2, 10**11) for _ in range(300)]
+    # products of two primes above the trial-division bound
+    composites += [10007 * 10009, 999983 * 1000003, 10007 * 10007 * 10009]
+    squares = [p * p for p in (9973, 10007, 65537, 999983, 1000003)] + [10007**3]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161]
+    for n in composites + squares + carmichael + [1, 2, 9973, 10007]:
+        assert _factor_trial(n) == _factor_plain(n), n
+
+
+def test_factor_trial_splits_large_semiprimes():
+    p, q_, r = 2**61 - 1, 2**31 - 1, 10**9 + 7
+    assert _factor_trial(p * q_ * q_ * r) == {p: 1, q_: 2, r: 1}
+    assert _factor_trial(q_**3) == {q_: 3}
+    # a strong pseudoprime to each of the first 11 prime bases, 2 to 31
+    n = 3825123056546413051
+    assert _factor_trial(n) == {149491: 1, 747451: 1, 34233211: 1}
 
 
 def test_canonical_form():
@@ -231,3 +270,68 @@ def test_qn_approx_subnormal_and_overflow():
     # sqrt(k) of a square-free k >= 2**53 would be rounded twice
     k = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
     assert k >= 2**53 and qn_approx(qn_normalize(1, 1, 1, k)) is None
+
+
+def _random_point(rng):
+    k = rng.choice((1, 2, 3))
+    D = rng.choice((1, rng.randint(1, 50), rng.getrandbits(rng.randint(1, 200)) | 1))
+    A = rng.randint(-(10**6), 10**6) * rng.choice((1, D))
+    B = rng.randint(-(10**6), 10**6) if k > 1 else 0
+    return qn_normalize(A, B, D, k)
+
+
+def test_point_order_key_matches_exact_compare():
+    rng = random.Random(17)
+    pts = [_random_point(rng) for _ in range(600)]
+    pts += [QuadraticNumber(0), q(0, 1, 2), q(0, -1, 3), q(Fraction(-1, 3))]
+    exact = sorted(pts, key=cmp_to_key(qn_compare))
+    assert sorted(pts, key=point_order_key) == exact
+    assert sorted_points(pts) == exact
+
+
+def test_point_order_key_on_points_closer_than_the_shift():
+    # x = p - q*sqrt(k) from the convergents p/q of sqrt(k) shrinks like 1/q,
+    # next to the rationals 1/q**2; x and x +- 2**-70 tie on floor(x * 2**64),
+    # so the exact comparison decides their order
+    pts = []
+    for k in (2, 3):
+        a = math.isqrt(k)
+        p, q_ = a, 1
+        for _ in range(60):
+            for x in (qn_normalize(p, -q_, 1, k), qn_normalize(-p, q_, 1, k)):
+                pts.append(x)
+                pts.append(x + QuadraticNumber(Fraction(1, 2**70)))
+                pts.append(x - QuadraticNumber(Fraction(1, 2**70)))
+            pts.append(QuadraticNumber(Fraction(1, q_ * q_)))
+            # next convergent of the continued fraction [a; ...] of sqrt(k)
+            p, q_ = (p + k * q_, p + q_) if k == 2 else (2 * p + 3 * q_, p + 2 * q_)
+    keys = [point_order_key(x)[0] for x in pts]
+    assert len(set(keys)) < len(set(pts))
+    exact = sorted(pts, key=cmp_to_key(qn_compare))
+    assert sorted(pts, key=point_order_key) == exact
+    assert sorted_points(pts) == exact
+
+
+def test_point_order_key_puts_infinity_last():
+    pts = [INFINITY, q(10**40), q(-3, 1, 2), q(0)]
+    assert sorted(pts, key=point_order_key)[-1] is INFINITY
+    assert sorted_points(pts) == [q(-3, 1, 2), q(0), q(10**40), INFINITY]
+
+
+def _text_by_fractions(x):
+    """The text form built from Fractions, as the reference."""
+    if x.is_rational:
+        return str(x.a)
+    sign = "+" if x.b >= 0 else "-"
+    return f"{x.a}{sign}{abs(x.b)}*sqrt({x.k})"
+
+
+def test_qn_to_text_matches_fraction_form():
+    rng = random.Random(23)
+    pts = [_random_point(rng) for _ in range(1000)]
+    pts += [q(0), q(0, 1, 2), q(0, -5, 3), q(Fraction(-7, 4)), q(Fraction(6, 4), -2, 2)]
+    pts += [qn_normalize(0, rng.randint(-99, 99) or 1, rng.randint(1, 99), 3) for _ in range(50)]
+    for x in pts:
+        text = qn_to_text(x)
+        assert text == _text_by_fractions(x)
+        assert qn_from_text(text) == x

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,25 @@ def test_prechain_below_branch():
     assert qn_compare(pre.a, pre.b) < 0
     assert qn_compare(pre.b, pre.c) < 0
     assert qn_compare(pre.c, pre.d) < 0
+    assert pre.f.support_intervals() == [(pre.a, pre.c)]
+    assert pre.g.support_intervals() == [(pre.b, pre.d)]
+    assert qn_compare(pre.g.inverse()(pre.c), pre.f(pre.b)) < 0
+
+
+@pytest.mark.parametrize("k", (13, 29, 43, 58, 61, 65, 77))
+def test_prechain_builds_within_deadline(k):
+    # these radicands once stalled in trial division of hundred-bit traces
+    def expire(signum, frame):
+        raise TimeoutError(f"construct_prechain(sqrt({k})) took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        pre = construct_prechain(q(0, 1, k))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pre.b == q(0, 1, k)
     assert pre.f.support_intervals() == [(pre.a, pre.c)]
     assert pre.g.support_intervals() == [(pre.b, pre.d)]
     assert qn_compare(pre.g.inverse()(pre.c), pre.f(pre.b)) < 0
