@@ -177,7 +177,11 @@ def verify_tree_structure(
 
     Raises StructureViolationError with a counterexample vertex; truncated
     frontier vertices are skipped for checks that need their neighbors.
+    The graph must carry the region tags of attach_regions, whose walk of
+    every ray vertex back into [b, c] is the ray check of step (5).
     """
+    if graph.regions is None:
+        raise PreconditionViolatedError("graph has no region tags")
     g_inv = g.inverse()
     f_inv = f.inverse()
     g_inv_c = g_inv.apply(c)
@@ -279,14 +283,11 @@ def verify_tree_structure(
         ray_count += 1
         if p in graph.incomplete:
             continue
-        if qn_compare(p, b) < 0:
+        if graph.regions[p][4] == "f":
             if g.apply(p) != p:
                 raise StructureViolationError(point_to_text(p), "g moves an f-ray point")
-            first_entry_steps(f, p, b, c)
-        else:
-            if f.apply(p) != p:
-                raise StructureViolationError(point_to_text(p), "f moves a g-ray point")
-            first_entry_steps(g_inv, p, b, c)
+        elif f.apply(p) != p:
+            raise StructureViolationError(point_to_text(p), "f moves a g-ray point")
 
     return TreeReport(
         tree_vertices=len(inside),

@@ -101,17 +101,15 @@ class TailSpec:
 
 
 class GroupMeasure:
-    """Finite atoms plus an optional heavy-tail cyclic part and smoothing."""
+    """Finite atoms plus an optional heavy-tail cyclic part."""
 
     def __init__(
         self,
         atoms: Sequence[Tuple[PiecewiseProjectiveMap, Fraction]],
         tail: Optional[TailSpec] = None,
-        smoothing: bool = False,
     ):
         self.atoms = [(m, Fraction(w)) for m, w in atoms]
         self.tail = tail
-        self.smoothing = smoothing
         total = sum(w for _, w in self.atoms)
         if tail is not None:
             total += tail.weight
@@ -142,24 +140,7 @@ class GroupMeasure:
         return -1, self.tail.base.power(self._sampler.sample_signed(rng))
 
     def sample(self, rng: random.Random) -> PiecewiseProjectiveMap:
-        if not self.smoothing:
-            return self._sample_once(rng)[1]
-        count = _poisson_one(rng)
-        out = pm_identity()
-        for _ in range(count):
-            out = self._sample_once(rng)[1] * out
-        return out
-
-
-def _poisson_one(rng: random.Random) -> int:
-    # Knuth product method at rate 1
-    limit = math.exp(-1.0)
-    count = 0
-    prod = rng.random()
-    while prod > limit:
-        count += 1
-        prod *= rng.random()
-    return count
+        return self._sample_once(rng)[1]
 
 
 def point_mass(element: PiecewiseProjectiveMap) -> GroupMeasure:
@@ -275,7 +256,8 @@ class _MeasureWalker:
             self.points.append(x)
             self.succ.append([self.RAW] * (len(self.atom_confs) + 1))
             row = [conf.entries.get(x, 0) for conf in self.atom_confs]
-            self.deltas.append(row if any(row) else None)
+            # the last slot, 0, is for tail draws: translations move nothing
+            self.deltas.append(row + [0] if any(row) else None)
         return pid
 
     def run(
@@ -308,7 +290,6 @@ class _MeasureWalker:
         deltas = self.deltas
         sampler = self.mu._sampler
         shift = self.tail_shift
-        smoothing = self.mu.smoothing
         uniform = rng.random
         new_point = tuple.__new__
         # the walking point is points[pid], or x while pid is raw; a table
@@ -317,83 +298,63 @@ class _MeasureWalker:
         pid = start_pid = intern(start)
         # a start above the intern bound is seen again only by comparing points
         raw_start = _bits(start) > share_bits
-        bits = 0
         # None, or the qn_approx enclosure of x; set only while pid is raw
         ax = None
         changes: List[Tuple[int, int]] = []
         visits: List[int] = []
         for n in range(1, steps + 1):
-            if smoothing:
-                draws = _poisson_one(rng)
-            else:
+            ai = bisect_right(cuts, uniform())
+            if pid != raw:
+                row = deltas[pid]
+                if row is not None and row[ai]:
+                    changes.append((n, row[ai]))
                 # the table hit: a known successor of an interned point
-                ai = bisect_right(cuts, uniform())
-                if pid != raw:
-                    nid = succ[pid][ai]
-                    if nid != raw:
-                        row = deltas[pid]
-                        if row is not None and row[ai]:
-                            changes.append((n, row[ai]))
-                        pid = nid
-                        if nid == start_pid:
-                            visits.append(n)
-                        continue
-                draws = 1
-            delta = 0
-            for _ in range(draws):
-                if smoothing:
-                    ai = bisect_right(cuts, uniform())
-                if ai < natoms:
-                    if pid != raw:
-                        row = deltas[pid]
-                        if row is not None:
-                            delta += row[ai]
-                        nid = succ[pid][ai]
-                        if nid != raw:  # a table hit inside a smoothed step
-                            pid = nid
-                            continue
-                        x = points[pid]
-                    else:
-                        hull = hulls[ai]
-                        if hull is not None:
-                            # the float test of piece_index: x lies strictly
-                            # below the first break or above the last, on
-                            # identity pieces, so the atom fixes x
-                            if ax is None:
-                                ax = qn_approx(x)
-                            if ax is not None:
-                                fx, ex = ax
-                                lo_f, lo_e, hi_f, hi_e = hull
-                                if lo_f - fx > ex + lo_e or fx - hi_f > ex + hi_e:
-                                    continue
-                    x = atoms[ai].apply(x)
-                else:
-                    if pid != raw:
-                        x = points[pid]
-                    # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
-                    # gcd(A, B, D) = 1, so the point stays canonical
-                    A, B, D, k = x
-                    A += shift * sampler.sample_signed(rng) * D
-                    x = new_point(QuadraticNumber, (A, B, D, k))
-                ax = None
-                A, B, D, _ = x
-                bits = A.bit_length() + B.bit_length() + D.bit_length()
-                if bits > share_bits:
-                    pid = raw
+                nid = succ[pid][ai]
+                if nid != raw:
+                    pid = nid
+                    if nid == start_pid:
+                        visits.append(n)
                     continue
-                nid = intern(x)
-                if pid != raw and ai < natoms:
-                    succ[pid][ai] = nid
-                pid = nid
-            if delta:
-                changes.append((n, delta))
-            if pid == start_pid:
-                visits.append(n)
-            elif pid == raw:
+                x = points[pid]
+            elif ai < natoms:
+                hull = hulls[ai]
+                if hull is not None:
+                    # the float test of piece_index: x lies strictly below
+                    # the first break or above the last, on identity
+                    # pieces, so the atom fixes x
+                    if ax is None:
+                        ax = qn_approx(x)
+                    if ax is not None:
+                        fx, ex = ax
+                        lo_f, lo_e, hi_f, hi_e = hull
+                        if lo_f - fx > ex + lo_e or fx - hi_f > ex + hi_e:
+                            if raw_start and x == start:
+                                visits.append(n)
+                            continue
+            if ai < natoms:
+                x = atoms[ai].apply(x)
+            else:
+                # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
+                # gcd(A, B, D) = 1, so the point stays canonical
+                A, B, D, k = x
+                A += shift * sampler.sample_signed(rng) * D
+                x = new_point(QuadraticNumber, (A, B, D, k))
+            ax = None
+            A, B, D, _ = x
+            bits = A.bit_length() + B.bit_length() + D.bit_length()
+            if bits > share_bits:
+                pid = raw
                 if raw_start and x == start:
                     visits.append(n)
                 elif freeze_bits is not None and bits > freeze_bits:
                     return changes, visits, x, n
+                continue
+            nid = intern(x)
+            if pid != raw and ai < natoms:
+                succ[pid][ai] = nid
+            pid = nid
+            if pid == start_pid:
+                visits.append(n)
         return changes, visits, (x if pid == raw else points[pid]), None
 
 
@@ -517,76 +478,53 @@ class PrechainTreeModel:
     def root_visits(
         self, steps: int, rng: random.Random, horizons: Sequence[int]
     ) -> List[int]:
+        """Root visit counts by each horizon, walking on (depth, ray).
+
+        Every non-root tree vertex moves to its parent, to one of its two
+        children or onto its ray with the same draws whether it is a left
+        or a right child, so the walk needs only the tree depth of the
+        current vertex and the depth on its ray.
+        """
         horizons = sorted(horizons)
-        parent: List[int] = [-1]
-        left: List[int] = [-1]
-        right: List[int] = [-1]
-        is_left_child: List[bool] = [False]
-        node = 0
-        ray_depth = 0  # > 0 means on the ray attached at `node`
+        depth = 0
+        ray = 0  # > 0 means on the ray attached at the current vertex
         visits = 0
         out: List[int] = []
         hi = 0
         rnd = rng.random
         for n in range(1, steps + 1):
             u = rnd()
-            if ray_depth:
+            if ray:
                 # f-type rays (left children and root) move under f;
                 # g-type rays (right children) move under g; other
                 # generator loops in place. Outward with probability 1/4,
                 # inward 1/4, loop 1/2 regardless of type.
                 if u < 0.25:
-                    ray_depth += 1
+                    ray += 1
                 elif u < 0.5:
-                    ray_depth -= 1
+                    ray -= 1
+            elif depth == 0:
+                # moves at the root: f -> right child, f^-1 -> ray,
+                # g and g^-1 are loops
+                if u < 0.25:
+                    depth = 1
+                elif u < 0.5:
+                    ray = 1
+            # x in A (a left child): g -> parent, g^-1 -> left child,
+            # f -> right child, f^-1 -> ray; x in B (a right child):
+            # f^-1 -> parent, f -> right child, g^-1 -> left child, g -> ray
+            elif u < 0.25:
+                depth -= 1
+            elif u < 0.75:
+                depth += 1
             else:
-                if node == 0:
-                    # moves at the root: f -> right child, f^-1 -> ray,
-                    # g and g^-1 are loops
-                    if u < 0.25:
-                        node = _child(right, node, parent, left, right, is_left_child, False)
-                    elif u < 0.5:
-                        ray_depth = 1
-                elif is_left_child[node]:
-                    # x in A: g -> parent, g^-1 -> left child, f -> right
-                    # child, f^-1 -> ray
-                    if u < 0.25:
-                        node = parent[node]
-                    elif u < 0.5:
-                        node = _child(left, node, parent, left, right, is_left_child, True)
-                    elif u < 0.75:
-                        node = _child(right, node, parent, left, right, is_left_child, False)
-                    else:
-                        ray_depth = 1
-                else:
-                    # x in B: f^-1 -> parent, f -> right child,
-                    # g^-1 -> left child, g -> ray
-                    if u < 0.25:
-                        node = parent[node]
-                    elif u < 0.5:
-                        node = _child(right, node, parent, left, right, is_left_child, False)
-                    elif u < 0.75:
-                        node = _child(left, node, parent, left, right, is_left_child, True)
-                    else:
-                        ray_depth = 1
-            if node == 0 and ray_depth == 0:
+                ray = 1
+            if depth == 0 and ray == 0:
                 visits += 1
             while hi < len(horizons) and horizons[hi] == n:
                 out.append(visits)
                 hi += 1
         return out
-
-
-def _child(table, node, parent, left, right, is_left_child, make_left):
-    nxt = table[node]
-    if nxt == -1:
-        nxt = len(parent)
-        parent.append(node)
-        left.append(-1)
-        right.append(-1)
-        is_left_child.append(make_left)
-        table[node] = nxt
-    return nxt
 
 
 # -- summability diagnostic ---------------------------------------------------

@@ -130,6 +130,21 @@ SEEDED_REPORTS = {
         ["kernel", "--s", "0+1*sqrt(3)", "--cap", "500", "--sample", "200"],
         "453cd8abe5c47d71d8d7d5e0751cabb027e53f2c9d2b19203b34be93906b20d3",
     ),
+    "returns-prechain": (
+        ["returns", "--target", "prechain", "--horizons", "100,1000", "--M", "50", "--seed", "6"],
+        "d15e31269c3701ca71520d5b8d4ede842139d9575ccd0ddc4ac8bec12f645f6a",
+    ),
+    "summability": (
+        ["summability", "--s", "0+1*sqrt(3)", "--T", "500", "--M", "40", "--seed", "7"],
+        "99cafbdae0395f4e2c31c58e3ca9896557bb81f50a29db1d807d4954a2baa366",
+    ),
+}
+
+# SHA-256 of the files a seeded report writes next to its JSON
+SEEDED_FILES = {
+    "summability": {
+        "summability.csv": "a869fc4d15c583af70fc00365bd4cb838b13f78271cf0976ebc5523945e5b201",
+    },
 }
 
 # graph --cap 600 --format both: SHA-256 of the DOT and CSV files, which
@@ -154,6 +169,8 @@ def test_seeded_report_bytes(tmp_path, name):
     proc = subprocess.run(BASE + args, cwd=tmp_path, capture_output=True, timeout=600)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    for filename, file_digest in SEEDED_FILES.get(name, {}).items():
+        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == file_digest
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_EXPORTS))

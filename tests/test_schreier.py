@@ -91,6 +91,12 @@ def test_tree_structure(graph600, pre3):
     assert report.max_depth >= 5
 
 
+def test_tree_structure_needs_region_tags(pre3):
+    graph = build_orbit_graph([pre3.f, pre3.g], pre3.b, 50, labels=["f", "g"])
+    with pytest.raises(PreconditionViolatedError):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.c)
+
+
 def test_c_not_in_graph(graph600, pre3):
     assert pre3.c not in graph600.points
 

@@ -163,18 +163,6 @@ def test_measure_frequencies(wmu):
     assert abs(counts[-1] / n - 0.25) < 3 * math.sqrt(0.25 * 0.75 / n)
 
 
-def test_smoothing_mean_displacement():
-    mu = GroupMeasure([(A1, Fraction(1))], smoothing=True)
-    rng = random.Random(9)
-    n = 20_000
-    total = 0
-    for _ in range(n):
-        inc = mu.sample(rng)
-        total += inc(q(0)).a
-    mean = total / n
-    assert abs(mean - 1.0) < 0.03  # Poisson(1) expectation
-
-
 def test_symmetric_measure_drift(wmu):
     assert wmu.is_symmetric()
     rng = random.Random(21)
@@ -256,15 +244,13 @@ def _frozen_at(points, freeze_bits):
     return len(points) if _bit_size(points[-1]) > freeze_bits else None
 
 
-@pytest.mark.parametrize("smoothing", [False, True])
 @pytest.mark.parametrize("freeze_bits", [1500, 600])
-def test_walk_kernel_matches_stepwise_oracle(wmu, smoothing, freeze_bits):
-    mu = GroupMeasure(wmu.atoms, wmu.tail, smoothing=smoothing)
-    walker = _MeasureWalker(mu, SQRT3)
+def test_walk_kernel_matches_stepwise_oracle(wmu, freeze_bits):
+    walker = _MeasureWalker(wmu, SQRT3)
     steps = 1000
     frozen = 0
     for seed in range(50):
-        points, _ = _oracle_path(mu, steps, random.Random(f"kernel:{seed}"), freeze_bits)
+        points, _ = _oracle_path(wmu, steps, random.Random(f"kernel:{seed}"), freeze_bits)
         frozen_at = _frozen_at(points, freeze_bits)
         tracker = _run_config_walk(
             walker, SQRT3, steps, random.Random(f"kernel:{seed}"), freeze_bits
@@ -454,28 +440,6 @@ def test_table_hits_keep_the_walking_point(wmu):
     assert y == atoms[ai].apply(x)
 
 
-def test_incremental_with_smoothing_matches_full_product(pre3):
-    mu = GroupMeasure(
-        [
-            (pre3.hs.map, Fraction(1, 2)),
-            (pre3.hs.map.inverse(), Fraction(1, 2)),
-        ],
-        smoothing=True,
-    )
-    for seed in range(20):
-        rng = random.Random(f"smooth:{seed}")
-        increments = [mu.sample(rng) for _ in range(8)]
-        product = pm_identity()
-        for inc in increments:
-            product = inc * product
-        expected = configuration(product, SQRT3).value_at(SQRT3)
-        walker = _MeasureWalker(mu, SQRT3)
-        tracker = _run_config_walk(
-            walker, SQRT3, 8, random.Random(f"smooth:{seed}"), None
-        )
-        assert tracker.value == expected, seed
-
-
 def test_seed_determinism(wmu):
     r1 = nontriviality_witness(wmu, SQRT3, 400, 40, 123)
     r2 = nontriviality_witness(wmu, SQRT3, 400, 40, 123)
@@ -536,6 +500,17 @@ def test_returns_from_a_start_above_the_intern_bound(bits):
     assert large.means == small.means
 
 
+def test_hull_skips_at_a_start_above_the_intern_bound(pre3):
+    # 2^200 lies far outside the hull of hs and above share_bits: the first
+    # step is an exact apply that fixes the point, and every later step is
+    # a hull skip that must still count the visit to the start
+    hs = pre3.hs.map
+    mu = uniform_measure([hs, hs.inverse()])
+    start = q(2**200)
+    assert _bit_size(start) > _MeasureWalker(mu, start).share_bits
+    assert estimate_returns(mu, start, [50], 3, 1).means == [50.0]
+
+
 def test_returns_point_mass_fixed(pre3):
     mu = point_mass(pre3.hs.map)
     rep = estimate_returns(mu, SQRT3, [50], 3, 1)
@@ -547,6 +522,75 @@ def test_returns_prechain_saturates(pre3):
     rep = estimate_returns(model, pre3.b, [5000, 10000], 400, 7)
     assert rep.means[1] >= rep.means[0]
     assert rep.means[1] - rep.means[0] < 0.05 * rep.means[0]
+
+
+def _tree_root_weights(h):
+    """4^n P(the prechain tree walk is at the root after step n), n = 0..h.
+
+    A DP over (tree depth, ray depth) states with integer path weights:
+    a move has weight 1 (probability 1/4), a loop weight 2 (1/2).  A state
+    with depth + ray > h - n cannot reach the root by step h and is dropped.
+    """
+    weights = [1]
+    states = {(0, 0): 1}
+    for n in range(1, h + 1):
+        reach = h - n
+        nxt = {}
+        for (d, r), w in states.items():
+            if r:
+                moves = (((d, r + 1), w), ((d, r - 1), w), ((d, r), 2 * w))
+            elif d == 0:
+                moves = (((1, 0), w), ((0, 1), w), ((0, 0), 2 * w))
+            else:
+                moves = (((d - 1, 0), w), ((d + 1, 0), 2 * w), ((d, 1), w))
+            for state, v in moves:
+                if sum(state) <= reach:
+                    nxt[state] = nxt.get(state, 0) + v
+        states = nxt
+        weights.append(states.get((0, 0), 0))
+    return weights
+
+
+def _tree_root_series(h):
+    """4^n [z^n] G, n = 0..h, from the first-passage generating functions.
+
+    F = z/4 + (z/2)F + (z/4)F^2 (a ray excursion), U = z/4 + (z/2)U^2 +
+    (z/4)FU (first passage to the parent), R = z/2 + (z/4)U + (z/4)F (first
+    return to the root) and G = 1/(1 - R).  Scaled by 4^n, every
+    coefficient is an integer.
+    """
+    f, u, r, g = [0], [0], [0], [1]
+    for n in range(1, h + 1):
+        m = n - 1
+        f.append((n == 1) + 2 * f[m] + sum(f[i] * f[m - i] for i in range(n)))
+        u.append(
+            (n == 1)
+            + 2 * sum(u[i] * u[m - i] for i in range(n))
+            + sum(f[i] * u[m - i] for i in range(n))
+        )
+        r.append(2 * (n == 1) + u[m] + f[m])
+        g.append(sum(r[i] * g[n - i] for i in range(1, n + 1)))
+    return g
+
+
+def _tree_mean_visits(horizons):
+    """Exact mean root visits of the prechain tree walk by each horizon."""
+    weights = _tree_root_weights(max(horizons))
+    return [sum(Fraction(weights[n], 4**n) for n in range(1, h + 1)) for h in horizons]
+
+
+def test_prechain_tree_exact_means():
+    assert _tree_root_weights(60) == _tree_root_series(60)
+    at10, at100 = _tree_mean_visits([10, 100])
+    assert round(float(at10), 7) == 2.2685051
+    assert round(float(at100), 7) == 4.6752234
+
+
+def test_prechain_returns_match_exact_means(pre3):
+    horizons = [10, 60, 100]
+    rep = estimate_returns(PrechainTreeModel(pre3), pre3.b, horizons, 4000, 11)
+    for mean, se, exact in zip(rep.means, rep.stderrs, _tree_mean_visits(horizons)):
+        assert abs(mean - exact) <= 4 * se, (mean, se, float(exact))
 
 
 def test_summability_translation_never_hits():
