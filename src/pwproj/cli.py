@@ -447,7 +447,14 @@ def build_parser() -> _Parser:
         seed=True,
         extras=[
             ("--target", dict(choices=["z", "prechain"], default="prechain")),
-            ("--s", dict(default="0+1*sqrt(3)")),
+            (
+                "--s",
+                dict(
+                    default="0+1*sqrt(3)",
+                    help="prechain base point; it only certifies that the tree "
+                    "model applies, so the numbers are the same for every --s",
+                ),
+            ),
             ("--horizons", dict(type=_positive_int_list, default="10000,20000")),
             ("--M", dict(type=_positive_int, default=500)),
         ],

@@ -74,6 +74,17 @@ class PowerLawSampler:
         u = rng.random()
         if u <= self._table[-1]:
             return bisect_left(self._table, u) + 1
+        return self._beyond_table(u)
+
+    def sample_signed(self, rng: random.Random) -> int:
+        """sample_magnitude with a fair sign, in one call: the walk's tail draw."""
+        u = rng.random()
+        table = self._table
+        mag = bisect_left(table, u) + 1 if u <= table[-1] else self._beyond_table(u)
+        return mag if rng.random() < 0.5 else -mag
+
+    def _beyond_table(self, u: float) -> int:
+        """The least j > TABLE with cdf(j) >= u, for u above the table's last cdf."""
         lo = self.TABLE
         hi = 2 * lo
         while self._cdf(hi) < u and hi < 1 << 62:
@@ -85,10 +96,6 @@ class PowerLawSampler:
             else:
                 lo = mid
         return hi
-
-    def sample_signed(self, rng: random.Random) -> int:
-        mag = self.sample_magnitude(rng)
-        return mag if rng.random() < 0.5 else -mag
 
 
 @dataclass
@@ -209,6 +216,13 @@ class _MeasureWalker:
     overlap, or a point without an enclosure, takes the exact apply.  The
     tail base must be a translation x -> x + t, so a tail draw n is one
     integer add, A += t*n*D.
+
+    When every atom has such a hull and the measure has a tail, far_hull
+    encloses their union: the least first-break float with the largest
+    error, and the greatest last-break float with the largest error.  A
+    point outside far_hull by the hull test is outside every atom's hull by
+    that atom's own test, since rounding is monotone; run keeps raw points
+    outside far_hull in a far state (see run).
     """
 
     RAW = -1
@@ -237,6 +251,10 @@ class _MeasureWalker:
                 if lo is not None and hi is not None:
                     hull = (*lo, *hi)
             self.hulls.append(hull)
+        self.far_hull: Optional[Tuple[float, float, float, float]] = None
+        if mu.tail is not None and self.hulls and None not in self.hulls:
+            lo_f, lo_e, hi_f, hi_e = zip(*self.hulls)
+            self.far_hull = (min(lo_f), max(lo_e), max(hi_f), max(hi_e))
         entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
         # only decides caching: above every entry, below the freeze bound
         self.share_bits = max(128, max(entry_bits, default=0) + 1)
@@ -277,6 +295,40 @@ class _MeasureWalker:
         of its A, B and D sum past freeze_bits.  The start point is always
         interned, so a return to it is recognized by its id (or, for a
         start above the intern bound, by comparing points).
+
+        The far state.  An exact apply or a tail add that leaves the point
+        raw, with bits(B) + bits(D) > share_bits, enters it when qn_approx
+        gives the point an enclosure (f0, e0) outside far_hull by the hull
+        test, with |f0| < 2**1000, and the start is not raw.  A tail keeps B
+        and D, so from there no tail draw brings the point back under the
+        intern bound, and while it stays outside far_hull every atom fixes
+        it: the walk can neither visit the interned start nor change the
+        configuration.  The point is kept
+        as x0 + off, x0 = (A0 + B*sqrt(k))/D the entry point and off an
+        int.  An atom draw is one uniform() and one compare with the atoms'
+        mass; a tail draw n adds t*n to off and stays far when
+          - bits(off) <= 1000, so every float below is finite;
+          - the bit bound holds: A = A0 + off*D has at most
+            max(bits(A0), bits(off) + bits(D)) + 1 bits, and that plus
+            bits(B) + bits(D) is at most freeze_bits, so the point cannot
+            freeze;
+          - the enclosure (f, e) = (f0 + F, e0 + 2**-49 * (|f0| + |F|)),
+            F = float(off), computed in floats, is outside far_hull by the
+            hull test.
+        Otherwise the point A0 + off*D is built once and takes the checks
+        of any raw step: the freeze, then the entry test.  So every draw,
+        decision and result is that of the walk without the far state,
+        which would skip each atom there or apply it as the identity.
+
+        Why (f, e) decides the hull test soundly (u = 2**-53, S = |f0| +
+        |F|): float(off) and the sum are correctly rounded, so
+        |x - f| < e0/2 + u*|F| + u*S <= e0/2 + 2u*S.  If fl(lo - f) >
+        fl(e + lo_e), then lo - f > (1 - 2u)(e + lo_e), and the computed e
+        is at least (1 - u)(e0 + 2**-49 * S * (1 - u)) - 2**-1075, the last
+        term for a subnormal product.  Every first break of an atom lies
+        above lo - lo_e/2, so it exceeds x by more than
+        (1/2 - 3u) e0 + (2**-49 (1 - 4u) - 2u) S - 2**-1075 > 0, as
+        e0 >= 2**-1000.  The upper side is the same.
         """
         raw = self.RAW
         share_bits = self.share_bits
@@ -300,54 +352,95 @@ class _MeasureWalker:
         raw_start = _bits(start) > share_bits
         # None, or the qn_approx enclosure of x; set only while pid is raw
         ax = None
+        far_hull = None if raw_start else self.far_hull
+        if far_hull is not None:
+            lo_f, lo_e, hi_f, hi_e = far_hull
+            atom_mass = cuts[-1]
+        # while far, the walking point is x0 + off, x0 = (A0, B0, D0, k0),
+        # and x is stale; a tail draw stays far while bits(off) <= cap
+        far = False
         changes: List[Tuple[int, int]] = []
         visits: List[int] = []
         for n in range(1, steps + 1):
-            ai = bisect_right(cuts, uniform())
-            if pid != raw:
-                row = deltas[pid]
-                if row is not None and row[ai]:
-                    changes.append((n, row[ai]))
-                # the table hit: a known successor of an interned point
-                nid = succ[pid][ai]
-                if nid != raw:
-                    pid = nid
-                    if nid == start_pid:
-                        visits.append(n)
+            if far:
+                if uniform() < atom_mass:
                     continue
-                x = points[pid]
-            elif ai < natoms:
-                hull = hulls[ai]
-                if hull is not None:
-                    # the float test of piece_index: x lies strictly below
-                    # the first break or above the last, on identity
-                    # pieces, so the atom fixes x
-                    if ax is None:
-                        ax = qn_approx(x)
-                    if ax is not None:
-                        fx, ex = ax
-                        lo_f, lo_e, hi_f, hi_e = hull
-                        if lo_f - fx > ex + lo_e or fx - hi_f > ex + hi_e:
-                            if raw_start and x == start:
-                                visits.append(n)
-                            continue
-            if ai < natoms:
-                x = atoms[ai].apply(x)
+                off += shift * sampler.sample_signed(rng)
+                if off.bit_length() <= cap:
+                    fo = float(off)
+                    f = f0 + fo
+                    e = e0 + 2.0**-49 * (abs_f0 + abs(fo))
+                    if lo_f - f > e + lo_e or f - hi_f > e + hi_e:
+                        continue
+                far = False
+                x = new_point(QuadraticNumber, (A0 + off * D0, B0, D0, k0))
             else:
-                # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
-                # gcd(A, B, D) = 1, so the point stays canonical
-                A, B, D, k = x
-                A += shift * sampler.sample_signed(rng) * D
-                x = new_point(QuadraticNumber, (A, B, D, k))
+                ai = bisect_right(cuts, uniform())
+                if pid != raw:
+                    row = deltas[pid]
+                    if row is not None and row[ai]:
+                        changes.append((n, row[ai]))
+                    # the table hit: a known successor of an interned point
+                    nid = succ[pid][ai]
+                    if nid != raw:
+                        pid = nid
+                        if nid == start_pid:
+                            visits.append(n)
+                        continue
+                    x = points[pid]
+                elif ai < natoms:
+                    hull = hulls[ai]
+                    if hull is not None:
+                        # the float test of piece_index: x lies strictly
+                        # below the first break or above the last, on
+                        # identity pieces, so the atom fixes x
+                        if ax is None:
+                            ax = qn_approx(x)
+                        if ax is not None:
+                            fx, ex = ax
+                            lo, lo_err, hi, hi_err = hull
+                            if lo - fx > ex + lo_err or fx - hi > ex + hi_err:
+                                if raw_start and x == start:
+                                    visits.append(n)
+                                continue
+                if ai < natoms:
+                    x = atoms[ai].apply(x)
+                else:
+                    # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
+                    # gcd(A, B, D) = 1, so the point stays canonical
+                    A, B, D, k = x
+                    A += shift * sampler.sample_signed(rng) * D
+                    x = new_point(QuadraticNumber, (A, B, D, k))
             ax = None
             A, B, D, _ = x
-            bits = A.bit_length() + B.bit_length() + D.bit_length()
+            bd = B.bit_length() + D.bit_length()
+            bits = A.bit_length() + bd
             if bits > share_bits:
                 pid = raw
                 if raw_start and x == start:
                     visits.append(n)
                 elif freeze_bits is not None and bits > freeze_bits:
                     return changes, visits, x, n
+                elif far_hull is not None and bd > share_bits:
+                    # the far state's entry test; ax serves the hull skip
+                    ax = qn_approx(x)
+                    if ax is not None:
+                        f0, e0 = ax
+                        abs_f0 = abs(f0)
+                        far = abs_f0 < 2.0**1000 and (
+                            lo_f - f0 > e0 + lo_e or f0 - hi_f > e0 + hi_e
+                        )
+                    if far:
+                        A0, B0, D0, k0 = x
+                        off = 0
+                        cap = 1000
+                        if freeze_bits is not None:
+                            # the bit bound as a bound on bits(off)
+                            room = freeze_bits - 1 - bd
+                            if A.bit_length() > room:
+                                cap = -1
+                            else:
+                                cap = min(cap, room - D.bit_length())
                 continue
             nid = intern(x)
             if pid != raw and ai < natoms:
@@ -355,6 +448,8 @@ class _MeasureWalker:
             pid = nid
             if pid == start_pid:
                 visits.append(n)
+        if far:
+            x = new_point(QuadraticNumber, (A0 + off * D0, B0, D0, k0))
         return changes, visits, (x if pid == raw else points[pid]), None
 
 

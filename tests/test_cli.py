@@ -259,6 +259,20 @@ def test_returns_z(tmp_path):
     assert payload["config"]["target"] == "z"
 
 
+def test_returns_prechain_does_not_depend_on_s(tmp_path):
+    # --s is built only to certify that the tree model applies; the walk
+    # runs on the model, so every base point gives the same numbers
+    reports = []
+    for s in ("0+1*sqrt(3)", "1/3+2*sqrt(5)"):
+        args = ["returns", "--target", "prechain", "--s", s, "--horizons", "100,1000"]
+        proc = run(args + ["--M", "50", "--seed", "6"], tmp_path)
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        reports.append((payload["mean_returns"], payload["stderr"]))
+    assert reports[0] == reports[1]
+    assert "certifies" in run(["returns", "--help"], tmp_path).stdout
+
+
 def test_lamplighter_report(tmp_path):
     proc = run(
         ["lamplighter", "--T", "400", "--M", "40", "--seed", "5"], tmp_path

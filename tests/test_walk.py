@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -215,15 +216,16 @@ def _exact_apply(f, x):
     return f.pieces[i].apply(x)
 
 
-def _oracle_path(mu, steps, rng, freeze_bits, confs=None):
-    """One walk from SQRT3 stepped by _exact_apply: (points, changes).
+def _oracle_path(mu, steps, rng, freeze_bits, confs=None, start=SQRT3):
+    """One walk from start stepped by _exact_apply: (points, changes).
 
     points are the points after steps 1, 2, ..., up to the first one whose
-    bit size passes freeze_bits.  With confs, a dict caching each sampled
-    increment's configuration, changes lists the (n, delta) of each step
-    that changed the value at the walking point; otherwise it is None.
+    bit size passes freeze_bits (None: no bound).  With confs, a dict
+    caching each sampled increment's configuration, changes lists the
+    (n, delta) of each step that changed the value at the walking point;
+    otherwise it is None.
     """
-    x, points = SQRT3, []
+    x, points = start, []
     changes = None if confs is None else []
     for n in range(1, steps + 1):
         h = mu.sample(rng)
@@ -235,13 +237,22 @@ def _oracle_path(mu, steps, rng, freeze_bits, confs=None):
                 changes.append((n, delta))
         x = _exact_apply(h, x)
         points.append(x)
-        if _bit_size(x) > freeze_bits:
+        if freeze_bits is not None and _bit_size(x) > freeze_bits:
             break
     return points, changes
 
 
 def _frozen_at(points, freeze_bits):
-    return len(points) if _bit_size(points[-1]) > freeze_bits else None
+    if freeze_bits is not None and _bit_size(points[-1]) > freeze_bits:
+        return len(points)
+    return None
+
+
+def _oracle_run(mu, start, steps, rng, freeze_bits):
+    """What _MeasureWalker(mu, SQRT3).run returns, from the stepwise oracle."""
+    points, changes = _oracle_path(mu, steps, rng, freeze_bits, {}, start)
+    visits = [n for n, x in enumerate(points, 1) if x == start]
+    return changes, visits, points[-1], _frozen_at(points, freeze_bits)
 
 
 @pytest.mark.parametrize("freeze_bits", [1500, 600])
@@ -260,18 +271,24 @@ def test_walk_kernel_matches_stepwise_oracle(wmu, freeze_bits):
     assert 0 < frozen < 50  # both outcomes are exercised
 
 
-@pytest.mark.parametrize("case", ["no_hull", "tail_3", "intern_bound"])
+@pytest.mark.parametrize("case", ["no_hull", "one_no_hull", "tail_3", "intern_bound"])
 def test_walk_kernel_paths_match_stepwise_oracle(pre3, wmu, case):
     """The hull skip, the integer tail and the intern bound against the oracle.
 
     no_hull: two atoms are hs after a translation, whose end pieces are not
-    the identity, so they always take the exact apply.  tail_3: the tail
-    adds 3n.  intern_bound: the witness measure, whose walks cross
-    share_bits both ways (raw points shrink back into the intern table).
+    the identity, so they always take the exact apply.  one_no_hull: only
+    the first atom is; a measure without a hull on every atom has no far
+    state.  tail_3: the tail adds 3n.  intern_bound: the witness measure,
+    whose walks cross share_bits both ways (raw points shrink back into the
+    intern table).
     """
     hs, companion = pre3.hs.map, pre3.companion
     if case == "no_hull":
         mu = witness_measure(hs * A1, companion, A1)
+    elif case == "one_no_hull":
+        atoms = [hs * A1, hs.inverse(), companion, companion.inverse()]
+        tail = TailSpec(A1, Fraction(4, 5), Fraction(1, 4))
+        mu = GroupMeasure([(m, Fraction(3, 16)) for m in atoms], tail)
     elif case == "tail_3":
         mu = witness_measure(hs, companion, pm_from_matrix(ProjectiveMatrix.translation(3)))
     else:
@@ -279,8 +296,11 @@ def test_walk_kernel_paths_match_stepwise_oracle(pre3, wmu, case):
     walker = _MeasureWalker(mu, SQRT3)
     if case == "no_hull":
         assert [h is None for h in walker.hulls] == [True, True, False, False]
+    elif case == "one_no_hull":
+        assert [h is None for h in walker.hulls] == [True, False, False, False]
     else:
         assert None not in walker.hulls
+    assert (walker.far_hull is None) == (case in ("no_hull", "one_no_hull"))
     assert walker.tail_shift == (3 if case == "tail_3" else 1)
     share = walker.share_bits
     freeze_bits = 1500
@@ -438,6 +458,231 @@ def test_table_hits_keep_the_walking_point(wmu):
     ai = next(i for i in range(len(atoms)) if walker.succ[pid][i] == walker.RAW)
     _, _, y, _ = walker.run(SQRT3, len(path) + 1, _Draws(draws + [_atom_draw(wmu, ai)]), None)
     assert y == atoms[ai].apply(x)
+
+
+# -- the far state: raw points outside the union of the atoms' hulls ----------
+
+
+# A walk's draws are written as a list of steps, each a list of the uniform
+# draws it takes.
+
+
+def _tail_draw(mu, u, sign):
+    """One step: mu takes its tail, with the magnitude that u draws."""
+    return [[(1 + mu._cuts[-1]) / 2, u, 0.25 if sign > 0 else 0.75]]
+
+
+def _tail_to(mu, n):
+    """One step: a tail draw of exactly n, 0 < |n| < 2^28."""
+    sampler = mu._sampler
+    j = abs(n)
+    u = sampler._table[j - 1] if j <= PowerLawSampler.TABLE else sampler._cdf(j)
+    assert sampler.sample_magnitude(_FixedUniform(u)) == j
+    return _tail_draw(mu, u, n)
+
+
+def _far_start(hs, target):
+    """A start (A + sqrt 3)/2^60, small enough to intern, whose image under
+    hs lies above target by at most 2^-36, for target in [2, 2046].
+
+    hs is increasing, so A is found by bisection on exact compares.  The
+    image has B and D of more than 128 bits together, so a tail draw that
+    takes it outside every hull enters the far state.
+    """
+
+    def start(A):
+        return q(Fraction(A, 2**60), Fraction(1, 2**60), 3)
+
+    lo, hi = 7 * 2**58, 2**61 - 2**49  # hs maps these starts to 2 and about 2046
+    assert hs.apply(start(lo)) <= target < hs.apply(start(hi))
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if hs.apply(start(mid)) > target:
+            hi = mid
+        else:
+            lo = mid
+    assert hs.apply(start(hi)) <= target + q(Fraction(1, 2**36))
+    return start(hi)
+
+
+def _enters_far_state(walker, x):
+    """The far state's entry test at a raw point x reached by a move."""
+    A, B, D, _ = x
+    f, e = qn_approx(x)
+    lo_f, lo_e, hi_f, hi_e = walker.far_hull
+    return (
+        B.bit_length() + D.bit_length() > walker.share_bits
+        and abs(f) < 2.0**1000
+        and (lo_f - f > e + lo_e or f - hi_f > e + hi_e)
+    )
+
+
+def _random_steps(seed, steps):
+    """Random steps, with three draws each: enough for an atom or a tail."""
+    rng = random.Random(f"far:{seed}")
+    return [[rng.random() for _ in range(3)] for _ in range(steps)]
+
+
+def _each_atom(mu):
+    return [[_atom_draw(mu, ai)] for ai in range(len(mu.atoms))]
+
+
+def _assert_run_matches_oracle(walker, mu, start, steps, freeze_bits):
+    draws = [u for step in steps for u in step]
+    got = walker.run(start, len(steps), _Draws(draws), freeze_bits)
+    want = _oracle_run(mu, start, len(steps), _Draws(draws), freeze_bits)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_far_state_near_a_hull_edge_after_a_large_offset(pre3, wmu, edge, side, freeze_bits):
+    """A far walk is taken about 3e7 out and brought back to within 2^-29 of
+    an edge of the union hull, on either side.  Its widened enclosure
+    cannot place the point, so the walk builds it; just inside, the atom
+    of that edge moves it.  The lower edge belongs to the companion atoms,
+    whose hull is not the first atom's."""
+    walker = _MeasureWalker(wmu, SQRT3)
+    breaks = [m.breaks for m, _ in wmu.atoms]
+    if edge == "lo":
+        at, m = min(b[0] for b in breaks), -1000
+        assert at < breaks[0][0]
+    else:
+        at, m = max(b[-1] for b in breaks), 5000
+    delta = q(Fraction(side, 2**30))
+    hs = wmu.atoms[0][0]
+    start = _far_start(hs, at + delta - m)
+    assert _bit_size(start) <= walker.share_bits
+    y = hs.apply(start)
+    big = 3 * 10**7
+    assert _enters_far_state(walker, y + big)
+    assert (y + m > at) == (side > 0)  # within 2^-29 of the edge, on that side
+    steps = [[_atom_draw(wmu, 0)]] + _tail_to(wmu, big) + _each_atom(wmu)
+    steps += _tail_to(wmu, m - big) + _each_atom(wmu) + _random_steps(edge, 200)
+    _, _, x, _ = _assert_run_matches_oracle(walker, wmu, start, steps, freeze_bits)
+    assert x != y + m  # the walk went on from the edge
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+def test_far_state_offsets_above_2_53(pre3, freeze_bits):
+    """A tail of t = 2^53 + 1: float(off) rounds for every offset, and the
+    walk comes back to the entry point's image under the atom."""
+    hs, companion = pre3.hs.map, pre3.companion
+    t = 2**53 + 1
+    mu = witness_measure(hs, companion, pm_from_matrix(ProjectiveMatrix.translation(t)))
+    walker = _MeasureWalker(mu, SQRT3)
+    start = _far_start(hs, q(1000))
+    y = hs.apply(start)
+    assert _enters_far_state(walker, y + t)
+    assert float(t) != t
+    steps = [[_atom_draw(mu, 0)]] + _tail_to(mu, 1)
+    for n in (1, 2, -1, 5, -8):  # offsets t, 3t, 2t, 7t and -t: back at y
+        steps += _each_atom(mu) + _tail_to(mu, n)
+    steps += _each_atom(mu) + _random_steps("2^53", 200)
+    _assert_run_matches_oracle(walker, mu, start, steps, freeze_bits)
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+def test_far_state_left_when_float_of_the_offset_overflows(pre3, freeze_bits):
+    """A tail of t = 2^970 draws a magnitude near 2^61, an offset beyond the
+    float range: the walk leaves the far state, and enters it again when a
+    draw brings the offset back."""
+    hs, companion = pre3.hs.map, pre3.companion
+    t = 2**970
+    mu = witness_measure(hs, companion, pm_from_matrix(ProjectiveMatrix.translation(t)))
+    walker = _MeasureWalker(mu, SQRT3)
+    start = _far_start(hs, q(1000))
+    assert _enters_far_state(walker, hs.apply(start) + t)
+    u = 1 - 2.0**-50
+    with pytest.raises(OverflowError):
+        float(mu._sampler.sample_magnitude(_FixedUniform(u)) * t)
+    steps = [[_atom_draw(mu, 0)]] + _tail_to(mu, 1) + _each_atom(mu)
+    steps += _tail_draw(mu, u, 1) + _each_atom(mu) + _tail_draw(mu, u, -1) + _each_atom(mu)
+    steps += _tail_to(mu, -1) + _each_atom(mu) + _random_steps("2^1030", 100)
+    _assert_run_matches_oracle(walker, mu, start, steps, freeze_bits)
+
+
+def test_far_state_tail_crosses_the_freeze_bound(pre3, wmu):
+    """Freeze bounds a few bits above the far state's entry point x0: the
+    tail draw that passes the bound must freeze the walk at the oracle's step.
+
+    The first case is tight: a draw n with bits(n) + bits(D0) at least two
+    bits above bits(A0), whose add carries, so that A0 + n*D0 has one bit
+    more than both terms (the bit bound's + 1), and a bound that this one
+    bit passes.  (The start is chosen for a D0 whose leading bits allow it.)
+    """
+    walker = _MeasureWalker(wmu, SQRT3)
+    hs = wmu.atoms[0][0]
+    start = _far_start(hs, q(257))
+    x0 = hs.apply(start) + 6100
+    assert _enters_far_state(walker, x0)
+    A0, B0, D0, _ = x0
+    bd = B0.bit_length() + D0.bit_length()
+    enter = [[_atom_draw(wmu, 0)]] + _tail_to(wmu, 6100) + _each_atom(wmu)
+    carry = next(
+        n
+        for n in range(1, PowerLawSampler.TABLE + 1)
+        if (A0 + n * D0).bit_length() == n.bit_length() + D0.bit_length() + 1
+        and A0.bit_length() <= n.bit_length() + D0.bit_length() - 1
+    )
+    freeze_bits = (A0 + carry * D0).bit_length() - 1 + bd
+    steps = enter + _tail_to(wmu, carry) + _random_steps("carry", 20)
+    got = _assert_run_matches_oracle(walker, wmu, start, steps, freeze_bits)
+    assert got[3] == 7
+    for extra in range(8):
+        freeze_bits = _bit_size(x0) + extra
+        steps = list(enter)
+        for n in (3, -40, 700, 9000, 16384, 10**5, 3 * 10**6):
+            steps += _tail_to(wmu, n) + _each_atom(wmu)
+        got = _assert_run_matches_oracle(walker, wmu, start, steps, freeze_bits)
+        assert got[3] is not None and got[3] > 2
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+def test_far_state_off_for_a_start_above_the_intern_bound(pre3, wmu, freeze_bits):
+    """A raw start outside every hull, with B and D past the intern bound:
+    the walk keeps its visits to the start, counted by comparing points."""
+    walker = _MeasureWalker(wmu, SQRT3)
+    hs = wmu.atoms[0][0]
+    start = hs.apply(_far_start(hs, q(1000))) + 7000
+    assert _bit_size(start) > walker.share_bits
+    assert _enters_far_state(walker, start)
+    steps = _each_atom(wmu) + _tail_to(wmu, 3) + _each_atom(wmu)
+    steps += _tail_to(wmu, -3) + _each_atom(wmu) + _random_steps("raw", 200)
+    got = _assert_run_matches_oracle(walker, wmu, start, steps, freeze_bits)
+    assert got[1][:8] == [1, 2, 3, 4, 10, 11, 12, 13]
+
+
+def test_far_state_off_for_points_raw_by_their_a_alone(wmu):
+    """A start outside every hull and just inside the intern bound, left by
+    a tail draw whose A alone passes the bound: its B and D could come back
+    into the table, so the walk must not go far, and it sees the return."""
+    walker = _MeasureWalker(wmu, SQRT3)
+    start = q(Fraction(-(2**64) - 1, 2**63 - 1))
+    assert _bit_size(start) <= walker.share_bits < _bit_size(start - 6)
+    steps = _tail_to(wmu, -6) + _each_atom(wmu) + _tail_to(wmu, 6) + _random_steps("a", 50)
+    got = _assert_run_matches_oracle(walker, wmu, start, steps, 1500)
+    assert got[1][0] == 6
+
+
+# SHA-256 over (changes, visits, x, frozen_at) of 40 witness trajectories
+# (T = 5000, seed 7), recorded with the kernel before it had a far state
+PINNED_WITNESS_DIGESTS = {
+    1500: "f9c9045e7f28f2c7e7efebabc3eedd5ff2904ac358ee3d8509a55b78637d07bb",
+    None: "0e0389f90058150195164cf3325dc693f254ae09e9ecd1958568638301691ef0",
+}
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+def test_witness_trajectories_are_pinned(wmu, freeze_bits):
+    walker = _MeasureWalker(wmu, SQRT3)
+    digest = hashlib.sha256()
+    for t in range(40):
+        changes, visits, x, frozen_at = walker.run(SQRT3, 5000, trajectory_rng(7, t), freeze_bits)
+        digest.update(repr((changes, visits, tuple(x), frozen_at)).encode())
+    assert digest.hexdigest() == PINNED_WITNESS_DIGESTS[freeze_bits]
 
 
 def test_seed_determinism(wmu):
