@@ -1,7 +1,8 @@
 """Command-line front end: constructions, graphs, and walk experiments.
 
-Every stochastic command requires --seed and echoes its full configuration
-into the JSON report, so identical invocations produce identical bytes.
+Every stochastic command requires --seed.  Every report echoes its full
+configuration, every option the parser set, so identical invocations
+produce identical bytes.
 Exit codes: 0 success, 1 validation error, 2 structure-check failure,
 64 usage error.
 """
@@ -35,9 +36,9 @@ from .schreier import (
     verify_tree_structure,
 )
 from .walk import (
-    PrechainTreeModel,
     entropy_estimate,
     estimate_returns,
+    estimate_tree_returns,
     lamplighter_demo,
     nontriviality_witness,
     simulate_config_walk,
@@ -77,19 +78,6 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(args.out, default_name)
 
 
-def _emit(args, name: str, payload: dict) -> str:
-    path = _out_path(args, name)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    print(text)
-    return path
-
-
-def _config_echo(args, fields) -> dict:
-    return {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
-
-
 def _base_point(args) -> QuadraticNumber:
     try:
         return qn_from_text(args.s)
@@ -101,12 +89,14 @@ def _prechain_for(args):
     return construct_prechain(_base_point(args))
 
 
-def cmd_construct_hs(args) -> int:
+# Each cmd_* returns (payload, exit code); main adds the command and its
+# config to the payload, writes it to <command>.json and prints it.
+
+
+def cmd_construct_hs(args):
     s = _base_point(args)
     built = build_hs(s)
-    payload = {
-        "command": "construct-hs",
-        "config": _config_echo(args, ["s"]),
+    return {
         "map": built.map.to_text(),
         "branch": built.branch,
         "prime": built.prime,
@@ -118,16 +108,12 @@ def cmd_construct_hs(args) -> int:
             [point_to_text(lo), point_to_text(hi)]
             for lo, hi in built.map.support_intervals()
         ],
-    }
-    _emit(args, "construct_hs.json", payload)
-    return 0
+    }, 0
 
 
-def cmd_prechain(args) -> int:
+def cmd_prechain(args):
     pre = _prechain_for(args)
-    payload = {
-        "command": "prechain",
-        "config": _config_echo(args, ["s"]),
+    return {
         "f": pre.f.to_text(),
         "g": pre.g.to_text(),
         "endpoints": {
@@ -139,12 +125,10 @@ def cmd_prechain(args) -> int:
         "f_power": pre.f_power,
         "g_power": pre.g_power,
         "interleaving": "a<b<c<d with g^-1(c) < f(b)",
-    }
-    _emit(args, "prechain.json", payload)
-    return 0
+    }, 0
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     pre = _prechain_for(args)
     graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
     attach_regions(graph, pre)
@@ -158,47 +142,32 @@ def cmd_graph(args) -> int:
         p = _out_path(args, base + ".csv")
         export_csv(graph, p)
         paths.append(p)
-    payload = {
-        "command": "graph",
-        "config": _config_echo(args, ["s", "cap", "format"]),
+    return {
         "vertices": graph.order(),
         "truncated": graph.truncated,
         "outputs": [os.path.basename(p) for p in paths],
-    }
-    _emit(args, "graph.json", payload)
-    return 0
+    }, 0
 
 
-def cmd_verify_tree(args) -> int:
+def cmd_verify_tree(args):
     pre = _prechain_for(args)
     graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
     attach_regions(graph, pre)
     try:
         report = verify_tree_structure(graph, pre.f, pre.g, pre.b, pre.c)
     except StructureViolationError as exc:
-        payload = {
-            "command": "verify-tree",
-            "config": _config_echo(args, ["s", "cap"]),
-            "verdict": "VIOLATION",
-            "detail": str(exc),
-        }
-        _emit(args, "verify_tree.json", payload)
-        return 2
-    payload = {
-        "command": "verify-tree",
-        "config": _config_echo(args, ["s", "cap"]),
+        return {"verdict": "VIOLATION", "detail": str(exc)}, 2
+    return {
         "verdict": "OK",
         "tree_vertices": report.tree_vertices,
         "ray_vertices": report.ray_vertices,
         "region_a": report.region_a,
         "region_b": report.region_b,
         "max_depth": report.max_depth,
-    }
-    _emit(args, "verify_tree.json", payload)
-    return 0
+    }, 0
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args):
     pre = _prechain_for(args)
     kernel = ComparisonKernel(pre.f, pre.g, pre.a, pre.b, pre.c, pre.d)
     graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
@@ -218,15 +187,11 @@ def cmd_kernel(args) -> int:
                 "symmetric": sym,
             }
         )
-    payload = {
-        "command": "kernel",
-        "config": _config_echo(args, ["s", "cap", "sample"]),
+    return {
         "checked": len(rows),
         "violations": bad,
         "rows": rows[: min(len(rows), 16)],
-    }
-    _emit(args, "kernel.json", payload)
-    return 2 if bad else 0
+    }, 2 if bad else 0
 
 
 # the fraction options: the condition each must meet, as text and as a test
@@ -258,36 +223,18 @@ def _witness_measure_for(args):
     return pre, witness_measure(pre.hs.map, pre.companion, translation, eps, alpha)
 
 
-def cmd_walk(args) -> int:
+def cmd_walk(args):
     pre, mu = _witness_measure_for(args)
     s = pre.hs.base
-    tracker = simulate_config_walk(mu, s, s, args.T, trajectory_rng(args.seed, 0))
-    payload = {
-        "command": "walk",
-        "config": _config_echo(args, ["s", "T", "seed", "epsilon", "alpha"]),
-        "value": tracker.value,
-        "last_change": tracker.last_change,
-        "changes": len(tracker.change_log),
-        "frozen_at": tracker.frozen_at,
-        "final_point": point_to_text(tracker.x),
-    }
-    _emit(args, "walk.json", payload)
-    return 0
+    return simulate_config_walk(mu, s, s, args.T, trajectory_rng(args.seed, 0)), 0
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args):
     pre, mu = _witness_measure_for(args)
-    report = nontriviality_witness(mu, pre.hs.base, args.T, args.M, args.seed)
-    payload = {
-        "command": "witness",
-        "config": _config_echo(args, ["s", "T", "M", "seed", "epsilon", "alpha"]),
-        **report,
-    }
-    _emit(args, "witness.json", payload)
-    return 0
+    return nontriviality_witness(mu, pre.hs.base, args.T, args.M, args.seed), 0
 
 
-def cmd_summability(args) -> int:
+def cmd_summability(args):
     pre, mu = _witness_measure_for(args)
     s = pre.hs.base
     report = summability_diagnostic(mu, s, s, args.T, args.M, args.seed)
@@ -298,59 +245,36 @@ def cmd_summability(args) -> int:
             zip(report["per_step_hit_mass"], report["cumulative"]), start=1
         ):
             handle.write(f"{i},{h},{c}\n")
-    payload = {
-        "command": "summability",
-        "config": _config_echo(args, ["s", "T", "M", "seed", "epsilon", "alpha"]),
+    return {
         "atom_l1_mass": report["atom_l1_mass"],
         "cumulative_final": report["cumulative"][-1] if report["cumulative"] else 0.0,
         "series_file": os.path.basename(series_path),
-    }
-    _emit(args, "summability.json", payload)
-    return 0
+    }, 0
 
 
-def cmd_entropy(args) -> int:
-    pre, mu = _witness_measure_for(args)
-    report = entropy_estimate(mu, args.n, args.M, args.seed)
-    payload = {
-        "command": "entropy",
-        "config": _config_echo(args, ["s", "n", "M", "seed", "epsilon", "alpha"]),
-        **report,
-    }
-    _emit(args, "entropy.json", payload)
-    return 0
+def cmd_entropy(args):
+    _, mu = _witness_measure_for(args)
+    return entropy_estimate(mu, args.n, args.M, args.seed), 0
 
 
-def cmd_lamplighter(args) -> int:
+def cmd_lamplighter(args):
     alpha = _fraction_option(args, "alpha")
-    heavy = lamplighter_demo(alpha, args.T, args.M, args.seed, True)
-    control = lamplighter_demo(alpha, args.T, args.M, args.seed, False)
-    payload = {
-        "command": "lamplighter",
-        "config": _config_echo(args, ["alpha", "T", "M", "seed"]),
-        "heavy_tail": heavy,
-        "srw_control": control,
-    }
-    _emit(args, "lamplighter.json", payload)
-    return 0
+    return {
+        "heavy_tail": lamplighter_demo(alpha, args.T, args.M, args.seed, True),
+        "srw_control": lamplighter_demo(alpha, args.T, args.M, args.seed, False),
+    }, 0
 
 
-def cmd_returns(args) -> int:
+def cmd_returns(args):
     horizons = [int(h) for h in args.horizons.split(",")]
     if args.target == "z":
         translation = pm_from_matrix(ProjectiveMatrix.translation(1))
         mu = uniform_measure([translation, translation.inverse()])
         rep = estimate_returns(mu, QuadraticNumber(0), horizons, args.M, args.seed)
     else:
-        pre = _prechain_for(args)
-        rep = estimate_returns(PrechainTreeModel(pre), pre.b, horizons, args.M, args.seed)
-    payload = {
-        "command": "returns",
-        "config": _config_echo(args, ["s", "target", "horizons", "M", "seed"]),
-        **rep.as_dict(),
-    }
-    _emit(args, "returns.json", payload)
-    return 0
+        _prechain_for(args)  # the build certifies that the tree model applies
+        rep = estimate_tree_returns(horizons, args.M, args.seed)
+    return rep.as_dict(), 0
 
 
 def build_parser() -> _Parser:
@@ -462,6 +386,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config(args) -> dict:
+    """Every parsed option that is set, apart from the command and --out."""
+    skip = ("command", "fn", "out")
+    return {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -475,7 +405,12 @@ def main(argv=None) -> int:
         print(f"error: {source}: {message}", file=sys.stderr)
         return 1
     try:
-        code = args.fn(args)
+        payload, code = args.fn(args)
+        report = {"command": args.command, "config": _config(args), **payload}
+        text = json.dumps(report, indent=2, sort_keys=True)
+        with open(_out_path(args, args.command.replace("-", "_") + ".json"), "w") as handle:
+            handle.write(text + "\n")
+        print(text)
         sys.stdout.flush()
         return code
     except (PiecewiseMapError, ConstructionFailedError, ValueError, ZeroDivisionError) as exc:

@@ -520,6 +520,19 @@ def qn_approx(x: QuadraticNumber) -> Optional[Tuple[float, float]]:
     return None
 
 
+def qn_floor_times(x: QuadraticNumber, m: int) -> int:
+    """floor(x * m) for an integer m >= 1, in integer arithmetic alone."""
+    A, B, D, k = x
+    if B == 0:
+        return A * m // D
+    # B*m*sqrt(k) lies strictly between t and t + 1: (B*m)**2 * k is not a square
+    Bm = B * m
+    t = math.isqrt(Bm * Bm * k)
+    if B < 0:
+        t = -t - 1
+    return (A * m + t) // D
+
+
 def point_order_key(p: ExtendedPoint, n: int = 64):
     """Sort key (floor(p * 2**n), p) of an extended point; INFINITY sorts last.
 
@@ -529,14 +542,7 @@ def point_order_key(p: ExtendedPoint, n: int = 64):
     """
     if p is INFINITY:
         return (_INF, p)
-    A, B, D, k = p
-    if B == 0:
-        return ((A << n) // D, p)
-    # B*sqrt(k)*2**n lies strictly between t and t + 1: B*B*k*4**n is not a square
-    t = math.isqrt(B * B * k << 2 * n)
-    if B < 0:
-        t = -t - 1
-    return (((A << n) + t) // D, p)
+    return (qn_floor_times(p, 1 << n), p)
 
 
 def sorted_points(points: Iterable[ExtendedPoint]) -> List[ExtendedPoint]:

@@ -9,12 +9,14 @@ change germ in the canonical stabilizer generator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
+    _TRIAL_PRIMES,
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
@@ -23,6 +25,7 @@ from .exactnum import (
     point_from_text,
     qn_approx,
     qn_compare,
+    qn_floor_times,
 )
 from .psl2 import (
     ProjectiveMatrix,
@@ -428,14 +431,6 @@ def membership(f: PiecewiseProjectiveMap, kind: str, s: Optional[ExtendedPoint] 
 # -- construction of the delta-configuration element ----------------------
 
 
-def _primes_from(start: int):
-    n = max(start, 2)
-    while True:
-        if all(n % p for p in range(2, int(n**0.5) + 1)):
-            yield n
-        n += 1
-
-
 def _padic_valuation(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -489,11 +484,10 @@ def build_hs(s: QuadraticNumber) -> HsConstruction:
     pole = gen.pole()
     ident = ProjectiveMatrix.identity()
 
-    for prime in _primes_from(k + 1):
-        if prime == 2 or b_w % prime == 0 or (tau * tau - 4) % prime == 0:
+    # the primes above k and below 10,000
+    for prime in _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, k) :]:
+        if b_w % prime == 0 or (tau * tau - 4) % prime == 0:
             continue
-        if prime > 10_000:
-            raise ConstructionFailedError("prime escalation exhausted")
         inv_bw = pow(b_w % prime, -1, prime)
         base_residues = sorted({(inv_bw * (tau - 2)) % prime, (inv_bw * (tau + 2)) % prime})
         for n_scale in range(1, 6):
@@ -507,7 +501,7 @@ def build_hs(s: QuadraticNumber) -> HsConstruction:
                     )
                     if built is not None:
                         return built
-    raise ConstructionFailedError("parameter search exhausted")
+    raise ConstructionFailedError("prime escalation exhausted")
 
 
 def _try_hs_candidate(
@@ -656,7 +650,7 @@ def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, Quadrat
     lo_lim, hi_lim = hs.support()
     for den in range(1, 64):
         # largest fraction with this denominator strictly below s
-        num = _floor_times(s, den)
+        num = qn_floor_times(s, den)
         anchor = Fraction(num, den)
         for num_b in range(1, 8):
             rad = Fraction(num_b, den)
@@ -686,17 +680,6 @@ def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, Quadrat
                 continue
             return bump, sigma_bar, sigma
     raise ConstructionFailedError("companion search exhausted")
-
-
-def _floor_times(x: QuadraticNumber, den: int) -> int:
-    """floor(x * den) for a quadratic number x, exactly."""
-    scaled = x * den
-    n = int(float(scaled))  # float is a seed guess; the loops certify exactly
-    while qn_compare(QuadraticNumber(n), scaled) > 0:
-        n -= 1
-    while qn_compare(QuadraticNumber(n + 1), scaled) <= 0:
-        n += 1
-    return n
 
 
 PRECHAIN_MAX_POWER = 24

@@ -11,15 +11,20 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import ExtendedPoint, QuadraticNumber, canonical_key, qn_approx
+from .exactnum import (
+    ExtendedPoint,
+    QuadraticNumber,
+    canonical_key,
+    point_to_text,
+    qn_approx,
+)
 from .piecewise import (
     Configuration,
     PiecewiseProjectiveMap,
-    Prechain,
     configuration,
     pm_identity,
 )
@@ -43,11 +48,16 @@ def _zeta(s: float, upto: int = 4096) -> float:
 class PowerLawSampler:
     """Zeta-normalized law P(j) = j**-(1+alpha) / zeta(1+alpha) on j >= 1.
 
-    Inverse-CDF sampling with an explicit table head and an analytic tail,
-    so the support is genuinely unbounded (no truncation).
+    Inverse-CDF sampling with an explicit table head and an analytic tail:
+    a search on the tail's cdf up to 2**62 and, above cdf(2**62), its
+    leading term inverted in log space, so the support is unbounded (no
+    truncation).  The largest draw is bounded only by the uniform draw's
+    resolution, 1 - u >= 2**-53.
     """
 
     TABLE = 1 << 14
+    # the cdf search covers j up to here; the log-space inverse goes beyond
+    SEARCH_TOP = 1 << 62
 
     def __init__(self, alpha: Fraction):
         if not (0 < alpha < 1):
@@ -61,6 +71,7 @@ class PowerLawSampler:
             acc += j**-self.s / self.norm
             table.append(acc)
         self._table = table
+        self._search_top_cdf = self._cdf(self.SEARCH_TOP)
 
     def prob(self, j: int) -> float:
         return j**-self.s / self.norm
@@ -70,24 +81,31 @@ class PowerLawSampler:
             return self._table[j - 1]
         return 1.0 - _zeta_tail(self.s, j) / self.norm
 
-    def sample_magnitude(self, rng: random.Random) -> int:
-        u = rng.random()
-        if u <= self._table[-1]:
-            return bisect_left(self._table, u) + 1
-        return self._beyond_table(u)
-
     def sample_signed(self, rng: random.Random) -> int:
-        """sample_magnitude with a fair sign, in one call: the walk's tail draw."""
+        """A magnitude j from the law, with a fair sign: the walk's tail draw."""
         u = rng.random()
         table = self._table
         mag = bisect_left(table, u) + 1 if u <= table[-1] else self._beyond_table(u)
         return mag if rng.random() < 0.5 else -mag
 
     def _beyond_table(self, u: float) -> int:
-        """The least j > TABLE with cdf(j) >= u, for u above the table's last cdf."""
+        """The least j > TABLE with cdf(j) >= u, for u above the table's last cdf.
+
+        Above cdf(SEARCH_TOP), 1 - cdf(j) is its leading term
+        j**(1-s) / ((s-1) * norm) to a relative 2**-62, so j is that term's
+        inverse, from its base-2 log L: 53 bits of 2**L, rounded up, then
+        shifted.  That is O(1) and never overflows a float; the result is
+        monotone in u and exceeds SEARCH_TOP.
+        """
+        if u > self._search_top_cdf:
+            s1 = self.s - 1.0
+            log2_j = -math.log2((1.0 - u) * s1 * self.norm) / s1
+            shift = int(log2_j) - 52
+            j = math.ceil(2.0 ** (log2_j - shift)) << shift
+            return max(j, self.SEARCH_TOP + 1)
         lo = self.TABLE
         hi = 2 * lo
-        while self._cdf(hi) < u and hi < 1 << 62:
+        while self._cdf(hi) < u and hi < self.SEARCH_TOP:
             lo, hi = hi, hi * 2
         while lo + 1 < hi:
             mid = (lo + hi) // 2
@@ -139,15 +157,11 @@ class GroupMeasure:
             bag[m] = bag.get(m, Fraction(0)) + w
         return all(bag.get(m.inverse(), Fraction(0)) == w for m, w in bag.items())
 
-    def _sample_once(self, rng: random.Random) -> Tuple[int, PiecewiseProjectiveMap]:
-        """Returns (atom index or -1 for tail draws, element)."""
+    def sample(self, rng: random.Random) -> PiecewiseProjectiveMap:
         i = bisect_right(self._cuts, rng.random())
         if i < len(self.atoms):
-            return i, self.atoms[i][0]
-        return -1, self.tail.base.power(self._sampler.sample_signed(rng))
-
-    def sample(self, rng: random.Random) -> PiecewiseProjectiveMap:
-        return self._sample_once(rng)[1]
+            return self.atoms[i][0]
+        return self.tail.base.power(self._sampler.sample_signed(rng))
 
 
 def point_mass(element: PiecewiseProjectiveMap) -> GroupMeasure:
@@ -183,19 +197,6 @@ def trajectory_rng(master_seed: int, index: int) -> random.Random:
 
 
 # -- incremental configuration walk ----------------------------------------
-
-
-@dataclass
-class ConfigTracker:
-    """State of the marked-point configuration value along one walk."""
-
-    gamma: ExtendedPoint
-    x: ExtendedPoint
-    value: int = 0
-    last_change: int = -1
-    change_log: List[int] = field(default_factory=list)
-    steps: int = 0
-    frozen_at: Optional[int] = None
 
 
 class _MeasureWalker:
@@ -465,7 +466,7 @@ def simulate_config_walk(
     steps: int,
     rng: random.Random,
     freeze_bits: Optional[int] = DEFAULT_FREEZE_BITS,
-) -> ConfigTracker:
+) -> dict:
     """Track C_{g_n}(gamma) for the left walk g_{n+1} = h_n g_n, exactly.
 
     Only x_n = g_n(gamma) is kept.  When the exact coordinates of x_n
@@ -474,21 +475,14 @@ def simulate_config_walk(
     of coordinate bits through a long exactly-cancelling move sequence,
     an event of vanishing probability; the walk is stopped there.
     """
-    walker = _MeasureWalker(mu, s)
-    return _run_config_walk(walker, gamma, steps, rng, freeze_bits)
-
-
-def _run_config_walk(walker, gamma, steps, rng, freeze_bits):
-    changes, _, x, frozen_at = walker.run(gamma, steps, rng, freeze_bits)
-    return ConfigTracker(
-        gamma=gamma,
-        x=x,
-        value=sum(delta for _, delta in changes),
-        last_change=changes[-1][0] if changes else -1,
-        change_log=[n for n, _ in changes],
-        steps=steps,
-        frozen_at=frozen_at,
-    )
+    changes, _, x, frozen_at = _MeasureWalker(mu, s).run(gamma, steps, rng, freeze_bits)
+    return {
+        "value": sum(delta for _, delta in changes),
+        "last_change": changes[-1][0] if changes else -1,
+        "changes": len(changes),
+        "frozen_at": frozen_at,
+        "final_point": point_to_text(x),
+    }
 
 
 # -- returns ------------------------------------------------------------------
@@ -519,8 +513,21 @@ def _run_trajectories(run, trajectories: int, master_seed: int) -> list:
     return [run(trajectory_rng(master_seed, t)) for t in range(trajectories)]
 
 
+def _returns_report(run, horizons: List[int], trajectories: int, master_seed: int):
+    """Mean and standard error, per horizon, of the rows of run's visit counts."""
+    rows = _run_trajectories(run, trajectories, master_seed)
+    means, errs = [], []
+    for hi in range(len(horizons)):
+        col = [row[hi] for row in rows]
+        m = sum(col) / trajectories
+        var = sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
+        means.append(m)
+        errs.append(math.sqrt(var / trajectories))
+    return ReturnsReport(horizons, means, errs, trajectories)
+
+
 def estimate_returns(
-    walk_target: Union[GroupMeasure, "PrechainTreeModel"],
+    mu: GroupMeasure,
     start: ExtendedPoint,
     horizons: Sequence[int],
     trajectories: int,
@@ -537,89 +544,85 @@ def estimate_returns(
         raise ValueError(f"threads must be 1, got {threads}")
     horizons = sorted(horizons)
     top = horizons[-1]
-    tree = isinstance(walk_target, PrechainTreeModel)
-    walker = None if tree else _MeasureWalker(walk_target, start)
+    walker = _MeasureWalker(mu, start)
 
     def run(rng):
-        if tree:
-            return walk_target.root_visits(top, rng, horizons)
         visits = walker.run(start, top, rng, freeze_bits)[1]
         return [bisect_right(visits, h) for h in horizons]
 
-    rows = _run_trajectories(run, trajectories, master_seed)
-    means, errs = [], []
-    for hi in range(len(horizons)):
-        col = [row[hi] for row in rows]
-        m = sum(col) / trajectories
-        var = sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
-        means.append(m)
-        errs.append(math.sqrt(var / trajectories))
-    return ReturnsReport(list(horizons), means, errs, trajectories)
+    return _returns_report(run, horizons, trajectories, master_seed)
 
 
-class PrechainTreeModel:
-    """Symbolic simple random walk on the certified prechain orbit graph.
+def estimate_tree_returns(
+    horizons: Sequence[int], trajectories: int, master_seed: int
+) -> ReturnsReport:
+    """Monte-Carlo mean root visits of the walk on the prechain tree model.
 
-    The graph of the orbit of b is a rooted binary tree inside [b, c]
-    (children g^-1(x) and f(x), the root keeping a g-loop and the ray
-    through f^-1) with a one-sided ray hanging off every vertex; the walk
-    is simulated on that combinatorial model with integer state, which is
-    exact and avoids unbounded coordinate growth.
+    The orbit graph of b under a certified 2-prechain (f, g) is a rooted
+    binary tree inside [b, c] with a one-sided ray hanging off every
+    vertex; the simple random walk runs on that model with integer state
+    (see tree_root_visits), which is exact and keeps no coordinates.
     """
+    horizons = sorted(horizons)
+    top = horizons[-1]
 
-    def __init__(self, prechain: Prechain):
-        self.prechain = prechain
+    def run(rng):
+        return tree_root_visits(top, rng, horizons)
 
-    def root_visits(
-        self, steps: int, rng: random.Random, horizons: Sequence[int]
-    ) -> List[int]:
-        """Root visit counts by each horizon, walking on (depth, ray).
+    return _returns_report(run, horizons, trajectories, master_seed)
 
-        Every non-root tree vertex moves to its parent, to one of its two
-        children or onto its ray with the same draws whether it is a left
-        or a right child, so the walk needs only the tree depth of the
-        current vertex and the depth on its ray.
-        """
-        horizons = sorted(horizons)
-        depth = 0
-        ray = 0  # > 0 means on the ray attached at the current vertex
-        visits = 0
-        out: List[int] = []
-        hi = 0
-        rnd = rng.random
-        for n in range(1, steps + 1):
-            u = rnd()
-            if ray:
-                # f-type rays (left children and root) move under f;
-                # g-type rays (right children) move under g; other
-                # generator loops in place. Outward with probability 1/4,
-                # inward 1/4, loop 1/2 regardless of type.
-                if u < 0.25:
-                    ray += 1
-                elif u < 0.5:
-                    ray -= 1
-            elif depth == 0:
-                # moves at the root: f -> right child, f^-1 -> ray,
-                # g and g^-1 are loops
-                if u < 0.25:
-                    depth = 1
-                elif u < 0.5:
-                    ray = 1
-            # x in A (a left child): g -> parent, g^-1 -> left child,
-            # f -> right child, f^-1 -> ray; x in B (a right child):
-            # f^-1 -> parent, f -> right child, g^-1 -> left child, g -> ray
-            elif u < 0.25:
-                depth -= 1
-            elif u < 0.75:
-                depth += 1
-            else:
+
+def tree_root_visits(
+    steps: int, rng: random.Random, horizons: Sequence[int]
+) -> List[int]:
+    """Root visit counts by each horizon, walking on (depth, ray).
+
+    A vertex's children are g^-1(x) and f(x); the root keeps a g-loop and
+    the ray through f^-1.  Every non-root tree vertex moves to its parent,
+    to one of its two children or onto its ray with the same draws whether
+    it is a left or a right child, so the walk needs only the tree depth of
+    the current vertex and the depth on its ray.
+    """
+    horizons = sorted(horizons)
+    depth = 0
+    ray = 0  # > 0 means on the ray attached at the current vertex
+    visits = 0
+    out: List[int] = []
+    hi = 0
+    rnd = rng.random
+    for n in range(1, steps + 1):
+        u = rnd()
+        if ray:
+            # f-type rays (left children and root) move under f;
+            # g-type rays (right children) move under g; other
+            # generator loops in place. Outward with probability 1/4,
+            # inward 1/4, loop 1/2 regardless of type.
+            if u < 0.25:
+                ray += 1
+            elif u < 0.5:
+                ray -= 1
+        elif depth == 0:
+            # moves at the root: f -> right child, f^-1 -> ray,
+            # g and g^-1 are loops
+            if u < 0.25:
+                depth = 1
+            elif u < 0.5:
                 ray = 1
-            if depth == 0 and ray == 0:
-                visits += 1
-            while hi < len(horizons) and horizons[hi] == n:
-                out.append(visits)
-                hi += 1
-        return out
+        # x in A (a left child): g -> parent, g^-1 -> left child,
+        # f -> right child, f^-1 -> ray; x in B (a right child):
+        # f^-1 -> parent, f -> right child, g^-1 -> left child, g -> ray
+        elif u < 0.25:
+            depth -= 1
+        elif u < 0.75:
+            depth += 1
+        else:
+            ray = 1
+        if depth == 0 and ray == 0:
+            visits += 1
+        while hi < len(horizons) and horizons[hi] == n:
+            out.append(visits)
+            hi += 1
+    return out
 
 
 # -- summability diagnostic ---------------------------------------------------

@@ -106,6 +106,22 @@ def test_bad_count_is_usage_error(tmp_path, args):
 # SHA-256 of the stdout of small seeded runs.  Any change to a digest is a
 # change to a seeded report, which the library promises to keep byte for byte.
 SEEDED_REPORTS = {
+    "construct-hs": (
+        ["construct-hs", "--s", "0+1*sqrt(3)"],
+        "80a40d14f0094ddac0ad8cdfec0240b662fff15581cd6ce6718c7cb64ce5fa66",
+    ),
+    "prechain": (
+        ["prechain", "--s", "0+1*sqrt(3)"],
+        "baa4bd60fe31b4bcf18549b2ad3897a8f2c28c6cfb11fe8feba4b35613e1dafb",
+    ),
+    "graph": (
+        ["graph", "--s", "0+1*sqrt(3)", "--cap", "600", "--format", "both"],
+        "8312d3793c7195dae9a48e4942625c6a059c074a89cbfffe6d4011f81df925a9",
+    ),
+    "verify-tree": (
+        ["verify-tree", "--s", "0+1*sqrt(3)", "--cap", "600"],
+        "ae51c3ccc4c7c3d53e4e19956f17aad2b544f7b7aba1eac490a063af612f127e",
+    ),
     "walk": (
         ["walk", "--s", "0+1*sqrt(3)", "--T", "3000", "--seed", "1"],
         "e337a6a518a4e13ae4e143f9be155a554aebb98af41748ae3bf66cea51535d48",
@@ -169,6 +185,8 @@ def test_seeded_report_bytes(tmp_path, name):
     proc = subprocess.run(BASE + args, cwd=tmp_path, capture_output=True, timeout=600)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    # the report file holds the printed report: <command>.json
+    assert (tmp_path / f"{args[0].replace('-', '_')}.json").read_bytes() == proc.stdout
     for filename, file_digest in SEEDED_FILES.get(name, {}).items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == file_digest
 
@@ -180,6 +198,25 @@ def test_graph_export_bytes(tmp_path, name):
     assert proc.returncode == 0
     assert hashlib.sha256((tmp_path / "graph_600.dot").read_bytes()).hexdigest() == dot_digest
     assert hashlib.sha256((tmp_path / "graph_600.csv").read_bytes()).hexdigest() == csv_digest
+
+
+def test_verify_tree_violation_writes_its_report(monkeypatch, capsys, tmp_path):
+    # in process: a violation exits 2 with the report written and printed
+    from pwproj import cli
+    from pwproj.schreier import StructureViolationError
+
+    def verify(graph, f, g, b, c):
+        raise StructureViolationError(b, "planted")
+
+    monkeypatch.setattr(cli, "verify_tree_structure", verify)
+    argv = ["--out", str(tmp_path), "verify-tree", "--s", "0+1*sqrt(3)", "--cap", "40"]
+    assert cli.main(argv) == 2
+    report = json.loads((tmp_path / "verify_tree.json").read_text())
+    assert report["command"] == "verify-tree"
+    assert report["config"] == {"s": "0+1*sqrt(3)", "cap": 40}
+    assert report["verdict"] == "VIOLATION"
+    assert report["detail"].endswith("planted")
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_returns_echoes_horizons_text(tmp_path):

@@ -16,6 +16,7 @@ from pwproj.exactnum import (
     point_order_key,
     qn_approx,
     qn_compare,
+    qn_floor_times,
     qn_from_text,
     qn_normalize,
     qn_to_text,
@@ -280,6 +281,15 @@ def _random_point(rng):
     return qn_normalize(A, B, D, k)
 
 
+def _assert_floors_exact(pts):
+    """qn_floor_times(x, m) is the n with n <= x*m < n + 1, by exact compares."""
+    for x in pts:
+        for m in (1, 7, 63, 2**64):
+            n = qn_floor_times(x, m)
+            scaled = x * m
+            assert qn_compare(q(n), scaled) <= 0 < qn_compare(q(n + 1), scaled), (x, m)
+
+
 def test_point_order_key_matches_exact_compare():
     rng = random.Random(17)
     pts = [_random_point(rng) for _ in range(600)]
@@ -287,6 +297,7 @@ def test_point_order_key_matches_exact_compare():
     exact = sorted(pts, key=cmp_to_key(qn_compare))
     assert sorted(pts, key=point_order_key) == exact
     assert sorted_points(pts) == exact
+    _assert_floors_exact(pts)
 
 
 def test_point_order_key_on_points_closer_than_the_shift():
@@ -310,6 +321,7 @@ def test_point_order_key_on_points_closer_than_the_shift():
     exact = sorted(pts, key=cmp_to_key(qn_compare))
     assert sorted(pts, key=point_order_key) == exact
     assert sorted_points(pts) == exact
+    _assert_floors_exact(pts)
 
 
 def test_point_order_key_puts_infinity_last():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwproj.exactnum import QuadraticNumber, qn_approx, qn_compare
+from pwproj.exactnum import QuadraticNumber, point_to_text, qn_approx, qn_compare
 from pwproj.piecewise import (
     configuration,
     construct_prechain,
@@ -19,10 +19,10 @@ from pwproj.psl2 import ProjectiveMatrix
 from pwproj.walk import (
     GroupMeasure,
     PowerLawSampler,
-    PrechainTreeModel,
     TailSpec,
     entropy_estimate,
     estimate_returns,
+    estimate_tree_returns,
     lamplighter_demo,
     nontriviality_witness,
     point_mass,
@@ -32,7 +32,7 @@ from pwproj.walk import (
     uniform_measure,
     witness_measure,
 )
-from pwproj.walk import _MeasureWalker, _run_config_walk
+from pwproj.walk import _MeasureWalker
 
 
 def q(a, b=0, k=1):
@@ -122,7 +122,7 @@ def test_power_law_head_probability():
 def test_power_law_unbounded_tail():
     sampler = PowerLawSampler(Fraction(1, 2))
     rng = random.Random(11)
-    big = max(sampler.sample_magnitude(rng) for _ in range(50_000))
+    big = max(abs(sampler.sample_signed(rng)) for _ in range(50_000))
     assert big > PowerLawSampler.TABLE  # analytic tail actually fires
 
 
@@ -146,16 +146,46 @@ def test_power_law_tail_returns_least_quantile(alpha):
         u = head + (1 - head) * rng.random()
         if u <= head:
             continue
-        j = sampler.sample_magnitude(_FixedUniform(u))
+        j = abs(sampler.sample_signed(_FixedUniform(u)))
         assert sampler._cdf(j - 1) < u <= sampler._cdf(j), (u, j)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 1000), Fraction(1, 100), Fraction(1, 20)])
+def test_power_law_tail_beyond_the_search_top(alpha):
+    # above cdf(2^62) the law goes on: the magnitude passes 2^62 and grows
+    # with u, and its leading tail term j^(1-s) / ((s-1) * norm) is 1 - u
+    sampler = PowerLawSampler(alpha)
+    top = 2**62
+    s1 = sampler.s - 1
+    mags = []
+    for u in (1 - 2.0**-20, 1 - 2.0**-40, 1 - 2.0**-53):
+        j = abs(sampler.sample_signed(_FixedUniform(u)))
+        if sampler._cdf(top) < u:
+            assert j > top, (u, j)
+            log2_tail = -s1 * math.log2(j) - math.log2(s1 * sampler.norm)
+            assert abs(log2_tail - math.log2(1 - u)) < 1e-9, (u, j)
+        mags.append(j)
+    assert mags == sorted(mags)
+
+
+def test_power_law_share_beyond_the_search_top():
+    # at alpha = 1/100 about 65% of the mass lies above 2^62
+    sampler = PowerLawSampler(Fraction(1, 100))
+    top = 2**62
+    p = 1 - sampler._cdf(top)
+    rng = random.Random(13)
+    n = 20_000
+    above = sum(abs(sampler.sample_signed(rng)) > top for _ in range(n))
+    assert abs(above / n - p) < 3 * math.sqrt(p * (1 - p) / n), (above / n, p)
 
 
 def test_measure_frequencies(wmu):
     rng = random.Random(5)
     n = 100_000
+    index = {m: i for i, (m, _) in enumerate(wmu.atoms)}
     counts = {}
     for _ in range(n):
-        idx, _ = wmu._sample_once(rng)
+        idx = index.get(wmu.sample(rng), -1)  # -1: a tail draw
         counts[idx] = counts.get(idx, 0) + 1
     for i, (_, w) in enumerate(wmu.atoms):
         p = float(w)
@@ -171,8 +201,8 @@ def test_symmetric_measure_drift(wmu):
     signs = 0
     n = 300
     for t in range(n):
-        tr = _run_config_walk(walker, SQRT3, 60, trajectory_rng(77, t), 1500)
-        diff = tr.x - SQRT3 if tr.x.k in (1, 3) else None
+        x = walker.run(SQRT3, 60, trajectory_rng(77, t), 1500)[2]
+        diff = x - SQRT3 if x.k in (1, 3) else None
         if diff is None:
             continue
         signs += diff.sign()
@@ -181,13 +211,13 @@ def test_symmetric_measure_drift(wmu):
 
 def test_simulate_config_walk_degenerate(pre3):
     mu = point_mass(pre3.hs.map)
-    tracker = simulate_config_walk(mu, SQRT3, SQRT3, 50, random.Random(1))
-    assert tracker.value == 50  # value climbs every step, point stays put
-    assert tracker.x == SQRT3
+    report = simulate_config_walk(mu, SQRT3, SQRT3, 50, random.Random(1))
+    assert report["value"] == 50  # value climbs every step, point stays put
+    assert report["final_point"] == point_to_text(SQRT3)
     mu2 = point_mass(A1)
-    tracker2 = simulate_config_walk(mu2, SQRT3, q(0), 30, random.Random(1))
-    assert tracker2.value == 0
-    assert tracker2.x == q(30)
+    report2 = simulate_config_walk(mu2, SQRT3, q(0), 30, random.Random(1))
+    assert report2["value"] == 0
+    assert report2["final_point"] == point_to_text(q(30))
 
 
 def test_incremental_matches_full_product(wmu):
@@ -198,11 +228,10 @@ def test_incremental_matches_full_product(wmu):
         for inc in increments:
             product = inc * product
         expected = configuration(product, SQRT3).value_at(SQRT3)
-        walker = _MeasureWalker(wmu, SQRT3)
-        tracker = _run_config_walk(
-            walker, SQRT3, 15, random.Random(f"oracle:{seed}"), None
+        report = simulate_config_walk(
+            wmu, SQRT3, SQRT3, 15, random.Random(f"oracle:{seed}"), None
         )
-        assert tracker.value == expected, seed
+        assert report["value"] == expected, seed
 
 
 def _bit_size(x):
@@ -263,10 +292,10 @@ def test_walk_kernel_matches_stepwise_oracle(wmu, freeze_bits):
     for seed in range(50):
         points, _ = _oracle_path(wmu, steps, random.Random(f"kernel:{seed}"), freeze_bits)
         frozen_at = _frozen_at(points, freeze_bits)
-        tracker = _run_config_walk(
-            walker, SQRT3, steps, random.Random(f"kernel:{seed}"), freeze_bits
+        _, _, x, run_frozen_at = walker.run(
+            SQRT3, steps, random.Random(f"kernel:{seed}"), freeze_bits
         )
-        assert (tracker.x, tracker.frozen_at) == (points[-1], frozen_at), seed
+        assert (x, run_frozen_at) == (points[-1], frozen_at), seed
         frozen += frozen_at is not None
     assert 0 < frozen < 50  # both outcomes are exercised
 
@@ -477,7 +506,7 @@ def _tail_to(mu, n):
     sampler = mu._sampler
     j = abs(n)
     u = sampler._table[j - 1] if j <= PowerLawSampler.TABLE else sampler._cdf(j)
-    assert sampler.sample_magnitude(_FixedUniform(u)) == j
+    assert abs(sampler.sample_signed(_FixedUniform(u))) == j
     return _tail_draw(mu, u, n)
 
 
@@ -597,7 +626,7 @@ def test_far_state_left_when_float_of_the_offset_overflows(pre3, freeze_bits):
     assert _enters_far_state(walker, hs.apply(start) + t)
     u = 1 - 2.0**-50
     with pytest.raises(OverflowError):
-        float(mu._sampler.sample_magnitude(_FixedUniform(u)) * t)
+        float(abs(mu._sampler.sample_signed(_FixedUniform(u))) * t)
     steps = [[_atom_draw(mu, 0)]] + _tail_to(mu, 1) + _each_atom(mu)
     steps += _tail_draw(mu, u, 1) + _each_atom(mu) + _tail_draw(mu, u, -1) + _each_atom(mu)
     steps += _tail_to(mu, -1) + _each_atom(mu) + _random_steps("2^1030", 100)
@@ -762,9 +791,8 @@ def test_returns_point_mass_fixed(pre3):
     assert rep.means[0] == 50  # fixed point: returns every step
 
 
-def test_returns_prechain_saturates(pre3):
-    model = PrechainTreeModel(pre3)
-    rep = estimate_returns(model, pre3.b, [5000, 10000], 400, 7)
+def test_returns_prechain_saturates():
+    rep = estimate_tree_returns([5000, 10000], 400, 7)
     assert rep.means[1] >= rep.means[0]
     assert rep.means[1] - rep.means[0] < 0.05 * rep.means[0]
 
@@ -831,9 +859,9 @@ def test_prechain_tree_exact_means():
     assert round(float(at100), 7) == 4.6752234
 
 
-def test_prechain_returns_match_exact_means(pre3):
+def test_prechain_returns_match_exact_means():
     horizons = [10, 60, 100]
-    rep = estimate_returns(PrechainTreeModel(pre3), pre3.b, horizons, 4000, 11)
+    rep = estimate_tree_returns(horizons, 4000, 11)
     for mean, se, exact in zip(rep.means, rep.stderrs, _tree_mean_visits(horizons)):
         assert abs(mean - exact) <= 4 * se, (mean, se, float(exact))
 
