@@ -36,6 +36,7 @@ from .schreier import (
     verify_tree_structure,
 )
 from .walk import (
+    ALPHA_MIN,
     entropy_estimate,
     estimate_returns,
     estimate_tree_returns,
@@ -197,7 +198,7 @@ def cmd_kernel(args):
 # the fraction options: the condition each must meet, as text and as a test
 _FRACTION_RULES = {
     "epsilon": ("0 <= epsilon < 1", lambda v: 0 <= v < 1),
-    "alpha": ("0 < alpha < 1", lambda v: 0 < v < 1),
+    "alpha": (f"{ALPHA_MIN} <= alpha < 1", lambda v: ALPHA_MIN <= v < 1),
 }
 
 

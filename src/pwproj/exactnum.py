@@ -126,39 +126,11 @@ def _factor_trial(n: int) -> Dict[int, int]:
     return factors
 
 
-# radicands already factored, and square-free parts that producers register
-# without factoring them (they may be too large for rho to split)
-_RADICAND_CACHE: Dict[int, Tuple[int, int]] = {}
-
-
-def register_squarefree(k: int) -> None:
-    """Record k as known square-free, so later canonicalizations are free.
-
-    Producers that obtain a square-free part without factoring the full
-    radicand (for example from a factored product) seed the cache here.
-    """
-    if len(_RADICAND_CACHE) < 1 << 20:
-        _RADICAND_CACHE[k] = (k, 1)
-
-
 def normalize_radicand(n: int) -> Tuple[int, int]:
     """Write n = m*m*k with k square-free; return (k, m)."""
     if n < 1:
         raise ValueError("radicand must be a positive integer")
-    if n == 1:
-        return 1, 1
-    cached = _RADICAND_CACHE.get(n)
-    if cached is not None:
-        return cached
-    k = m = 1
-    for p, e in _factor_trial(n).items():
-        if e % 2:
-            k *= p
-        m *= p ** (e // 2)
-    if len(_RADICAND_CACHE) < 1 << 20:
-        _RADICAND_CACHE[n] = (k, m)
-        _RADICAND_CACHE[k] = (k, 1)
-    return k, m
+    return squarefree_of_factors([n])
 
 
 def squarefree_of_factors(parts: Iterable[int]) -> Tuple[int, int]:
@@ -178,7 +150,6 @@ def squarefree_of_factors(parts: Iterable[int]) -> Tuple[int, int]:
         if e % 2:
             k *= p
         m *= p ** (e // 2)
-    register_squarefree(k)
     return k, m
 
 
@@ -209,7 +180,9 @@ class QuadraticNumber(tuple):
     The number is the immutable tuple (A, B, D, k) in canonical form:
     D > 0, gcd(A, B, D) == 1, k square-free, and B == 0 forces k == 1 (the
     rationals).  QuadraticNumber(a, b, k) builds a + b*sqrt(k) from
-    rationals; .a and .b give them back as Fractions.
+    rationals and factors k, for text parsing and outside callers; the
+    library builds points from integers with qn_normalize.  .a and .b give
+    the rationals back as Fractions.
     """
 
     __slots__ = ()
@@ -246,9 +219,9 @@ class QuadraticNumber(tuple):
     def b(self) -> Fraction:
         return Fraction(self[1], self[2])
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild the number through the constructor
-        return (self.a, self.b, self[3])
+    def __reduce__(self):
+        # copy and pickle rebuild the canonical tuple, without factoring k
+        return (qn_normalize, tuple(self))
 
     @property
     def is_rational(self) -> bool:
@@ -380,6 +353,9 @@ def qn_normalize(A: int, B: int, D: int, k: int) -> QuadraticNumber:
     if B == 0:
         k = 1
     return _new(QuadraticNumber, (A, B, D, k))
+
+
+_ONE = qn_normalize(1, 0, 1, 1)
 
 
 def _parts(x):

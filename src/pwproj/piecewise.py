@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
+    _ONE,
     _TRIAL_PRIMES,
     INFINITY,
     ExtendedPoint,
@@ -26,6 +26,7 @@ from .exactnum import (
     qn_approx,
     qn_compare,
     qn_floor_times,
+    qn_normalize,
 )
 from .psl2 import (
     ProjectiveMatrix,
@@ -67,7 +68,6 @@ class ConstructionFailedError(RuntimeError):
     """Bounded parameter search exhausted; indicates an implementation bug."""
 
 
-_ONE = QuadraticNumber(1)
 _INF = float("inf")
 
 
@@ -300,11 +300,10 @@ def pm_new(
         pole = piece.pole()
         if pole is None:
             continue
-        pole_qn = QuadraticNumber(pole)
         lo = breaks[i - 1] if i > 0 else None
         hi = breaks[i] if i < len(breaks) else None
-        inside_lo = lo is None or qn_compare(pole_qn, lo) >= 0
-        inside_hi = hi is None or qn_compare(pole_qn, hi) <= 0
+        inside_lo = lo is None or qn_compare(pole, lo) >= 0
+        inside_hi = hi is None or qn_compare(pole, hi) <= 0
         if inside_lo and inside_hi:
             raise PoleInsidePieceError(
                 f"pole {pole} of piece {i} lies inside its interval"
@@ -512,7 +511,7 @@ def _try_hs_candidate(
     a_par: int,
     n_scale: int,
     above: bool,
-    pole: Optional[Fraction],
+    pole: Optional[QuadraticNumber],
     ident: ProjectiveMatrix,
 ) -> Optional[HsConstruction]:
     core = n_scale * n_scale * a_par * a_par * prime**5
@@ -534,10 +533,9 @@ def _try_hs_candidate(
         return None
     # ordering constraint: the far end clears the generator's pole
     if pole is not None:
-        pole_qn = QuadraticNumber(pole)
-        if above and qn_compare(theta_plus, pole_qn) <= 0:
+        if above and qn_compare(theta_plus, pole) <= 0:
             return None
-        if not above and qn_compare(theta_minus, pole_qn) >= 0:
+        if not above and qn_compare(theta_minus, pole) >= 0:
             return None
     crossing_elem = w_mat * partner
     tr_cross = abs(crossing_elem.trace())
@@ -551,10 +549,8 @@ def _try_hs_candidate(
     if above:
         # the generator piece [s, crossing] must not contain the pole
         window_lo, window_hi = s, theta_plus
-        if pole is not None:
-            pole_qn = QuadraticNumber(pole)
-            if qn_compare(pole_qn, s) > 0 and qn_compare(pole_qn, theta_plus) < 0:
-                window_hi = pole_qn
+        if pole is not None and qn_compare(pole, s) > 0 and qn_compare(pole, theta_plus) < 0:
+            window_hi = pole
     else:
         # the inverse generator has no pole below s; the whole gap works
         window_lo, window_hi = theta_minus, s
@@ -651,11 +647,10 @@ def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, Quadrat
     for den in range(1, 64):
         # largest fraction with this denominator strictly below s
         num = qn_floor_times(s, den)
-        anchor = Fraction(num, den)
         for num_b in range(1, 8):
-            rad = Fraction(num_b, den)
-            sigma = QuadraticNumber(anchor, rad, prime)
-            sigma_bar = QuadraticNumber(anchor, -rad, prime)
+            # (num +- num_b*sqrt(prime)) / den; a prime is square-free
+            sigma = qn_normalize(num, num_b, den, prime)
+            sigma_bar = qn_normalize(num, -num_b, den, prime)
             if hs.branch == "above":
                 # need sigma_bar < s < sigma < far end
                 if not (

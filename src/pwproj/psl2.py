@@ -15,6 +15,7 @@ from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .exactnum import (
+    _ONE,
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
@@ -127,12 +128,13 @@ class ProjectiveMatrix:
         denom = p * self.c + self.d
         if denom.sign() == 0:
             raise ZeroDivisionError("derivative at a pole")
-        return QuadraticNumber(1) / (denom * denom)
+        return _ONE / (denom * denom)
 
-    def pole(self) -> Optional[Fraction]:
+    def pole(self) -> Optional[QuadraticNumber]:
+        """The point -d/c sent to INFINITY; None for a translation."""
         if self.c == 0:
             return None
-        return Fraction(-self.d, self.c)
+        return qn_normalize(-self.d, 0, self.c, 1)
 
     def to_text(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -173,15 +175,14 @@ def mat_fixed_points(m: ProjectiveMatrix) -> List[ExtendedPoint]:
     if kind == "elliptic":
         return []
     if kind == "parabolic":
-        return [QuadraticNumber(Fraction(m.a - m.d, 2 * m.c))]
+        return [qn_normalize(m.a - m.d, 0, 2 * m.c, 1)]
+    # x = (a - d -+ sqrt(t*t - 4)) / (2c) with c > 0, so -sqrt is the lower root
     t = abs(m.trace())
     k, mult = squarefree_of_factors([t - 2, t + 2])
-    half = Fraction(m.a - m.d, 2 * m.c)
-    root = QuadraticNumber(0, Fraction(mult, 2 * m.c), k)
-    lo, hi = half + root, half - root
-    if lo > hi:
-        lo, hi = hi, lo
-    return [lo, hi]
+    return [
+        qn_normalize(m.a - m.d, -mult, 2 * m.c, k),
+        qn_normalize(m.a - m.d, mult, 2 * m.c, k),
+    ]
 
 
 # -- Pell equations -----------------------------------------------------
@@ -395,10 +396,10 @@ def _stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
         if mat.apply(p) != p:
             continue
         deriv = mat.derivative_at(p)
-        if deriv < QuadraticNumber(1):
+        if deriv < _ONE:
             mat = mat.inverse()
             deriv = mat.derivative_at(p)
-        if not deriv > QuadraticNumber(1):
+        if not deriv > _ONE:
             raise AssertionError("stabilizer generator has unit derivative")
         return StabilizerDescriptor(p, mat, deriv, None)
 
@@ -421,17 +422,16 @@ def germ_exponent(m: ProjectiveMatrix, p: ExtendedPoint) -> int:
     else:
         deriv = m.derivative_at(p)
         phi = desc.phi
-        one = QuadraticNumber(1)
         n = 0
-        acc = one
-        if deriv > one:
+        acc = _ONE
+        if deriv > _ONE:
             while acc != deriv:
                 acc = acc * phi
                 n += 1
                 if n > 100_000:
                     raise NotAPowerError("derivative is not a power of phi")
-        elif deriv < one:
-            inv_phi = one / phi
+        elif deriv < _ONE:
+            inv_phi = _ONE / phi
             while acc != deriv:
                 acc = acc * inv_phi
                 n -= 1

@@ -41,8 +41,24 @@ def _zeta_tail(s: float, n: int) -> float:
     )
 
 
+def _float_sum(values) -> float:
+    """Floats added left to right, as sum() does before Python 3.12.
+
+    From 3.12 on, sum() compensates float rounding, which would change the
+    last digit of seeded reports from one Python version to the next.
+    """
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
 def _zeta(s: float, upto: int = 4096) -> float:
-    return sum(j**-s for j in range(1, upto + 1)) + _zeta_tail(s, upto)
+    return _float_sum(j**-s for j in range(1, upto + 1)) + _zeta_tail(s, upto)
+
+
+# the least tail exponent PowerLawSampler accepts
+ALPHA_MIN = Fraction(1, 1000)
 
 
 class PowerLawSampler:
@@ -52,7 +68,8 @@ class PowerLawSampler:
     a search on the tail's cdf up to 2**62 and, above cdf(2**62), its
     leading term inverted in log space, so the support is unbounded (no
     truncation).  The largest draw is bounded only by the uniform draw's
-    resolution, 1 - u >= 2**-53.
+    resolution, 1 - u >= 2**-53.  A draw has about 1/alpha bits at the
+    median and up to 53/alpha bits, so alpha is held to ALPHA_MIN or more.
     """
 
     TABLE = 1 << 14
@@ -60,8 +77,8 @@ class PowerLawSampler:
     SEARCH_TOP = 1 << 62
 
     def __init__(self, alpha: Fraction):
-        if not (0 < alpha < 1):
-            raise ValueError("alpha must lie in (0, 1)")
+        if not (ALPHA_MIN <= alpha < 1):
+            raise ValueError(f"alpha must lie in [{ALPHA_MIN}, 1)")
         self.alpha = alpha
         self.s = 1.0 + float(alpha)
         self.norm = _zeta(self.s)
@@ -520,7 +537,7 @@ def _returns_report(run, horizons: List[int], trajectories: int, master_seed: in
     for hi in range(len(horizons)):
         col = [row[hi] for row in rows]
         m = sum(col) / trajectories
-        var = sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
+        var = _float_sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
         means.append(m)
         errs.append(math.sqrt(var / trajectories))
     return ReturnsReport(horizons, means, errs, trajectories)

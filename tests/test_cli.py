@@ -38,6 +38,8 @@ def test_usage_error_exit_code(tmp_path):
          "--alpha", "1"],
         ["walk", "--s", "0+1*sqrt(3)", "--T", "10", "--seed", "1", "--alpha", "0"],
         ["lamplighter", "--T", "10", "--M", "2", "--seed", "1", "--alpha", "x"],
+        ["lamplighter", "--T", "10", "--M", "2", "--seed", "1", "--alpha", "1/1001"],
+        ["lamplighter", "--T", "10", "--M", "2", "--seed", "1", "--alpha", "1/100000000"],
     ],
 )
 def test_validation_error_exit_code(tmp_path, args):
@@ -49,8 +51,9 @@ def test_validation_error_exit_code(tmp_path, args):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--alpha", "1/0"), ("--alpha", "0"), ("--alpha", "1"), ("--epsilon", "1/0"),
-     ("--epsilon", "3/2"), ("--epsilon", "-1/2"), ("--epsilon", "1")],
+    [("--alpha", "1/0"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "1/1001"),
+     ("--alpha", "1/100000000"), ("--epsilon", "1/0"), ("--epsilon", "3/2"),
+     ("--epsilon", "-1/2"), ("--epsilon", "1")],
 )
 def test_bad_fraction_option_fails_before_construction(monkeypatch, capsys, option, value):
     from pwproj import cli

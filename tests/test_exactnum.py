@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -44,6 +46,15 @@ def test_squarefree_of_factors_matches_direct():
         for p in parts:
             prod *= p
         assert squarefree_of_factors(parts) == normalize_radicand(prod)
+
+
+def test_copy_and_pickle_keep_the_canonical_tuple():
+    # k is the product of two Mersenne primes: rebuilding must not factor it
+    k = (2**61 - 1) * (2**89 - 1)
+    x = qn_normalize(1, 1, 2, k)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is QuadraticNumber
+        assert tuple(y) == (1, 1, 2, k)
 
 
 def _factor_plain(n):

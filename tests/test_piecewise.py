@@ -1,3 +1,4 @@
+import hashlib
 import random
 import signal
 from fractions import Fraction
@@ -5,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from pwproj import piecewise
-from pwproj.exactnum import QuadraticNumber, qn_approx, qn_compare, qn_from_text, qn_normalize
+from pwproj.exactnum import (
+    QuadraticNumber,
+    normalize_radicand,
+    qn_approx,
+    qn_compare,
+    qn_from_text,
+    qn_normalize,
+    qn_to_text,
+)
 from pwproj.piecewise import (
     DiscontinuousError,
     EndGermNotTranslationError,
@@ -60,7 +69,7 @@ def test_pm_new_validation_errors():
     with pytest.raises(EndGermNotTranslationError):
         pm_new([], [ProjectiveMatrix.make(2, 3, 1, 2)])
     # continuous gluing of (2x+3)/(x+2) on [-3, -1], whose pole -2 is inside
-    with pytest.raises(PoleInsidePieceError):
+    with pytest.raises(PoleInsidePieceError, match="^pole -2 of piece 1 lies inside its interval$"):
         pm_new(
             [q(-3), q(-1)],
             [
@@ -282,18 +291,12 @@ def test_construct_h_s_contract_multiple_fields():
     for s in [q(0, 1, 2), q(Fraction(1, 2), 1, 2), q(0, -1, 3)]:
         built = build_hs(s)
         conf = configuration(built.map, s)
-        assert conf.as_text_dict() == {smallest_text(s): 1}
+        assert conf.as_text_dict() == {qn_to_text(s): 1}
         for b in built.map.breaks:
             if b != s:
                 assert b.k != s.k
         assert membership(built.map, "HZ")
         assert len(built.map.support_intervals()) == 1
-
-
-def smallest_text(s):
-    from pwproj.exactnum import qn_to_text
-
-    return qn_to_text(s)
 
 
 def test_construct_h_s_rejects_rationals():
@@ -355,6 +358,34 @@ def test_prechain_builds_within_deadline(k):
     assert pre.f.support_intervals() == [(pre.a, pre.c)]
     assert pre.g.support_intervals() == [(pre.b, pre.d)]
     assert qn_compare(pre.g.inverse()(pre.c), pre.f(pre.b)) < 0
+
+
+# sqrt(k) for every square-free k <= 100, then points with a rational part
+# and a non-unit or negative irrational coefficient, on both branches
+PINNED_PRECHAIN_BASES = [f"sqrt({k})" for k in range(2, 101) if normalize_radicand(k)[0] == k] + [
+    "1/3+2*sqrt(5)",
+    "-1-1*sqrt(2)",
+    "5/7-3*sqrt(11)",
+    "-sqrt(3)",
+    "2+1/5*sqrt(13)",
+]
+
+
+def test_prechain_constructions_pinned():
+    digest = hashlib.sha256()
+    for text in PINNED_PRECHAIN_BASES:
+        pre = construct_prechain(qn_from_text(text))
+        fields = [
+            pre.f.to_text(),
+            pre.g.to_text(),
+            *(qn_to_text(p) for p in (pre.a, pre.b, pre.c, pre.d)),
+            str(pre.f_power),
+            str(pre.g_power),
+            str(pre.hs.prime),
+        ]
+        digest.update(("\t".join(fields) + "\n").encode())
+    assert len(PINNED_PRECHAIN_BASES) == 65
+    assert digest.hexdigest() == "d139f8fd2b41b1fda3751ffcfc361245749c5bbbaacd1b37882e99dc0835c13f"
 
 
 def test_map_text_round_trip(hs3):

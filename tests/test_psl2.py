@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from pwproj.exactnum import INFINITY, QuadraticNumber
+from pwproj.exactnum import INFINITY, QuadraticNumber, qn_from_text
 from pwproj.psl2 import (
     _icbrt,
     DeterminantError,
@@ -84,9 +84,12 @@ def test_fixed_points():
         assert not p.is_rational
     assert pts[0] == pts[1].conjugate()
     assert mat_fixed_points(ProjectiveMatrix.translation(5)) == [INFINITY]
+    assert mat_fixed_points(ProjectiveMatrix.make(3, -1, 4, -1)) == [q(Fraction(1, 2))]
     assert mat_fixed_points(S) == []
     with pytest.raises(IdentityMatrixError):
         mat_fixed_points(ProjectiveMatrix.identity())
+    assert M23.pole() == qn_from_text("-2")
+    assert ProjectiveMatrix.translation(5).pole() is None
 
 
 def test_hyperbolic_fixed_points_random():
@@ -100,6 +103,7 @@ def test_hyperbolic_fixed_points_random():
         lo, hi = mat_fixed_points(m)
         assert m.apply(lo) == lo and m.apply(hi) == hi
         assert lo.conjugate() == hi
+        assert lo < hi
 
 
 def brute_pell(k, rhs):

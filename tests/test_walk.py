@@ -32,7 +32,7 @@ from pwproj.walk import (
     uniform_measure,
     witness_measure,
 )
-from pwproj.walk import _MeasureWalker
+from pwproj.walk import _MeasureWalker, _float_sum
 
 
 def q(a, b=0, k=1):
@@ -124,6 +124,18 @@ def test_power_law_unbounded_tail():
     rng = random.Random(11)
     big = max(abs(sampler.sample_signed(rng)) for _ in range(50_000))
     assert big > PowerLawSampler.TABLE  # analytic tail actually fires
+
+
+def test_float_sum_rounds_every_addition():
+    # the same on every Python version: 3.12's sum() would give 1.0 here
+    assert _float_sum([1e16, 1.0, -1e16]) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 1001), Fraction(1, 10**8), Fraction(1)])
+def test_power_law_rejects_alpha_outside_its_range(alpha):
+    # below 1/1000 a single draw could need megabytes
+    with pytest.raises(ValueError):
+        PowerLawSampler(alpha)
 
 
 class _FixedUniform:
