@@ -181,8 +181,7 @@ class QuadraticNumber(tuple):
     D > 0, gcd(A, B, D) == 1, k square-free, and B == 0 forces k == 1 (the
     rationals).  QuadraticNumber(a, b, k) builds a + b*sqrt(k) from
     rationals and factors k, for text parsing and outside callers; the
-    library builds points from integers with qn_normalize.  .a and .b give
-    the rationals back as Fractions.
+    library builds points from integers with qn_normalize.
     """
 
     __slots__ = ()
@@ -210,14 +209,6 @@ class QuadraticNumber(tuple):
         return _new(cls, (a.numerator * (D // ad), b.numerator * (D // bd), D, k))
 
     k = property(itemgetter(3), doc="square-free radicand (1 on Q)")
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self[0], self[2])
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self[1], self[2])
 
     def __reduce__(self):
         # copy and pickle rebuild the canonical tuple, without factoring k
@@ -332,7 +323,8 @@ class QuadraticNumber(tuple):
         return A / D + B / D * math.sqrt(k)
 
     def __repr__(self):
-        return f"QuadraticNumber({self.a!r}, {self.b!r}, {self[3]})"
+        A, B, D, k = self
+        return f"QuadraticNumber({Fraction(A, D)!r}, {Fraction(B, D)!r}, {k})"
 
     def __str__(self):
         return qn_to_text(self)

@@ -21,6 +21,7 @@ from .exactnum import (
     ExtendedPoint,
     QuadraticNumber,
     is_infinity,
+    normalize_radicand,
     point_to_text,
     point_from_text,
     qn_approx,
@@ -30,7 +31,6 @@ from .exactnum import (
 )
 from .psl2 import (
     ProjectiveMatrix,
-    element_fixing_point,
     germ_exponent,
     mat_fixed_points,
     orbit_equivalent,
@@ -473,7 +473,7 @@ def build_hs(s: QuadraticNumber) -> HsConstruction:
     k = s.k
     desc = stabilizer_generator(s)
     gen = desc.generator
-    above = s.b > 0
+    above = s[1] > 0
     # slope element whose product with the partner must fix the crossing
     w_mat = gen.inverse() if above else gen
     b_w = w_mat.b
@@ -526,7 +526,9 @@ def _try_hs_candidate(
     partner = ProjectiveMatrix.make(
         x_par, n_full * n_full * ell * a_par, a_par, x_par
     )
-    theta_plus = QuadraticNumber(0, n_full, ell)
+    # ell has valuation 1 at prime, so it is not a square and ell_k > 1
+    ell_k, ell_m = normalize_radicand(ell)
+    theta_plus = qn_normalize(0, n_full * ell_m, 1, ell_k)
     theta_minus = -theta_plus
     # the partner's fixed interval must straddle the base point
     if not (qn_compare(theta_minus, s) < 0 < qn_compare(theta_plus, s)):
@@ -665,7 +667,7 @@ def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, Quadrat
                     and qn_compare(sigma_bar, s) < 0 < qn_compare(sigma, s)
                 ):
                     continue
-            gmat = _positive_between(element_fixing_point(sigma), sigma_bar)
+            gmat = _positive_between(stabilizer_generator(sigma).generator, sigma_bar)
             bump = pm_new(
                 [sigma_bar, sigma],
                 [ProjectiveMatrix.identity(), gmat, ProjectiveMatrix.identity()],

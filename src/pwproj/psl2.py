@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
@@ -245,54 +244,6 @@ def pell_fundamental(k: int, rhs: int = 1) -> Tuple[int, int]:
     return 2 * x1, 2 * y1
 
 
-def _pell_one_with_divisor(k: int, div: int, cap: int = 10_000_000) -> Tuple[int, int]:
-    """Minimal solution of x*x - k*y*y == 1 with div | y."""
-    x1, y1 = _pell_one(k)
-    if div == 1:
-        return x1, y1
-    xm, ym, km = x1 % div, y1 % div, k % div
-    xr, yr = xm, ym
-    n = 1
-    while yr != 0:
-        xr, yr = (xm * xr + km * ym * yr) % div, (xm * yr + ym * xr) % div
-        n += 1
-        if n > cap:
-            raise ArithmeticError("divisibility search exceeded cap")
-    # recompute the n-th power exactly
-    x, y = 1, 0
-    bx, by = x1, y1
-    e = n
-    while e:
-        if e & 1:
-            x, y = x * bx + k * y * by, x * by + y * bx
-        bx, by = bx * bx + k * by * by, 2 * bx * by
-        e >>= 1
-    return x, y
-
-
-def element_fixing_point(s: QuadraticNumber) -> ProjectiveMatrix:
-    """A hyperbolic integer matrix fixing the quadratic irrational s."""
-    if s.is_rational:
-        raise ValueError("point must be a quadratic irrational")
-    k = s.k
-    p, q = s.a.numerator, s.a.denominator
-    pp, qq = s.b.numerator, s.b.denominator
-    lam = abs(pp) * qq * q * q
-    x, y = _pell_one_with_divisor(k, lam)
-    aa = y // lam
-    mat = ProjectiveMatrix.make(
-        x + qq * qq * p * q * aa,
-        aa * (pp * pp * q * q * k - qq * qq * p * p),
-        qq * qq * q * q * aa,
-        x - qq * qq * p * q * aa,
-    )
-    if mat.apply(s) != s:
-        raise AssertionError("constructed matrix does not fix the point")
-    if mat_classify(mat) != "hyperbolic":
-        raise AssertionError("constructed matrix is not hyperbolic")
-    return mat
-
-
 # -- stabilizers ---------------------------------------------------------
 
 
@@ -337,18 +288,6 @@ def _bezout(p: int, q: int) -> Tuple[int, int]:
     return m, n
 
 
-def _half_unit_power(t: int, w: int, k: int, e: int) -> Tuple[int, int]:
-    """(t_e, w_e) with (t_e + w_e sqrt(k))/2 = ((t + w sqrt(k))/2)**e."""
-    rt, rw = 2, 0
-    bt, bw = t, w
-    while e:
-        if e & 1:
-            rt, rw = (rt * bt + k * rw * bw) // 2, (rt * bw + rw * bt) // 2
-        bt, bw = (bt * bt + k * bw * bw) // 2, bt * bw
-        e >>= 1
-    return rt, rw
-
-
 def stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
     cached = _STABILIZER_CACHE.get(p)
     if cached is not None:
@@ -361,47 +300,41 @@ def stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
 def _stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
     if is_infinity(p):
         return StabilizerDescriptor(p, ProjectiveMatrix.translation(1), None, None)
-    if p.is_rational:
-        num, den = p.a.numerator, p.a.denominator
-        m, n = _bezout(num, den)
-        conj = ProjectiveMatrix.make(m, n, -den, num)
+    A, B, D, k = p
+    if B == 0:
+        m, n = _bezout(A, D)
+        conj = ProjectiveMatrix.make(m, n, -D, A)
         gen = conj.inverse() * ProjectiveMatrix.translation(1) * conj
         if gen.apply(p) != p:
             raise AssertionError("rational stabilizer generator does not fix point")
         return StabilizerDescriptor(p, gen, None, conj)
 
-    k = p.k
-    t4, w4 = pell_fundamental(k, rhs=4)
-    # Find the least power of the fundamental unit whose diagonal form pulls
-    # back to an integer matrix fixing p; powers of the pullback exhaust the
-    # stabilizer, so the first hit is the canonical generator.
-    ratio = Fraction(1, 2) / p.b
-    e = 0
-    while True:
-        e += 1
-        if e > 1_000_000:
-            raise ArithmeticError("stabilizer exponent search exceeded cap")
-        te, we = _half_unit_power(t4, w4, k, e)
-        c = we * ratio
-        if c.denominator != 1 or c == 0:
-            continue
-        c_int = c.numerator
-        half_t = Fraction(te, 2)
-        a_f = half_t + p.a * c_int
-        d_f = half_t - p.a * c_int
-        b_f = -(p.a * p.a - Fraction(p.b * p.b * k)) * c_int
-        if a_f.denominator != 1 or d_f.denominator != 1 or b_f.denominator != 1:
-            continue
-        mat = ProjectiveMatrix.make(a_f.numerator, b_f.numerator, c_int, d_f.numerator)
-        if mat.apply(p) != p:
-            continue
-        deriv = mat.derivative_at(p)
-        if deriv < _ONE:
-            mat = mat.inverse()
-            deriv = mat.derivative_at(p)
-        if not deriv > _ONE:
-            raise AssertionError("stabilizer generator has unit derivative")
-        return StabilizerDescriptor(p, mat, deriv, None)
+    # A unit u = (t + w sqrt(k))/2 pulls back to the matrix with
+    # c = w D / (2B), a = (t D + 2 A c) / (2D), d = t - a and
+    # b = -(A^2 - B^2 k) c / D^2: both roots of c x^2 + (d - a) x - b are
+    # (A +- B sqrt(k)) / D, c p + d = u, and the determinant is
+    # (t^2 - k w^2) / 4 = 1.  The stabilizer is generated by the pullback of
+    # the least power of the fundamental unit that is integral; each step
+    # below multiplies by the fundamental unit once.  The pullback's
+    # derivative at p is 1 / u^2 < 1, so its inverse is the canonical
+    # generator, with phi = u^2.
+    t1, w1 = pell_fundamental(k, rhs=4)
+    norm = A * A - B * B * k
+    t, w = t1, w1
+    for _ in range(1_000_000):
+        c, rem = divmod(w * D, 2 * B)
+        if rem == 0:
+            a, rem = divmod(t * D + 2 * A * c, 2 * D)
+            if rem == 0:
+                b, rem = divmod(-norm * c, D * D)
+                if rem == 0:
+                    gen = ProjectiveMatrix.make(t - a, -b, -c, a)
+                    if gen.apply(p) != p:
+                        raise AssertionError("stabilizer generator does not fix point")
+                    phi = qn_normalize(t * t + k * w * w, 2 * t * w, 4, k)
+                    return StabilizerDescriptor(p, gen, phi, None)
+        t, w = (t * t1 + k * w * w1) // 2, (t * w1 + w * t1) // 2
+    raise ArithmeticError("stabilizer exponent search exceeded cap")
 
 
 def germ_exponent(m: ProjectiveMatrix, p: ExtendedPoint) -> int:

@@ -692,6 +692,10 @@ def summability_diagnostic(
 
 WITNESS_STABILIZATION_FRACTION = 0.95
 WITNESS_VALUE_FREQUENCY = 0.10
+# Trajectories per walker: a fresh intern table every so many runs keeps
+# memory flat in the run count; interning only decides caching, so the runs
+# are the same.
+WITNESS_WALKER_TRAJECTORIES = 50
 
 
 def nontriviality_witness(
@@ -715,9 +719,14 @@ def nontriviality_witness(
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
     half = steps // 2
-    walker = _MeasureWalker(mu, s)
+    walker = None
+    done = 0
 
     def run(rng):
+        nonlocal walker, done
+        if done % WITNESS_WALKER_TRAJECTORIES == 0:
+            walker = _MeasureWalker(mu, s)
+        done += 1
         changes, _, _, frozen_at = walker.run(s, steps, rng, freeze_bits)
         return changes, frozen_at
 

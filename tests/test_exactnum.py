@@ -143,12 +143,8 @@ def test_compare_cross_field_against_mpmath():
             Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
             l,
         )
-        xv = mpmath.mpf(x.a.numerator) / x.a.denominator + mpmath.mpf(
-            x.b.numerator
-        ) / x.b.denominator * mpmath.sqrt(x.k)
-        yv = mpmath.mpf(y.a.numerator) / y.a.denominator + mpmath.mpf(
-            y.b.numerator
-        ) / y.b.denominator * mpmath.sqrt(y.k)
+        xv = (mpmath.mpf(x[0]) + mpmath.mpf(x[1]) * mpmath.sqrt(x[3])) / x[2]
+        yv = (mpmath.mpf(y[0]) + mpmath.mpf(y[1]) * mpmath.sqrt(y[3])) / y[2]
         got = qn_compare(x, y)
         if xv == yv:
             assert got == 0
@@ -342,11 +338,13 @@ def test_point_order_key_puts_infinity_last():
 
 
 def _text_by_fractions(x):
-    """The text form built from Fractions, as the reference."""
-    if x.is_rational:
-        return str(x.a)
-    sign = "+" if x.b >= 0 else "-"
-    return f"{x.a}{sign}{abs(x.b)}*sqrt({x.k})"
+    """The text form built from Fractions of the integers, as the reference."""
+    A, B, D, k = x
+    a, b = Fraction(A, D), Fraction(B, D)
+    if k == 1:
+        return str(a)
+    sign = "+" if b >= 0 else "-"
+    return f"{a}{sign}{abs(b)}*sqrt({k})"
 
 
 def test_qn_to_text_matches_fraction_form():

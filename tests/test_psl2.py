@@ -1,3 +1,4 @@
+import hashlib
 import random
 import threading
 from fractions import Fraction
@@ -5,15 +6,15 @@ from math import isqrt
 
 import pytest
 
-from pwproj.exactnum import INFINITY, QuadraticNumber, qn_from_text
+from pwproj.exactnum import INFINITY, QuadraticNumber, point_to_text, qn_from_text
 from pwproj.psl2 import (
     _icbrt,
+    _stabilizer_generator,
     DeterminantError,
     IdentityMatrixError,
     NotInStabilizerError,
     ProjectiveMatrix,
     SquareRadicandError,
-    element_fixing_point,
     germ_exponent,
     mat_classify,
     mat_fixed_points,
@@ -164,13 +165,51 @@ def test_pell_matches_brute_force_small():
             assert pell_fundamental(k, rhs) == brute_pell(k, rhs), (k, rhs)
 
 
-def test_element_fixing_point():
-    m = element_fixing_point(SQRT3)
-    assert m == M23
-    for s in [q(0, -1, 3), q(Fraction(1, 2), 1, 2), q(Fraction(2, 3), Fraction(3, 5), 7)]:
-        m = element_fixing_point(s)
-        assert m.apply(s) == s
-        assert mat_classify(m) == "hyperbolic"
+def test_stabilizer_generator_fixes_point():
+    for s in [SQRT3, q(0, -1, 3), q(Fraction(1, 2), 1, 2), q(Fraction(2, 3), Fraction(3, 5), 7)]:
+        desc = stabilizer_generator(s)
+        assert desc.generator.apply(s) == s
+        assert mat_classify(desc.generator) == "hyperbolic"
+        assert desc.generator.derivative_at(s) == desc.phi > 1
+
+
+def _stabilizer_sample():
+    """200 seeded points: INFINITY, rationals, and quadratic irrationals in
+    21 fields with rational parts and irrational parts of either sign."""
+    rng = random.Random(15)
+    fields = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 29, 30, 31, 33, 37, 41]
+    pts = [INFINITY, q(0), q(Fraction(-7, 3)), q(Fraction(5, 12))]
+    while len(pts) < 200:
+        a = Fraction(rng.randint(-12, 12), rng.randint(1, 20))
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+        pts.append(q(a, b, rng.choice(fields)))
+    return pts
+
+
+# SHA-256 of the generator and phi text of each sample point, recorded with
+# the stabilizer search that read points as Fractions
+STABILIZER_DIGEST = "84b974d2f98cd2e373000c6d0a86cef2256c30bb2d81a483642d0ab8daf480c6"
+
+
+def test_stabilizer_generators_pinned():
+    h = hashlib.sha256()
+    for p in _stabilizer_sample():
+        desc = stabilizer_generator(p)
+        phi = "None" if desc.phi is None else point_to_text(desc.phi)
+        h.update(f"{desc.generator.to_text()} {phi}\n".encode())
+    assert h.hexdigest() == STABILIZER_DIGEST
+
+
+@pytest.mark.parametrize("text", ["-27/23-19/14*sqrt(6)", "-34/29-11/12*sqrt(22)"])
+def test_stabilizer_search_within_deadline(text):
+    # the generator entries run to 30,000 and 38,000 bits at these points
+    p = qn_from_text(text)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_stabilizer_generator(p)), daemon=True)
+    worker.start()
+    worker.join(timeout=2.0)
+    assert not worker.is_alive(), f"stabilizer search at {text} took over 2 s"
+    assert out[0].generator.apply(p) == p
 
 
 def test_stabilizer_sqrt3():
