@@ -324,7 +324,8 @@ class QuadraticNumber(tuple):
 
     def __repr__(self):
         A, B, D, k = self
-        return f"QuadraticNumber({Fraction(A, D)!r}, {Fraction(B, D)!r}, {k})"
+        a, b = (_fraction_repr(n, D) for n in (A, B))
+        return f"QuadraticNumber({a}, {b}, {k})"
 
     def __str__(self):
         return qn_to_text(self)
@@ -551,12 +552,58 @@ _ROOT_RE = re.compile(
 )
 
 
+# str() and int() refuse integers of more than sys.get_int_max_str_digits()
+# digits: 4300 by default from Python 3.11 (and 3.10.7) on, and never fewer
+# than 640 where set; an integer of at most _STR_BITS bits, or a text of at
+# most _STR_DIGITS digits, is within any such limit
+_STR_BITS = 2000
+_STR_DIGITS = 600
+
+
+def int_to_text(n: int) -> str:
+    """str(n) at any size, whatever the interpreter's digit limit.
+
+    A large n is split by a power of 10 near half its digits and each half
+    printed on its own, the low half padded with zeros.
+    """
+    if n < 0:
+        return "-" + int_to_text(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits, as log10(2) ~ 3/10
+    high, low = divmod(n, 10**half)
+    return int_to_text(high) + int_to_text(low).zfill(half)
+
+
+def int_from_text(text: str) -> int:
+    """int(text) at any size, for an optional sign and decimal digits."""
+    if len(text) <= _STR_DIGITS:
+        return int(text)
+    if text[0] in "+-":
+        value = int_from_text(text[1:])
+        return -value if text[0] == "-" else value
+    half = len(text) // 2
+    return int_from_text(text[:-half]) * 10**half + int_from_text(text[-half:])
+
+
 def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0."""
     g = math.gcd(n, d)
     if g != d:
-        return f"{n // g}/{d // g}"
-    return str(n // g)
+        return f"{int_to_text(n // g)}/{int_to_text(d // g)}"
+    return int_to_text(n // g)
+
+
+def _fraction_repr(n: int, d: int) -> str:
+    """repr(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    return f"Fraction({int_to_text(n // g)}, {int_to_text(d // g)})"
+
+
+def _ratio_from_text(text: str) -> Fraction:
+    """Fraction(text) for the grammar's [+-]n or [+-]n/d."""
+    num, _, den = text.partition("/")
+    return Fraction(int_from_text(num), int_from_text(den) if den else 1)
 
 
 def qn_to_text(x: QuadraticNumber) -> str:
@@ -570,19 +617,19 @@ def qn_to_text(x: QuadraticNumber) -> str:
 def qn_from_text(text: str) -> QuadraticNumber:
     m = _QN_RE.match(text)
     if m:
-        b = Fraction(m.group("b"))
+        b = _ratio_from_text(m.group("b"))
         if m.group("sign") == "-":
             b = -b
-        return QuadraticNumber(Fraction(m.group("a")), b, int(m.group("k")))
+        return QuadraticNumber(_ratio_from_text(m.group("a")), b, int_from_text(m.group("k")))
     m = _RAT_RE.match(text)
     if m:
-        return QuadraticNumber(Fraction(m.group("a")))
+        return QuadraticNumber(_ratio_from_text(m.group("a")))
     m = _ROOT_RE.match(text)
     if m:
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+        b = _ratio_from_text(m.group("b")) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
-        return QuadraticNumber(0, b, int(m.group("k")))
+        return QuadraticNumber(0, b, int_from_text(m.group("k")))
     raise ValueError(f"cannot parse quadratic number: {text!r}")
 
 

@@ -18,6 +18,8 @@ from .exactnum import (
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
+    int_from_text,
+    int_to_text,
     is_infinity,
     qn_normalize,
     squarefree_of_factors,
@@ -56,7 +58,7 @@ class ProjectiveMatrix:
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
         if a * d - b * c != 1:
-            raise DeterminantError(f"determinant of [[{a},{b}],[{c},{d}]] is not 1")
+            raise DeterminantError(f"determinant of {cls(a, b, c, d).to_text()} is not 1")
         if c < 0 or (c == 0 and d < 0):
             a, b, c, d = -a, -b, -c, -d
         return cls(a, b, c, d)
@@ -136,7 +138,8 @@ class ProjectiveMatrix:
         return qn_normalize(-self.d, 0, self.c, 1)
 
     def to_text(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        a, b, c, d = (int_to_text(v) for v in (self.a, self.b, self.c, self.d))
+        return f"[[{a},{b}],[{c},{d}]]"
 
     @classmethod
     def from_text(cls, text: str) -> "ProjectiveMatrix":
@@ -146,7 +149,7 @@ class ProjectiveMatrix:
         )
         if not m:
             raise ValueError(f"cannot parse matrix: {text!r}")
-        return cls.make(*(int(g) for g in m.groups()))
+        return cls.make(*(int_from_text(g) for g in m.groups()))
 
     def __str__(self):
         return self.to_text()

@@ -9,7 +9,9 @@ the sampled increment, so value tracking is incremental and exact.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -521,13 +523,111 @@ class ReturnsReport:
         }
 
 
+def _worker_count() -> int:
+    """Processes a trajectory loop may use: one per CPU of the affinity mask.
+
+    1 where os.fork or os.sched_getaffinity is missing, and while the
+    process runs more than one thread, since a forked child would inherit
+    locks that those threads hold.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_slice(run, trajectories: int, master_seed: int, first: int, stride: int) -> list:
+    return [
+        run(trajectory_rng(master_seed, t)) for t in range(first, trajectories, stride)
+    ]
+
+
 def _run_trajectories(run, trajectories: int, master_seed: int) -> list:
     """[run(trajectory_rng(master_seed, t)) for t in range(trajectories)].
 
-    The module's one trajectory loop: every index has its own random
-    stream, so each row depends only on the seed and its index.
+    The module's one trajectory loop.  It forks W - 1 children, W the
+    number of CPUs of the affinity mask but at most the trajectory count,
+    and process w runs the trajectories t = w (mod W), the parent slice 0.
+    Every index has its own random stream and run's caches (the intern and
+    successor tables) never decide a result, so each row depends only on
+    the seed and its index, and the merged list is the same for any W.  A
+    child sends its rows, or the exception it raised, back through a pipe;
+    the parent re-raises that exception with its type and message, and
+    reaps every child before it returns or raises, killing them first when
+    it raises.  A slice whose fork fails runs in the parent.  No option sets
+    the count: `taskset -c 0` gives one process, and the threads keyword
+    of the entry points still selects nothing.
     """
-    return [run(trajectory_rng(master_seed, t)) for t in range(trajectories)]
+    workers = max(1, min(_worker_count(), trajectories))
+    if workers == 1:
+        return _run_slice(run, trajectories, master_seed, 0, 1)
+    import pickle
+    import signal
+
+    own = [0]
+    children = []  # (slice, pid)
+    pipes = {}  # pid -> read end of its pipe, until read
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                own.extend(range(w, workers))
+                break
+            if pid == 0:
+                os.close(r)
+                for fd in pipes.values():
+                    os.close(fd)
+                _child_main(wr, run, trajectories, master_seed, w, workers)
+            os.close(wr)
+            children.append((w, pid))
+            pipes[pid] = r
+        rows = [None] * trajectories
+        for w in own:
+            rows[w::workers] = _run_slice(run, trajectories, master_seed, w, workers)
+        for w, pid in children:
+            with os.fdopen(pipes.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"trajectory worker {pid} exited without a result")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            rows[w::workers] = payload
+        return rows
+    finally:
+        for pid, fd in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+        for _, pid in children:
+            os.waitpid(pid, 0)
+
+
+def _child_main(wr: int, run, trajectories: int, master_seed: int, first: int, stride: int):
+    """In a forked child: run one slice, write (True, rows) or (False, the
+    exception it raised) to the pipe wr, and exit; never returns."""
+    import pickle
+
+    try:
+        try:
+            result = (True, _run_slice(run, trajectories, master_seed, first, stride))
+        except BaseException as exc:  # the parent raises it
+            result = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                # an exception that does not survive pickling keeps its text
+                result = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(wr, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        # the frames below belong to the parent's call: leave without unwinding
+        os._exit(0)
 
 
 def _returns_report(run, horizons: List[int], trajectories: int, master_seed: int):
@@ -554,8 +654,9 @@ def estimate_returns(
 ) -> ReturnsReport:
     """Monte-Carlo mean visit counts to the start point at several horizons.
 
-    threads must be 1 and selects nothing: perfbench's returns-z workload
-    still passes it, and it goes once perfbench stops.
+    The trajectories run in forked processes (see _run_trajectories).
+    threads must be 1 and still selects nothing: perfbench's returns-z
+    workload passes it, and it goes once perfbench stops.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
@@ -692,9 +793,10 @@ def summability_diagnostic(
 
 WITNESS_STABILIZATION_FRACTION = 0.95
 WITNESS_VALUE_FREQUENCY = 0.10
-# Trajectories per walker: a fresh intern table every so many runs keeps
-# memory flat in the run count; interning only decides caching, so the runs
-# are the same.
+# Trajectories per walker: each process of the trajectory loop makes a fresh
+# walker, and with it a fresh intern table, every so many of its own runs,
+# which keeps memory flat in the run count; interning only decides caching,
+# so the runs are the same.
 WITNESS_WALKER_TRAJECTORIES = 50
 
 
@@ -712,8 +814,9 @@ def nontriviality_witness(
     A run stabilizes when its value does not change after steps/2.  The
     witness succeeds when at least WITNESS_STABILIZATION_FRACTION of the runs
     stabilize and at least two distinct stabilized values each carry
-    WITNESS_VALUE_FREQUENCY of them.  threads must be 1 and selects nothing:
-    perfbench's witness workload still passes it, and it goes once
+    WITNESS_VALUE_FREQUENCY of them.  The trajectories run in forked
+    processes (see _run_trajectories).  threads must be 1 and still selects
+    nothing: perfbench's witness workload passes it, and it goes once
     perfbench stops.
     """
     if threads != 1:

@@ -14,6 +14,8 @@ from pwproj.exactnum import (
     QuadraticNumber,
     _factor_trial,
     canonical_key,
+    int_from_text,
+    int_to_text,
     normalize_radicand,
     point_order_key,
     qn_approx,
@@ -356,3 +358,39 @@ def test_qn_to_text_matches_fraction_form():
         text = qn_to_text(x)
         assert text == _text_by_fractions(x)
         assert qn_from_text(text) == x
+
+
+def _power_text(k, d):
+    """Decimal text of 10**k + d for d in (-1, 0, 1), built without str()."""
+    return {-1: "9" * k, 0: "1" + "0" * k, 1: "1" + "0" * (k - 1) + "1"}[d]
+
+
+def test_int_text_past_the_digit_limit():
+    # str() and int() refuse more than 4300 digits from Python 3.11 on
+    for k in (4299, 4300, 4301, 14000, 50000):
+        for d in (-1, 0, 1):
+            n, text = 10**k + d, _power_text(k, d)
+            assert int_to_text(n) == text and int_to_text(-n) == "-" + text
+            assert int_from_text(text) == n and int_from_text("-" + text) == -n
+    rng = random.Random(5)
+    for bits in (13999, 14000, 14001, 40000, 166097):
+        n = rng.getrandbits(bits)
+        assert int_from_text(int_to_text(n)) == n
+        assert int_from_text(int_to_text(-n)) == -n
+
+
+def test_point_text_round_trip_at_50000_digits():
+    big = 10**50000
+    x = qn_normalize(big + 1, 3, 7, 2)
+    assert qn_to_text(x) == f"{_power_text(50000, 1)}/7+3/7*sqrt(2)"
+    assert qn_from_text(qn_to_text(x)) == x
+    for x in (qn_normalize(-3, big - 1, 3 * big + 1, 5), qn_normalize(-big - 1, 0, big - 1, 1)):
+        assert qn_from_text(qn_to_text(x)) == x
+    quarter = "25" + "0" * 49998
+    assert repr(qn_normalize(big, -2, 4, 3)) == f"QuadraticNumber(Fraction({quarter}, 1), Fraction(-1, 2), 3)"
+
+
+@pytest.mark.parametrize("x", [q(0), q(Fraction(-7, 4)), q(Fraction(6, 4), -2, 2), q(3, Fraction(1, 5), 7)])
+def test_repr_matches_fraction_repr(x):
+    a, b = Fraction(x[0], x[2]), Fraction(x[1], x[2])
+    assert repr(x) == f"QuadraticNumber({a!r}, {b!r}, {x[3]})"

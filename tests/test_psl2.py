@@ -296,3 +296,19 @@ def test_orbit_zero_infinity_by_search():
 def test_matrix_text_round_trip():
     for m in [M23, S, ProjectiveMatrix.translation(-4)]:
         assert ProjectiveMatrix.from_text(m.to_text()) == m
+
+
+def test_matrix_text_round_trip_at_50000_digits():
+    # entries past the 4300 digits that str() and int() accept
+    n = 10**50000
+    m = ProjectiveMatrix.make(n, n - 1, n + 1, n)
+    nines, one_zeros = "9" * 50000, "1" + "0" * 50000
+    one_ones = "1" + "0" * 49999 + "1"
+    assert m.to_text() == f"[[{one_zeros},{nines}],[{one_ones},{one_zeros}]]"
+    assert ProjectiveMatrix.from_text(m.to_text()) == m
+
+
+def test_large_stabilizer_generator_as_text():
+    desc = stabilizer_generator(qn_from_text("-27/23-19/14*sqrt(6)"))
+    assert qn_from_text(point_to_text(desc.phi)) == desc.phi
+    assert ProjectiveMatrix.from_text(desc.generator.to_text()) == desc.generator

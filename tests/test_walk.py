@@ -1,7 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -32,7 +37,8 @@ from pwproj.walk import (
     uniform_measure,
     witness_measure,
 )
-from pwproj.walk import _MeasureWalker, _float_sum
+from pwproj import walk
+from pwproj.walk import _MeasureWalker, _float_sum, _run_trajectories
 
 
 def q(a, b=0, k=1):
@@ -745,6 +751,114 @@ def test_threads_keyword_selects_nothing(wmu):
         nontriviality_witness(wmu, SQRT3, 300, 24, 9, threads=2)
     with pytest.raises(ValueError):
         estimate_returns(mu, q(0), [500], 40, 3, threads=2)
+
+
+# -- the forked trajectory loop -------------------------------------------------
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the loop's worker count; afterwards, asserts that no child is left."""
+
+    def use(count):
+        monkeypatch.setattr(walk, "_worker_count", lambda: count)
+
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _six_reports(wmu):
+    z = uniform_measure([A1, A1.inverse()])
+    return [
+        nontriviality_witness(wmu, SQRT3, 300, 7, 9),
+        estimate_returns(z, q(0), [150, 300], 7, 3).as_dict(),
+        estimate_tree_returns([150, 300], 7, 3).as_dict(),
+        summability_diagnostic(wmu, SQRT3, SQRT3, 200, 7, 5),
+        lamplighter_demo(Fraction(4, 5), 300, 7, 11, True),
+        entropy_estimate(wmu, 4, 7, 13),
+    ]
+
+
+def test_reports_equal_at_every_worker_count(wmu, workers):
+    workers(1)
+    serial = _six_reports(wmu)
+    rows = [trajectory_rng(4, t).getrandbits(64) for t in range(7)]
+    for count in (2, 3, 50):
+        workers(count)
+        assert _six_reports(wmu) == serial, count
+        assert _run_trajectories(lambda rng: rng.getrandbits(64), 7, 4) == rows, count
+
+
+class _PairError(Exception):
+    # unpickling calls _PairError(message), which needs two arguments
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def test_exception_in_a_child_reaches_the_caller(workers):
+    parent = os.getpid()
+
+    def fails_in_children(error):
+        def run(rng):
+            if os.getpid() != parent:
+                raise error
+            return 0
+
+        return run
+
+    workers(3)
+    with pytest.raises(ValueError, match="^trajectory failed$"):
+        _run_trajectories(fails_in_children(ValueError("trajectory failed")), 7, 1)
+    with pytest.raises(RuntimeError, match="^_PairError: 7: no row$"):
+        _run_trajectories(fails_in_children(_PairError(7, "no row")), 7, 1)
+
+
+def test_exception_in_the_parent_slice_kills_the_children(workers):
+    parent = os.getpid()
+
+    def run(rng):
+        if os.getpid() == parent:
+            raise KeyError("parent slice")
+        time.sleep(20)
+        return 0
+
+    workers(3)
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="parent slice"):
+        _run_trajectories(run, 7, 1)
+    assert time.perf_counter() - start < 10
+
+
+def test_failed_fork_runs_the_slice_in_the_parent(workers, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process available")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    workers(3)
+    rows = _run_trajectories(lambda rng: rng.getrandbits(64), 7, 4)
+    assert rows == [trajectory_rng(4, t).getrandbits(64) for t in range(7)]
+
+
+def test_one_worker_while_another_thread_runs():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert walk._worker_count() == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_import_loads_neither_multiprocessing_nor_pickle():
+    code = (
+        "import sys, pwproj, pwproj.cli, pwproj.walk\n"
+        "print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _returns_on_z_exact(n):
