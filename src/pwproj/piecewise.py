@@ -148,27 +148,41 @@ class PiecewiseProjectiveMap:
     # -- group structure ---------------------------------------------------
 
     def inverse(self) -> "PiecewiseProjectiveMap":
-        new_breaks = [self.apply(b) for b in self.breaks]
+        new_breaks = [p.apply(b) for p, b in zip(self.pieces[1:], self.breaks)]
         new_pieces = [p.inverse() for p in self.pieces]
         return pm_new(new_breaks, new_pieces)
 
     def compose(self, inner: "PiecewiseProjectiveMap") -> "PiecewiseProjectiveMap":
-        """Exact composite self o inner."""
-        inner_inv_pieces = [p.inverse() for p in inner.pieces]
-        candidates = list(inner.breaks)
-        for beta in self.breaks:
-            # pull back through inner: inner is a bijection of R, preimage finite
-            idx = _preimage_piece_index(inner, beta)
-            pre = inner_inv_pieces[idx].apply(beta)
-            if not is_infinity(pre):
-                candidates.append(pre)
-        candidates = sorted(set(candidates))
+        """Exact composite self o inner, by one merge of the two break lists.
+
+        The composite can break only at inner's breaks and at the preimages
+        of self's breaks.  inner is increasing, so these come in the order
+        of their images under inner: merging the images of inner's breaks
+        with self's breaks walks the pieces of both maps left to right, and
+        an image equal to a break of self is one break of the composite.
+        """
+        xs = inner.breaks
+        images = [p.apply(x) for p, x in zip(inner.pieces[1:], xs)]
+        betas = self.breaks
+        n, m = len(xs), len(betas)
+        i = j = 0
+        breaks = []
         pieces = [self.pieces[0] * inner.pieces[0]]
-        for beta in candidates:
-            inner_right = inner.right_germ(beta)
-            image = inner_right.apply(beta)
-            pieces.append(self.right_germ(image) * inner_right)
-        return pm_new(candidates, pieces)
+        while i < n or j < m:
+            cmp = 1 if i == n else -1 if j == m else qn_compare(images[i], betas[j])
+            if cmp > 0:
+                # a break of self inside the image of inner's piece i; that
+                # piece has no pole on its interval, so the preimage is finite
+                point = inner.pieces[i].inverse().apply(betas[j])
+                j += 1
+            else:
+                point = xs[i]
+                i += 1
+                if cmp == 0:
+                    j += 1
+            breaks.append(point)
+            pieces.append(self.pieces[j] * inner.pieces[i])
+        return pm_new(breaks, pieces)
 
     def __mul__(self, other: "PiecewiseProjectiveMap") -> "PiecewiseProjectiveMap":
         return self.compose(other)
@@ -253,19 +267,6 @@ class PiecewiseProjectiveMap:
 
     def __repr__(self):
         return f"PiecewiseProjectiveMap({self.to_text()!r})"
-
-
-def _preimage_piece_index(f: PiecewiseProjectiveMap, y: QuadraticNumber) -> int:
-    """Index of the piece of f whose image interval contains y (right side)."""
-    lo, hi = 0, len(f.breaks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cmp = qn_compare(y, f.apply(f.breaks[mid]))
-        if cmp > 0 or cmp == 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def pm_identity() -> PiecewiseProjectiveMap:

@@ -86,25 +86,33 @@ def build_orbit_graph(
     graph = OrbitGraph(labels=list(labels), root=root)
     graph.edges = [dict() for _ in gens]
     graph.points[root] = None
-    inverses = [g.inverse() for g in gens]
-    queue = [root]
+    moves = [
+        (gi, forward, gen if forward else gen.inverse())
+        for gi, gen in enumerate(gens)
+        for forward in (True, False)
+    ]
+    # each point with the move that found it; the opposite move leads back to
+    # the parent along an edge already recorded, so it is not applied again
+    queue = [(root, None, None)]
     qi = 0
     while qi < len(queue):
-        point = queue[qi]
+        point, found_gi, found_forward = queue[qi]
         qi += 1
-        for gi, gen in enumerate(gens):
-            for mapped, forward in ((gen.apply(point), True), (inverses[gi].apply(point), False)):
-                if mapped not in graph.points:
-                    if len(graph.points) >= max_vertices:
-                        graph.truncated = True
-                        graph.incomplete.add(point)
-                        continue
-                    graph.points[mapped] = None
-                    queue.append(mapped)
-                if forward:
-                    graph.edges[gi][point] = mapped
-                else:
-                    graph.edges[gi][mapped] = point
+        for gi, forward, move in moves:
+            if gi == found_gi and forward != found_forward:
+                continue
+            mapped = move.apply(point)
+            if mapped not in graph.points:
+                if len(graph.points) >= max_vertices:
+                    graph.truncated = True
+                    graph.incomplete.add(point)
+                    continue
+                graph.points[mapped] = None
+                queue.append((mapped, gi, forward))
+            if forward:
+                graph.edges[gi][point] = mapped
+            else:
+                graph.edges[gi][mapped] = point
     return graph
 
 

@@ -8,6 +8,7 @@ import pytest
 from pwproj import piecewise
 from pwproj.exactnum import (
     QuadraticNumber,
+    is_infinity,
     normalize_radicand,
     qn_approx,
     qn_compare,
@@ -33,7 +34,7 @@ from pwproj.piecewise import (
     pm_restrict,
 )
 from pwproj.psl2 import ProjectiveMatrix
-from pwproj.walk import witness_measure
+from pwproj.walk import trajectory_rng, witness_measure
 
 
 def q(a, b=0, k=1):
@@ -120,6 +121,80 @@ def test_compose_pointwise(hs3, pre3):
         comp, g1, g2 = composites[rng.randrange(len(composites))]
         x = q(Fraction(rng.randint(-400, 400), rng.randint(1, 40)))
         assert comp(x) == g2(g1(x))
+
+
+def _compose_by_search(outer, inner):
+    """outer o inner as compose built it before the merge: each break of
+    outer pulled back through the inner piece found by a binary search over
+    the images of inner's breaks, the candidates sorted, and the germs on
+    each candidate's right looked up again."""
+    candidates = list(inner.breaks)
+    for beta in outer.breaks:
+        lo, hi = 0, len(inner.breaks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if qn_compare(beta, inner.apply(inner.breaks[mid])) >= 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        pre = inner.pieces[lo].inverse().apply(beta)
+        if not is_infinity(pre):
+            candidates.append(pre)
+    candidates = sorted(set(candidates))
+    pieces = [outer.pieces[0] * inner.pieces[0]]
+    for beta in candidates:
+        inner_right = inner.right_germ(beta)
+        pieces.append(outer.right_germ(inner_right.apply(beta)) * inner_right)
+    return pm_new(candidates, pieces)
+
+
+def _assert_same_composite(outer, inner):
+    new = outer.compose(inner)
+    old = _compose_by_search(outer, inner)
+    assert new.breaks == old.breaks
+    assert new.pieces == old.pieces
+
+
+def test_compose_matches_search_composite(pre3):
+    translation = pm_from_matrix(ProjectiveMatrix.translation(1))
+    mu = witness_measure(pre3.hs.map, pre3.companion, translation)
+    letters = [pre3.f, pre3.g, pre3.f.inverse(), pre3.g.inverse(), pre3.hs.map]
+    letters += [pre3.companion, translation, pm_identity()]
+    rng = random.Random(17)
+
+    def word():
+        prod = pm_identity()
+        for _ in range(rng.randint(1, 3)):
+            letter = mu.sample(rng) if rng.random() < 0.5 else rng.choice(letters)
+            prod = letter * prod
+        return prod
+
+    samples = letters + [word() for _ in range(40)]
+    for x in samples:
+        # x o x^-1 has every image of an inner break equal to a break of x
+        _assert_same_composite(x, x)
+        _assert_same_composite(x, x.inverse())
+        _assert_same_composite(translation, x)
+        _assert_same_composite(x, translation)
+    for _ in range(1000):
+        _assert_same_composite(rng.choice(samples), rng.choice(samples))
+
+
+def test_product_words_pinned(pre3):
+    """h, g, h o g and h^-1 for the products words of perfbench, seed 0."""
+    translation = pm_from_matrix(ProjectiveMatrix.translation(1))
+    mu = witness_measure(pre3.hs.map, pre3.companion, translation)
+    digest = hashlib.sha256()
+    for t in range(40):
+        rng = trajectory_rng(0, t)
+        h, g = pm_identity(), pm_identity()
+        for _ in range(4):
+            h = mu.sample(rng) * h
+        for _ in range(4):
+            g = mu.sample(rng) * g
+        for f in (h, g, h * g, h.inverse()):
+            digest.update((f.to_text() + "\n").encode())
+    assert digest.hexdigest() == "f764545b151f361b166534ac85fdd9280531aa5ad54fdd4c42f3a07370a61761"
 
 
 def test_inverse_of_hs_configuration(hs3):
