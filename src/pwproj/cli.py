@@ -37,7 +37,6 @@ from .schreier import (
 )
 from .walk import (
     ALPHA_MIN,
-    entropy_estimate,
     estimate_returns,
     estimate_tree_returns,
     lamplighter_demo,
@@ -253,11 +252,6 @@ def cmd_summability(args):
     }, 0
 
 
-def cmd_entropy(args):
-    _, mu = _witness_measure_for(args)
-    return entropy_estimate(mu, args.n, args.M, args.seed), 0
-
-
 def cmd_lamplighter(args):
     alpha = _fraction_option(args, "alpha")
     return {
@@ -342,17 +336,6 @@ def build_parser() -> _Parser:
         extras=[
             ("--T", dict(type=_positive_int, default=2000)),
             ("--M", dict(type=_positive_int, default=200)),
-        ]
-        + measure,
-    )
-    add(
-        "entropy",
-        cmd_entropy,
-        s=True,
-        seed=True,
-        extras=[
-            ("--n", dict(type=_positive_int, default=8)),
-            ("--M", dict(type=_positive_int, default=500)),
         ]
         + measure,
     )

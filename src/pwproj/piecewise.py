@@ -15,7 +15,6 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
-    _ONE,
     _TRIAL_PRIMES,
     INFINITY,
     ExtendedPoint,
@@ -530,7 +529,7 @@ def _try_hs_candidate(
     # ell has valuation 1 at prime, so it is not a square and ell_k > 1
     ell_k, ell_m = normalize_radicand(ell)
     theta_plus = qn_normalize(0, n_full * ell_m, 1, ell_k)
-    theta_minus = -theta_plus
+    theta_minus = qn_normalize(0, -n_full * ell_m, 1, ell_k)
     # the partner's fixed interval must straddle the base point
     if not (qn_compare(theta_minus, s) < 0 < qn_compare(theta_plus, s)):
         return None
@@ -630,14 +629,6 @@ class Prechain:
     g_power: int
 
 
-def _positive_between(gmat: ProjectiveMatrix, lo: QuadraticNumber) -> ProjectiveMatrix:
-    """Orient a hyperbolic matrix to exceed the identity between its fixed points."""
-    deriv = gmat.derivative_at(lo)
-    if deriv > _ONE:
-        return gmat
-    return gmat.inverse()
-
-
 def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, QuadraticNumber, QuadraticNumber]:
     """Single-bump element whose support straddles the base of hs.
 
@@ -668,7 +659,11 @@ def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, Quadrat
                     and qn_compare(sigma_bar, s) < 0 < qn_compare(sigma, s)
                 ):
                     continue
-            gmat = _positive_between(stabilizer_generator(sigma).generator, sigma_bar)
+            # the canonical generator's derivative 1 / (c x + d)**2 is phi > 1
+            # at sigma and 1 / phi at its conjugate sigma_bar, because
+            # c*sigma + d is a unit of norm 1; so its inverse exceeds the
+            # identity between them
+            gmat = stabilizer_generator(sigma).generator.inverse()
             bump = pm_new(
                 [sigma_bar, sigma],
                 [ProjectiveMatrix.identity(), gmat, ProjectiveMatrix.identity()],

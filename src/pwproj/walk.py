@@ -28,7 +28,6 @@ from .piecewise import (
     Configuration,
     PiecewiseProjectiveMap,
     configuration,
-    pm_identity,
 )
 
 DEFAULT_FREEZE_BITS = 1500
@@ -857,40 +856,6 @@ def nontriviality_witness(
         "frequent_values": sorted(frequent),
         "frozen_runs": frozen_runs,
         "verdict": "SUCCEED" if succeed else "FAIL",
-    }
-
-
-# -- entropy ------------------------------------------------------------------
-
-
-def entropy_estimate(
-    mu: GroupMeasure, n: int, samples: int, master_seed: int
-) -> dict:
-    """Plug-in entropy of the n-step convolution from sampled products.
-
-    Biased low for small sample counts; diagnostic only.
-    """
-
-    def run(rng):
-        prod = pm_identity()
-        for _ in range(n):
-            prod = mu.sample(rng) * prod
-        return prod.to_text()
-
-    counts: Dict[str, int] = {}
-    for key in _run_trajectories(run, samples, master_seed):
-        counts[key] = counts.get(key, 0) + 1
-    entropy = 0.0
-    for c in counts.values():
-        p = c / samples
-        entropy -= p * math.log(p)
-    return {
-        "n": n,
-        "samples": samples,
-        "entropy_nats": entropy,
-        "entropy_rate": entropy / n,
-        "distinct_products": len(counts),
-        "bias_note": "plug-in estimate, biased low",
     }
 
 

@@ -89,7 +89,6 @@ def test_missing_seed_is_usage_error(tmp_path):
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "0", "--seed", "1"],
         ["witness", "--s", "0+1*sqrt(3)", "--T", "0", "--M", "2", "--seed", "1"],
         ["summability", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "0", "--seed", "1"],
-        ["entropy", "--s", "0+1*sqrt(3)", "--n", "0", "--M", "2", "--seed", "1"],
         ["lamplighter", "--T", "10", "--M", "0", "--seed", "1"],
         ["kernel", "--s", "0+1*sqrt(3)", "--cap", "10", "--sample", "-1"],
         ["graph", "--s", "0+1*sqrt(3)", "--cap", "x"],
@@ -140,10 +139,6 @@ SEEDED_REPORTS = {
     "lamplighter": (
         ["lamplighter", "--T", "500", "--M", "40", "--seed", "4"],
         "7ddd9addc21f595e29d5f8c425e5dfd106c35e3cdf47766a331628f0443d5800",
-    ),
-    "entropy": (
-        ["entropy", "--s", "0+1*sqrt(3)", "--n", "4", "--M", "100", "--seed", "5"],
-        "369190c5d18e4a3c038a2fc0aa0c9ef0a26ebe473f40d63032ae9486b20e674a",
     ),
     "kernel": (
         ["kernel", "--s", "0+1*sqrt(3)", "--cap", "500", "--sample", "200"],
@@ -358,14 +353,6 @@ def test_walk_and_summability_and_entropy(tmp_path):
     lines = (tmp_path / "summability.csv").read_text().splitlines()
     assert lines[0] == "step,hit_mass,cumulative"
     assert len(lines) == 201
-
-    proc = run(
-        ["entropy", "--s", "0+1*sqrt(3)", "--n", "3", "--M", "60", "--seed", "5"],
-        tmp_path,
-    )
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["entropy_nats"] > 0
 
 
 def test_prechain_idempotent_output(tmp_path):

@@ -242,6 +242,27 @@ def test_germ_exponent():
     assert germ_exponent(gen0.power(5), q(0)) == 5
     with pytest.raises(NotInStabilizerError):
         germ_exponent(ProjectiveMatrix.translation(1), SQRT3)
+    # the generator at -sqrt(3) is the inverse: its derivative there is 1 / phi
+    assert germ_exponent(gen.power(2), SQRT3.conjugate()) == -2
+    for p in random.Random(18).sample(_stabilizer_sample(), 24):
+        gen = stabilizer_generator(p).generator
+        for n in (-3, -1, 1, 2):
+            assert germ_exponent(gen.power(n), p) == n, (p, n)
+    # large powers, within a deadline: g**6000 at the first point has
+    # 50,000-bit entries, and the generator at the second 30,000-bit ones
+    cases = [
+        (qn_from_text("1/3+2*sqrt(5)"), (6000, -6000)),
+        (qn_from_text("-27/23-19/14*sqrt(6)"), (5, -5)),
+    ]
+    powers = [(p, stabilizer_generator(p).generator.power(n), n) for p, ns in cases for n in ns]
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.extend(germ_exponent(m, p) for p, m, _ in powers), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=2.0)
+    assert not worker.is_alive(), "germ_exponent took over 2 s on the large powers"
+    assert out == [n for _, _, n in powers]
 
 
 def test_phi_constant_on_orbit():
