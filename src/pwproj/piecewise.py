@@ -449,8 +449,6 @@ class HsConstruction:
     map: PiecewiseProjectiveMap
     base: QuadraticNumber
     generator: ProjectiveMatrix
-    partner: ProjectiveMatrix
-    crossing: QuadraticNumber
     far_end: QuadraticNumber
     prime: int
     branch: str
@@ -471,8 +469,7 @@ def build_hs(s: QuadraticNumber) -> HsConstruction:
     if s.is_rational:
         raise ValueError("base point must be a quadratic irrational")
     k = s.k
-    desc = stabilizer_generator(s)
-    gen = desc.generator
+    gen = stabilizer_generator(s)
     above = s[1] > 0
     # slope element whose product with the partner must fix the crossing
     w_mat = gen.inverse() if above else gen
@@ -598,8 +595,6 @@ def _try_hs_candidate(
         map=built,
         base=s,
         generator=gen,
-        partner=partner,
-        crossing=crossing,
         far_end=far,
         prime=prime,
         branch="above" if above else "below",
@@ -663,7 +658,7 @@ def build_companion(hs: HsConstruction) -> Tuple[PiecewiseProjectiveMap, Quadrat
             # at sigma and 1 / phi at its conjugate sigma_bar, because
             # c*sigma + d is a unit of norm 1; so its inverse exceeds the
             # identity between them
-            gmat = stabilizer_generator(sigma).generator.inverse()
+            gmat = stabilizer_generator(sigma).inverse()
             bump = pm_new(
                 [sigma_bar, sigma],
                 [ProjectiveMatrix.identity(), gmat, ProjectiveMatrix.identity()],

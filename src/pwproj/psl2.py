@@ -2,8 +2,9 @@
 
 Matrices are sign-normalized so each group element has one representation.
 Point stabilizers are infinite cyclic; the canonical generator of the
-stabilizer of a quadratic irrational is the one of minimal derivative > 1
-at the point, and exponents in the stabilizer are read off traces.
+stabilizer of a rational is a closed form in its integers, that of a
+quadratic irrational is the one of minimal derivative > 1 at the point,
+and exponents in the stabilizer are read off the entries or the trace.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ class ProjectiveMatrix:
             return INFINITY
         # (nA + nB r) / (dA + dB r), times (dA - dB r) / (dA - dB r)
         return qn_normalize(nA * dA - nB * dB * k, nB * dA - nA * dB, den, k)
+
+    def fixes(self, p: ExtendedPoint) -> bool:
+        """Whether c p**2 + (d - a) p - b == 0, on p's integers; INFINITY if c == 0."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if p is INFINITY:
+            return c == 0
+        A, B, D, k = p
+        # times D**2: rational part, then the coefficient of sqrt(k) over B
+        if c * (A * A + B * B * k) + (d - a) * A * D != b * D * D:
+            return False
+        return B == 0 or 2 * c * A == (a - d) * D
 
     def derivative_at(self, p: QuadraticNumber) -> QuadraticNumber:
         """Exact derivative 1 / (c p + d)**2 at a finite non-pole point."""
@@ -250,67 +262,28 @@ def pell_fundamental(k: int, rhs: int = 1) -> Tuple[int, int]:
 # -- stabilizers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizerDescriptor:
-    """Canonical generator of the stabilizer of a point in PSL2(Z).
-
-    For quadratic irrationals phi is the generator's derivative at the
-    point (> 1); for rationals and INFINITY the generator is a conjugate
-    of the unit translation and phi is None.  to_infinity conjugates the
-    point to INFINITY in the rational case.
-    """
-
-    point: ExtendedPoint
-    generator: ProjectiveMatrix
-    phi: Optional[QuadraticNumber]
-    to_infinity: Optional[ProjectiveMatrix]
-
-
 # pays on products (375 against 346 pairs/s): 287 lookups for 86 distinct points per 80 pairs
-_STABILIZER_CACHE: Dict[ExtendedPoint, StabilizerDescriptor] = {}
+_STABILIZER_CACHE: Dict[ExtendedPoint, ProjectiveMatrix] = {}
 
 
-def _bezout(p: int, q: int) -> Tuple[int, int]:
-    """Deterministic (m, n) with p*m + q*n == 1 and 0 <= m < q for q > 1."""
-    g = gcd(p, q)
-    if g != 1:
-        raise ValueError("arguments must be coprime")
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    m, n = old_s, old_t
-    if q > 1:
-        shift = m // q
-        m -= shift * q
-        n += shift * p
-    return m, n
-
-
-def stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
+def stabilizer_generator(p: ExtendedPoint) -> ProjectiveMatrix:
+    """Canonical generator of the cyclic stabilizer of p in PSL2(Z)."""
     cached = _STABILIZER_CACHE.get(p)
     if cached is not None:
         return cached
-    desc = _stabilizer_generator(p)
-    _STABILIZER_CACHE[p] = desc
-    return desc
+    gen = _stabilizer_generator(p)
+    _STABILIZER_CACHE[p] = gen
+    return gen
 
 
-def _stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
+def _stabilizer_generator(p: ExtendedPoint) -> ProjectiveMatrix:
     if is_infinity(p):
-        return StabilizerDescriptor(p, ProjectiveMatrix.translation(1), None, None)
+        return ProjectiveMatrix.translation(1)
     A, B, D, k = p
     if B == 0:
-        m, n = _bezout(A, D)
-        conj = ProjectiveMatrix.make(m, n, -D, A)
-        gen = conj.inverse() * ProjectiveMatrix.translation(1) * conj
-        if gen.apply(p) != p:
-            raise AssertionError("rational stabilizer generator does not fix point")
-        return StabilizerDescriptor(p, gen, None, conj)
+        # conj**-1 * T * conj for any conj = [[m, n], [-D, A]] of
+        # determinant 1, written out: m and n cancel
+        return ProjectiveMatrix.make(1 - A * D, A * A, -D * D, 1 + A * D)
 
     # A unit u = (t + w sqrt(k))/2 pulls back to the matrix with
     # c = w D / (2B), a = (t D + 2 A c) / (2D), d = t - a and
@@ -320,7 +293,7 @@ def _stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
     # the least power of the fundamental unit that is integral; each step
     # below multiplies by the fundamental unit once.  The pullback's
     # derivative at p is 1 / u^2 < 1, so its inverse is the canonical
-    # generator, with phi = u^2.
+    # generator, whose derivative at p is u^2.
     t1, w1 = pell_fundamental(k, rhs=4)
     norm = A * A - B * B * k
     t, w = t1, w1
@@ -332,52 +305,47 @@ def _stabilizer_generator(p: ExtendedPoint) -> StabilizerDescriptor:
                 b, rem = divmod(-norm * c, D * D)
                 if rem == 0:
                     gen = ProjectiveMatrix.make(t - a, -b, -c, a)
-                    if gen.apply(p) != p:
+                    if not gen.fixes(p):
                         raise AssertionError("stabilizer generator does not fix point")
-                    phi = qn_normalize(t * t + k * w * w, 2 * t * w, 4, k)
-                    return StabilizerDescriptor(p, gen, phi, None)
+                    return gen
         t, w = (t * t1 + k * w * w1) // 2, (t * w1 + w * t1) // 2
     raise ArithmeticError("stabilizer exponent search exceeded cap")
 
 
 def germ_exponent(m: ProjectiveMatrix, p: ExtendedPoint) -> int:
-    """The unique n with m == stabilizer_generator(p).generator ** n.
+    """The unique n with m == stabilizer_generator(p) ** n.
 
-    At a quadratic irrational, |n| is read from traces: m == g**n has
-    |tr m| = v**|n| + v**-|n| with v + 1/v = |tr g| >= 3, so
-    log|tr m| / log v lies in [|n|, |n| + 0.142] (0.142 bounds
-    log(1 + v**-2) / log v, largest at v = (3 + sqrt(5)) / 2) and rounds
-    to |n|.  log is accurate to a relative 2**-52 on ints of any size,
-    so the float error, about |n| * 2**-50, stays under the remaining 0.358
-    for |n| < 10**14; g**|n| would have more than |n| bits.  One power of
-    g then gives the sign or shows that m is no power of g.
+    |n| is read from m, then one power of g gives the sign or shows that m
+    is no power of g.
+
+    At a rational A/D (INFINITY is 1/0), g**n is
+    +-[[1 - nAD, nA^2], [-nD^2, 1 + nAD]], so |b| + |c| = |n| (A^2 + D^2).
+
+    At a quadratic irrational, m == g**n has |tr m| = v**|n| + v**-|n| with
+    v + 1/v = |tr g| >= 3, so log|tr m| / log v lies in [|n|, |n| + 0.142]
+    (0.142 bounds log(1 + v**-2) / log v, largest at v = (3 + sqrt(5)) / 2)
+    and rounds to |n|.  log is accurate to a relative 2**-52 on ints of any
+    size, so the float error, about |n| * 2**-50, stays under the remaining
+    0.358 for |n| < 10**14; g**|n| would have more than |n| bits.
     """
-    if m.apply(p) != p:
+    if not m.fixes(p):
         raise NotInStabilizerError(f"{m} does not fix {p}")
     if m.is_identity:
         return 0
-    desc = stabilizer_generator(p)
-    if is_infinity(p):
-        n = m.b
-    elif p.is_rational:
-        conj = desc.to_infinity
-        moved = conj * m * conj.inverse()
-        if not moved.is_translation:
-            raise NotAPowerError(f"{m} is not conjugate to a translation at {p}")
-        n = moved.b
+    gen = stabilizer_generator(p)
+    if is_infinity(p) or p.is_rational:
+        A, D = (1, 0) if is_infinity(p) else (p[0], p[2])
+        n = (abs(m.b) + abs(m.c)) // (A * A + D * D)
     else:
-        t = abs(desc.generator.trace())
+        t = abs(gen.trace())
         log_v = log(t) + log((1 + sqrt(1 - 4 / (t * t))) / 2)
         n = round(log(abs(m.trace())) / log_v)
-        power = desc.generator.power(n)
-        if power == m:
-            return n
-        if power.inverse() == m:
-            return -n
-        raise NotAPowerError(f"{m} is not a generator power at {p}")
-    if desc.generator.power(n) != m:
-        raise NotAPowerError(f"{m} is not a generator power at {p}")
-    return n
+    power = gen.power(n)
+    if power == m:
+        return n
+    if power.inverse() == m:
+        return -n
+    raise NotAPowerError(f"{m} is not a generator power at {p}")
 
 
 # -- orbit equivalence via cycles of reduced indefinite forms ------------

@@ -140,7 +140,7 @@ def test_criterion_03_hs_contract():
 
 
 def test_criterion_04_phi_orbit_constancy():
-    phi = stabilizer_generator(SQRT3).phi
+    phi = stabilizer_generator(SQRT3).derivative_at(SQRT3)
     assert phi == q(7, 4, 3)
     rng = random.Random(4)
     T = ProjectiveMatrix.translation(1)
@@ -150,7 +150,7 @@ def test_criterion_04_phi_orbit_constancy():
         for _ in range(rng.randint(1, 8)):
             m = m * rng.choice([T, T.inverse(), S])
         point = m.apply(SQRT3)
-        assert stabilizer_generator(point).phi == phi
+        assert stabilizer_generator(point).derivative_at(point) == phi
     print("ACCEPTANCE 4 PASS: stabilizer derivative constant on 50 orbit points")
 
 

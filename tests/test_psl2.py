@@ -7,11 +7,13 @@ from math import isqrt
 import pytest
 
 from pwproj.exactnum import INFINITY, QuadraticNumber, point_to_text, qn_from_text
+from pwproj import psl2
 from pwproj.psl2 import (
     _icbrt,
     _stabilizer_generator,
     DeterminantError,
     IdentityMatrixError,
+    NotAPowerError,
     NotInStabilizerError,
     ProjectiveMatrix,
     SquareRadicandError,
@@ -167,10 +169,13 @@ def test_pell_matches_brute_force_small():
 
 def test_stabilizer_generator_fixes_point():
     for s in [SQRT3, q(0, -1, 3), q(Fraction(1, 2), 1, 2), q(Fraction(2, 3), Fraction(3, 5), 7)]:
-        desc = stabilizer_generator(s)
-        assert desc.generator.apply(s) == s
-        assert mat_classify(desc.generator) == "hyperbolic"
-        assert desc.generator.derivative_at(s) == desc.phi > 1
+        gen = stabilizer_generator(s)
+        assert gen.apply(s) == s and gen.fixes(s)
+        assert mat_classify(gen) == "hyperbolic"
+        # c s + d is a unit of norm 1: the derivatives at s and its conjugate are phi and 1 / phi
+        phi = gen.derivative_at(s)
+        assert phi > 1
+        assert phi * gen.derivative_at(s.conjugate()) == 1
 
 
 def _stabilizer_sample():
@@ -186,6 +191,13 @@ def _stabilizer_sample():
     return pts
 
 
+def _phi(p):
+    """The canonical generator's derivative at an irrational p; None otherwise."""
+    if p is INFINITY or p.is_rational:
+        return None
+    return stabilizer_generator(p).derivative_at(p)
+
+
 # SHA-256 of the generator and phi text of each sample point, recorded with
 # the stabilizer search that read points as Fractions
 STABILIZER_DIGEST = "84b974d2f98cd2e373000c6d0a86cef2256c30bb2d81a483642d0ab8daf480c6"
@@ -194,10 +206,35 @@ STABILIZER_DIGEST = "84b974d2f98cd2e373000c6d0a86cef2256c30bb2d81a483642d0ab8daf
 def test_stabilizer_generators_pinned():
     h = hashlib.sha256()
     for p in _stabilizer_sample():
-        desc = stabilizer_generator(p)
-        phi = "None" if desc.phi is None else point_to_text(desc.phi)
-        h.update(f"{desc.generator.to_text()} {phi}\n".encode())
+        phi = _phi(p)
+        phi = "None" if phi is None else point_to_text(phi)
+        h.update(f"{stabilizer_generator(p).to_text()} {phi}\n".encode())
     assert h.hexdigest() == STABILIZER_DIGEST
+
+
+def _rational_sample():
+    """INFINITY, 0, +-1, 7 and 300 seeded rationals with numerators in
+    -60..60 and denominators in 1..60."""
+    rng = random.Random(19)
+    pts = [INFINITY, q(0), q(1), q(-1), q(7)]
+    for _ in range(300):
+        pts.append(q(Fraction(rng.randint(-60, 60), rng.randint(1, 60))))
+    return pts
+
+
+# SHA-256 of the generator text of each rational sample point, recorded with
+# the generator built as conj**-1 * T * conj from a Bezout conjugation
+RATIONAL_STABILIZER_DIGEST = "5d62168c4b8b39d1893cf71750420102f6d0ddbf92aed28615a3b0694d5d68f4"
+
+
+def test_rational_stabilizer_generators_pinned():
+    h = hashlib.sha256()
+    for p in _rational_sample():
+        gen = stabilizer_generator(p)
+        assert mat_classify(gen) == "parabolic"
+        assert gen.fixes(p)
+        h.update(f"{gen.to_text()}\n".encode())
+    assert h.hexdigest() == RATIONAL_STABILIZER_DIGEST
 
 
 @pytest.mark.parametrize("text", ["-27/23-19/14*sqrt(6)", "-34/29-11/12*sqrt(22)"])
@@ -209,28 +246,25 @@ def test_stabilizer_search_within_deadline(text):
     worker.start()
     worker.join(timeout=2.0)
     assert not worker.is_alive(), f"stabilizer search at {text} took over 2 s"
-    assert out[0].generator.apply(p) == p
+    assert out[0].apply(p) == p
 
 
 def test_stabilizer_sqrt3():
-    desc = stabilizer_generator(SQRT3)
-    assert desc.phi == q(7, 4, 3)
-    assert desc.generator.apply(SQRT3) == SQRT3
-    assert desc.generator.derivative_at(SQRT3) == desc.phi
+    assert _phi(SQRT3) == q(7, 4, 3)
+    assert stabilizer_generator(SQRT3).apply(SQRT3) == SQRT3
 
 
 def test_stabilizer_infinity_and_rationals():
-    assert stabilizer_generator(INFINITY).generator == ProjectiveMatrix.translation(1)
+    assert stabilizer_generator(INFINITY) == ProjectiveMatrix.translation(1)
     for p in [q(0), q(Fraction(2, 5)), q(-3)]:
-        desc = stabilizer_generator(p)
-        assert desc.phi is None
-        assert desc.generator.apply(p) == p
-        assert desc.to_infinity.apply(p) == INFINITY
+        gen = stabilizer_generator(p)
+        assert _phi(p) is None
+        assert gen.apply(p) == p
 
 
 def test_germ_exponent():
     assert germ_exponent(ProjectiveMatrix.identity(), SQRT3) == 0
-    gen = stabilizer_generator(SQRT3).generator
+    gen = stabilizer_generator(SQRT3)
     assert germ_exponent(gen.power(2), SQRT3) == 2
     assert germ_exponent(gen.power(-3), SQRT3) == -3
     # exact power-matching oracle for the worked example matrix
@@ -238,14 +272,14 @@ def test_germ_exponent():
     assert gen.power(n) == M23
     assert n == -1
     assert germ_exponent(ProjectiveMatrix.translation(-7), INFINITY) == -7
-    gen0 = stabilizer_generator(q(0)).generator
+    gen0 = stabilizer_generator(q(0))
     assert germ_exponent(gen0.power(5), q(0)) == 5
     with pytest.raises(NotInStabilizerError):
         germ_exponent(ProjectiveMatrix.translation(1), SQRT3)
     # the generator at -sqrt(3) is the inverse: its derivative there is 1 / phi
     assert germ_exponent(gen.power(2), SQRT3.conjugate()) == -2
     for p in random.Random(18).sample(_stabilizer_sample(), 24):
-        gen = stabilizer_generator(p).generator
+        gen = stabilizer_generator(p)
         for n in (-3, -1, 1, 2):
             assert germ_exponent(gen.power(n), p) == n, (p, n)
     # large powers, within a deadline: g**6000 at the first point has
@@ -254,7 +288,7 @@ def test_germ_exponent():
         (qn_from_text("1/3+2*sqrt(5)"), (6000, -6000)),
         (qn_from_text("-27/23-19/14*sqrt(6)"), (5, -5)),
     ]
-    powers = [(p, stabilizer_generator(p).generator.power(n), n) for p, ns in cases for n in ns]
+    powers = [(p, stabilizer_generator(p).power(n), n) for p, ns in cases for n in ns]
     out = []
     worker = threading.Thread(
         target=lambda: out.extend(germ_exponent(m, p) for p, m, _ in powers), daemon=True
@@ -265,13 +299,56 @@ def test_germ_exponent():
     assert out == [n for _, _, n in powers]
 
 
+@pytest.mark.parametrize("p", [INFINITY, q(0), q(Fraction(5, 12)), q(Fraction(-7, 3))])
+def test_germ_exponent_rational(p):
+    gen = stabilizer_generator(p)
+    for n in (-7, -1, 1, 3, 10**30):
+        assert germ_exponent(gen.power(n), p) == n, (p, n)
+    with pytest.raises(NotInStabilizerError):
+        germ_exponent(M23, p)
+
+
+@pytest.mark.parametrize("p", [SQRT3, q(Fraction(5, 12)), INFINITY])
+def test_germ_exponent_not_a_power(monkeypatch, p):
+    # every element fixing p is a power of its generator, so only a wrong
+    # generator reaches the error: g is not a power of g**2
+    gen = stabilizer_generator(p)
+    monkeypatch.setattr(psl2, "stabilizer_generator", lambda point: gen.power(2))
+    with pytest.raises(NotAPowerError):
+        germ_exponent(gen, p)
+
+
+def test_fixes_matches_apply():
+    rng = random.Random(37)
+    points = [INFINITY, q(0), q(Fraction(-7, 3)), SQRT3, q(0, -1, 3)]
+    points += [q(Fraction(rng.randint(-9, 9), rng.randint(1, 7))) for _ in range(10)]
+    points += [
+        q(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(1, 4), rng.choice([2, 3, 5]))
+        for _ in range(10)
+    ]
+    matrices = [T, M23] + [random_matrix(rng, 10) for _ in range(60)]
+    # the fixed points of the matrices, then generator powers, then every pole
+    for m in matrices:
+        if not m.is_identity:
+            points.extend(mat_fixed_points(m))
+    matrices.append(ProjectiveMatrix.identity())
+    matrices += [stabilizer_generator(p).power(n) for p in points for n in (-2, 1, 5)]
+    points += [m.pole() for m in matrices if m.pole() is not None]
+    fixed = 0
+    for m in matrices:
+        for p in points:
+            assert m.fixes(p) == (m.apply(p) == p), (m, p)
+            fixed += m.fixes(p)
+    assert fixed > len(matrices)
+
+
 def test_phi_constant_on_orbit():
-    phi = stabilizer_generator(SQRT3).phi
+    phi = _phi(SQRT3)
     rng = random.Random(23)
     for _ in range(50):
         m = random_matrix(rng, 8)
         moved = m.apply(SQRT3)
-        assert stabilizer_generator(moved).phi == phi
+        assert _phi(moved) == phi
 
 
 def test_orbit_equivalent_basic():
@@ -330,6 +407,8 @@ def test_matrix_text_round_trip_at_50000_digits():
 
 
 def test_large_stabilizer_generator_as_text():
-    desc = stabilizer_generator(qn_from_text("-27/23-19/14*sqrt(6)"))
-    assert qn_from_text(point_to_text(desc.phi)) == desc.phi
-    assert ProjectiveMatrix.from_text(desc.generator.to_text()) == desc.generator
+    p = qn_from_text("-27/23-19/14*sqrt(6)")
+    gen = stabilizer_generator(p)
+    phi = _phi(p)
+    assert qn_from_text(point_to_text(phi)) == phi
+    assert ProjectiveMatrix.from_text(gen.to_text()) == gen
