@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
     _TRIAL_PRIMES,
+    _sign_root,
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
@@ -291,22 +292,35 @@ def pm_new(
             raise NotIncreasingError("break points must be strictly increasing")
     if not pieces[0].is_translation or not pieces[-1].is_translation:
         raise EndGermNotTranslationError("unbounded pieces must be translations")
+    # the pieces L and R agree at beta = (A + B sqrt(k)) / D when L**-1 R
+    # fixes beta: p beta**2 + q beta + r == 0, whose rational and sqrt(k)
+    # parts, times D**2, are checked on the integers
     for i, beta in enumerate(breaks):
-        left = pieces[i].apply(beta)
-        right = pieces[i + 1].apply(beta)
-        if is_infinity(left) or is_infinity(right) or left != right:
+        aL, bL, cL, dL = pieces[i]
+        aR, bR, cR, dR = pieces[i + 1]
+        A, B, D, k = beta
+        p = aL * cR - aR * cL
+        q = aL * dR + bL * cR - aR * dL - bR * cL
+        r = bL * dR - bR * dL
+        if p * (A * A + B * B * k) + q * A * D + r * D * D or B and 2 * p * A + q * D:
             raise DiscontinuousError(beta)
-    for i, piece in enumerate(pieces):
-        pole = piece.pole()
-        if pole is None:
+        if cL * A + dL * D == 0 and cL * B == 0:
+            # c_L beta + d_L == 0: L, and by the identity R, send beta to INFINITY
+            raise DiscontinuousError(beta)
+    # c x + d is monotone and, after the loop above, nonzero at every break,
+    # so a piece's pole lies in its interval iff the signs at its ends differ;
+    # the end pieces are translations, so every other piece has two finite ends
+    for i in range(1, len(breaks)):
+        piece = pieces[i]
+        _, _, c, d = piece
+        if c == 0:
             continue
-        lo = breaks[i - 1] if i > 0 else None
-        hi = breaks[i] if i < len(breaks) else None
-        inside_lo = lo is None or qn_compare(pole, lo) >= 0
-        inside_hi = hi is None or qn_compare(pole, hi) <= 0
-        if inside_lo and inside_hi:
+        lo_A, lo_B, lo_D, lo_k = breaks[i - 1]
+        hi_A, hi_B, hi_D, hi_k = breaks[i]
+        lo_sign = _sign_root(c * lo_A + d * lo_D, c * lo_B, lo_k)
+        if lo_sign != _sign_root(c * hi_A + d * hi_D, c * hi_B, hi_k):
             raise PoleInsidePieceError(
-                f"pole {pole} of piece {i} lies inside its interval"
+                f"pole {piece.pole()} of piece {i} lies inside its interval"
             )
     # reduce: drop breaks whose two germs agree
     red_breaks: List[QuadraticNumber] = []
@@ -329,17 +343,11 @@ def pm_restrict(
         raise NotFixedError("restriction endpoints must be fixed by the map")
     ident = ProjectiveMatrix.identity()
     new_breaks = [a]
-    new_pieces = [ident]
     for beta in f.breaks:
         if qn_compare(beta, a) > 0 and qn_compare(beta, b) < 0:
             new_breaks.append(beta)
-    for i, beta in enumerate(new_breaks):
-        if i == 0:
-            new_pieces.append(f.right_germ(a))
-        else:
-            new_pieces.append(f.right_germ(beta))
+    new_pieces = [ident, *(f.right_germ(beta) for beta in new_breaks), ident]
     new_breaks.append(b)
-    new_pieces.append(ident)
     return pm_new(new_breaks, new_pieces)
 
 

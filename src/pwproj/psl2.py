@@ -10,8 +10,8 @@ and exponents in the stabilizer are read off the entries or the trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, isqrt, log, sqrt
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .exactnum import (
@@ -25,6 +25,8 @@ from .exactnum import (
     qn_normalize,
     squarefree_of_factors,
 )
+
+_new = tuple.__new__
 
 
 class DeterminantError(ValueError):
@@ -47,14 +49,38 @@ class NotAPowerError(ValueError):
     """Matrix fixes the point but is not a power of the canonical generator."""
 
 
-@dataclass(frozen=True)
-class ProjectiveMatrix:
-    """Element of PSL2(Z): integer matrix of determinant 1, sign-normalized."""
+class ProjectiveMatrix(tuple):
+    """Element of PSL2(Z): integer matrix of determinant 1, sign-normalized.
 
-    a: int
-    b: int
-    c: int
-    d: int
+    The matrix [[a, b], [c, d]] is the immutable tuple (a, b, c, d).  It
+    equals only matrices, never a plain tuple or a QuadraticNumber with the
+    same integers, and hashes like the tuple (a, b, c, d).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
+        return _new(cls, (a, b, c, d))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
+
+    def __reduce__(self):
+        return (ProjectiveMatrix, tuple(self))
+
+    def __eq__(self, other):
+        return isinstance(other, ProjectiveMatrix) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        a, b, c, d = self
+        return f"ProjectiveMatrix(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
     @classmethod
     def make(cls, a: int, b: int, c: int, d: int) -> "ProjectiveMatrix":
@@ -62,37 +88,35 @@ class ProjectiveMatrix:
             raise DeterminantError(f"determinant of {cls(a, b, c, d).to_text()} is not 1")
         if c < 0 or (c == 0 and d < 0):
             a, b, c, d = -a, -b, -c, -d
-        return cls(a, b, c, d)
+        return _new(cls, (a, b, c, d))
 
     @classmethod
     def identity(cls) -> "ProjectiveMatrix":
-        return cls(1, 0, 0, 1)
+        return _new(cls, (1, 0, 0, 1))
 
     @classmethod
     def translation(cls, n: int) -> "ProjectiveMatrix":
-        return cls(1, n, 0, 1)
+        return _new(cls, (1, n, 0, 1))
 
     @property
     def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 0 and self.c == 0 and self.d == 1
+        return tuple.__eq__(self, (1, 0, 0, 1))
 
     @property
     def is_translation(self) -> bool:
-        return self.c == 0
+        return self[2] == 0
 
     def trace(self) -> int:
-        return self.a + self.d
+        return self[0] + self[3]
 
     def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        return ProjectiveMatrix.make(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return ProjectiveMatrix.make(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "ProjectiveMatrix":
-        return ProjectiveMatrix.make(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return ProjectiveMatrix.make(d, -b, -c, a)
 
     def power(self, n: int) -> "ProjectiveMatrix":
         base = self if n >= 0 else self.inverse()
@@ -108,7 +132,7 @@ class ProjectiveMatrix:
 
     def apply(self, p: ExtendedPoint) -> ExtendedPoint:
         """Moebius action (a p + b) / (c p + d); poles map to INFINITY."""
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d = self
         if p is INFINITY:
             return INFINITY if c == 0 else qn_normalize(a, 0, c, 1)
         A, B, D, k = p
@@ -127,7 +151,7 @@ class ProjectiveMatrix:
 
     def fixes(self, p: ExtendedPoint) -> bool:
         """Whether c p**2 + (d - a) p - b == 0, on p's integers; INFINITY if c == 0."""
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d = self
         if p is INFINITY:
             return c == 0
         A, B, D, k = p
@@ -150,7 +174,7 @@ class ProjectiveMatrix:
         return qn_normalize(-self.d, 0, self.c, 1)
 
     def to_text(self) -> str:
-        a, b, c, d = (int_to_text(v) for v in (self.a, self.b, self.c, self.d))
+        a, b, c, d = (int_to_text(v) for v in self)
         return f"[[{a},{b}],[{c},{d}]]"
 
     @classmethod

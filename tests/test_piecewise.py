@@ -33,7 +33,7 @@ from pwproj.piecewise import (
     pm_new,
     pm_restrict,
 )
-from pwproj.psl2 import ProjectiveMatrix
+from pwproj.psl2 import ProjectiveMatrix, mat_fixed_points, stabilizer_generator
 from pwproj.walk import trajectory_rng, witness_measure
 
 
@@ -79,6 +79,180 @@ def test_pm_new_validation_errors():
                 ProjectiveMatrix.translation(2),
             ],
         )
+
+
+def _pm_new_by_images(breaks, pieces):
+    """pm_new as it validated before the checks on integers: each break's
+    two images built with apply and compared, then each piece's pole built
+    and compared with the ends of its closed interval."""
+    breaks = list(breaks)
+    pieces = list(pieces)
+    if len(pieces) != len(breaks) + 1:
+        raise piecewise.PiecewiseMapError("need exactly one more piece than breaks")
+    for i in range(len(breaks) - 1):
+        if qn_compare(breaks[i], breaks[i + 1]) >= 0:
+            raise NotIncreasingError("break points must be strictly increasing")
+    if not pieces[0].is_translation or not pieces[-1].is_translation:
+        raise EndGermNotTranslationError("unbounded pieces must be translations")
+    for i, beta in enumerate(breaks):
+        left = pieces[i].apply(beta)
+        right = pieces[i + 1].apply(beta)
+        if is_infinity(left) or is_infinity(right) or left != right:
+            raise DiscontinuousError(beta)
+    for i, piece in enumerate(pieces):
+        pole = piece.pole()
+        if pole is None:
+            continue
+        lo = breaks[i - 1] if i > 0 else None
+        hi = breaks[i] if i < len(breaks) else None
+        inside_lo = lo is None or qn_compare(pole, lo) >= 0
+        inside_hi = hi is None or qn_compare(pole, hi) <= 0
+        if inside_lo and inside_hi:
+            raise PoleInsidePieceError(f"pole {pole} of piece {i} lies inside its interval")
+    red_breaks, red_pieces = [], [pieces[0]]
+    for beta, piece in zip(breaks, pieces[1:]):
+        if piece != red_pieces[-1]:
+            red_breaks.append(beta)
+            red_pieces.append(piece)
+    return PiecewiseProjectiveMap(red_breaks, red_pieces)
+
+
+def _outcome(build, breaks, pieces):
+    try:
+        f = build(breaks, pieces)
+    except piecewise.PiecewiseMapError as exc:
+        return type(exc), str(exc)
+    return f.breaks, f.pieces
+
+
+def _assert_pm_new_as_by_images(breaks, pieces):
+    outcome = _outcome(pm_new, breaks, pieces)
+    assert outcome == _outcome(_pm_new_by_images, breaks, pieces)
+    return outcome[0] if isinstance(outcome[0], type) else None
+
+
+def _random_point(rng, k):
+    D = rng.randint(1, 6)
+    B = rng.choice((-1, 1)) * rng.randint(1, 3) if k > 1 else 0
+    return qn_normalize(rng.randint(-12, 12), B, D, k)
+
+
+def _closing(rng, piece, after):
+    """A break beyond `after` and a translation to its right: a fixed point
+    of piece up to a translation, where the two agree, when a few tries find
+    one, else after + 1, where they do not."""
+    for _ in range(6):
+        v = rng.randint(-8, 8)
+        closing = ProjectiveMatrix.translation(-v) * piece
+        if closing.c == 0 or abs(closing.trace()) < 2:
+            continue
+        top = mat_fixed_points(closing)[-1]
+        if qn_compare(top, after) > 0:
+            return top, ProjectiveMatrix.translation(v)
+    return after + 1, ProjectiveMatrix.translation(rng.randint(-3, 3))
+
+
+def _glued(rng, k):
+    """Breaks in Q(sqrt k) with each piece the last one times a stabilizer
+    power at the break between them, so the pieces agree at every break as
+    Moebius maps; poles land anywhere, inside a piece or at a break."""
+    breaks = sorted({_random_point(rng, k) for _ in range(rng.randint(1, 4))})
+    pieces = [ProjectiveMatrix.translation(rng.randint(-3, 3))]
+    for beta in breaks:
+        pieces.append(pieces[-1] * stabilizer_generator(beta).power(rng.randint(-2, 2)))
+    if not pieces[-1].is_translation:
+        beta, piece = _closing(rng, pieces[-1], breaks[-1])
+        breaks.append(beta)
+        pieces.append(piece)
+    return breaks, pieces
+
+
+def _mutated(rng, breaks, pieces):
+    breaks, pieces = list(breaks), list(pieces)
+    # kind 5, and a kind that does not fit the input, leaves it as it is
+    kind = rng.randrange(6)
+    i = rng.randrange(len(pieces))
+    if kind == 0 and breaks:
+        j = rng.randrange(len(breaks))
+        breaks[j] = breaks[j] + Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    elif kind == 1:
+        pieces[i] = pieces[i] * ProjectiveMatrix.make(0, -1, 1, rng.randint(-3, 3))
+    elif kind == 2 and 0 < i < len(breaks):
+        # keeps the piece glued at its right end only
+        pieces[i] = pieces[i] * stabilizer_generator(breaks[i]).power(rng.choice((-1, 1)))
+    elif kind == 3 and len(breaks) > 1:
+        j = rng.randrange(len(breaks) - 1)
+        breaks[j], breaks[j + 1] = breaks[j + 1], breaks[j]
+    elif kind == 4:
+        del pieces[i]
+    return breaks, pieces
+
+
+def test_pm_new_checks_as_by_images(pre3):
+    rng = random.Random(20)
+    seen = {}
+    for _ in range(300):
+        breaks, pieces = _glued(rng, rng.choice((1, 2, 3)))
+        for case in ((breaks, pieces), _mutated(rng, breaks, pieces)):
+            kind = _assert_pm_new_as_by_images(*case)
+            seen[kind] = seen.get(kind, 0) + 1
+    letters = [pre3.f, pre3.g, pre3.companion, pre3.hs.map]
+    letters += [f.inverse() for f in letters]
+    for _ in range(100):
+        f = pm_identity()
+        for _ in range(rng.randint(1, 3)):
+            f = rng.choice(letters) * f
+        for case in ((f.breaks, f.pieces), _mutated(rng, f.breaks, f.pieces)):
+            kind = _assert_pm_new_as_by_images(*case)
+            seen[kind] = seen.get(kind, 0) + 1
+    # every outcome is exercised, valid maps and each error class
+    assert set(seen) == {
+        None,
+        piecewise.PiecewiseMapError,
+        NotIncreasingError,
+        EndGermNotTranslationError,
+        DiscontinuousError,
+        PoleInsidePieceError,
+    }, seen
+    assert min(seen.values()) >= 10, seen
+
+
+def test_pm_new_poles_and_breaks_named_cases():
+    s = ProjectiveMatrix.make(0, -1, 1, 0)  # -1/x, pole at 0
+    g = stabilizer_generator(q(0))
+    cases = [
+        # both pieces send the break 0 to INFINITY (s**-1 (s g) = g fixes 0);
+        # the bad break 2 after it must not be the one reported
+        (
+            [q(-1), q(0), q(1), q(2)],
+            [
+                ProjectiveMatrix.translation(2),
+                s,
+                s * g.inverse(),
+                ProjectiveMatrix.translation(-3),
+                ProjectiveMatrix.translation(5),
+            ],
+        ),
+        # the left piece's pole 0 is the right end of its closed interval
+        ([q(-1), q(0)], [ProjectiveMatrix.translation(2), s, IDENT]),
+        # the right piece's pole 0 is the left end of its closed interval
+        ([q(0), q(1)], [IDENT, s, ProjectiveMatrix.translation(-2)]),
+        # a removable break: two equal pieces, which reduction would merge,
+        # both with pole 0 at the break between them
+        ([q(-1), q(0), q(1)], [ProjectiveMatrix.translation(2), s, s, ProjectiveMatrix.translation(-2)]),
+    ]
+    for breaks, pieces in cases:
+        assert _assert_pm_new_as_by_images(breaks, pieces) is DiscontinuousError
+        with pytest.raises(DiscontinuousError) as info:
+            pm_new(breaks, pieces)
+        assert info.value.point == q(0)
+    # L**-1 R = [[1, 2], [1, 3]] at sqrt(2): the rational part 1*2 + 2*0 - 2
+    # is 0 and only the sqrt(2) part, 2*1*0 + 2*1, is not
+    breaks, pieces = [q(0, 1, 2), q(5)], [IDENT, ProjectiveMatrix.make(1, 2, 1, 3), IDENT]
+    assert _assert_pm_new_as_by_images(breaks, pieces) is DiscontinuousError
+    with pytest.raises(DiscontinuousError) as info:
+        pm_new(breaks, pieces)
+    assert info.value.point == q(0, 1, 2)
 
 
 def test_pm_new_reduces_equal_pieces():

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import threading
 from fractions import Fraction
@@ -6,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from pwproj.exactnum import INFINITY, QuadraticNumber, point_to_text, qn_from_text
+from pwproj.exactnum import INFINITY, QuadraticNumber, point_to_text, qn_from_text, qn_normalize
 from pwproj import psl2
 from pwproj.psl2 import (
     _icbrt,
@@ -48,6 +50,26 @@ def test_normalization_unique():
     assert ProjectiveMatrix.make(-2, -3, -1, -2) == M23
     assert ProjectiveMatrix.make(-1, 0, 0, -1).is_identity
     with pytest.raises(DeterminantError):
+        ProjectiveMatrix.make(1, 0, 0, 2)
+
+
+def test_matrix_value_semantics():
+    m = ProjectiveMatrix.make(2, 3, 1, 2)
+    assert m == ProjectiveMatrix(2, 3, 1, 2) and not m != ProjectiveMatrix(2, 3, 1, 2)
+    # equal only to matrices: not to the tuple or a point with the same integers
+    assert (m == (2, 3, 1, 2)) is False and ((2, 3, 1, 2) == m) is False
+    assert m != (2, 3, 1, 2) and (2, 3, 1, 2) != m
+    point = qn_normalize(2, 3, 1, 2)
+    assert tuple(point) == tuple(m)
+    assert (m == point) is False and (point == m) is False
+    assert hash(m) == hash((2, 3, 1, 2))
+    assert (m.a, m.b, m.c, m.d) == (2, 3, 1, 2)
+    assert repr(m) == "ProjectiveMatrix(a=2, b=3, c=1, d=2)"
+    with pytest.raises(AttributeError):
+        m.a = 5
+    for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(copied) is ProjectiveMatrix and copied == m
+    with pytest.raises(DeterminantError, match=r"^determinant of \[\[1,0\],\[0,2\]\] is not 1$"):
         ProjectiveMatrix.make(1, 0, 0, 2)
 
 
