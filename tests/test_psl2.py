@@ -11,7 +11,6 @@ import pytest
 from pwproj.exactnum import INFINITY, QuadraticNumber, point_to_text, qn_from_text, qn_normalize
 from pwproj import psl2
 from pwproj.psl2 import (
-    _icbrt,
     _stabilizer_generator,
     DeterminantError,
     IdentityMatrixError,
@@ -153,22 +152,9 @@ def test_pell_examples():
         pell_fundamental(1, 1)
 
 
-def test_icbrt_cubes_and_neighbours():
-    rng = random.Random(29)
-    roots = list(range(200)) + [rng.getrandbits(rng.randint(20, 133)) for _ in range(300)]
-    roots.append((1 << 133) + 1)  # cube just above 2^399
-    for m in roots:
-        cube = m**3
-        assert _icbrt(cube) == m
-        if m:
-            assert _icbrt(cube + 1) == m
-            assert _icbrt(cube - 1) == m - 1
-    with pytest.raises(ValueError):
-        _icbrt(-8)
-
-
-def test_pell_rhs4_large_cube_root_returns():
-    # 661 = 5 mod 8: the rhs-4 solution is the cube root of a 2^124 unit
+def test_pell_rhs4_large_unit_returns():
+    # 661 = 1 mod 4: the rhs-4 solution is the least unit of norm 1, 42 bits
+    # here, against 124 bits for the least solution of rhs 1
     out = []
     worker = threading.Thread(target=lambda: out.append(pell_fundamental(661, 4)), daemon=True)
     worker.start()
@@ -180,10 +166,10 @@ def test_pell_rhs4_large_cube_root_returns():
 
 
 def test_pell_matches_brute_force_small():
+    # every non-square k, square-free or not: the least rhs-4 solution at
+    # k = 12 is (4, 1), not twice the rhs-1 solution (7, 2)
     for k in range(2, 40):
         if isqrt(k) ** 2 == k:
-            continue
-        if any(k % (p * p) == 0 for p in range(2, isqrt(k) + 1)):
             continue
         for rhs in (1, 4):
             assert pell_fundamental(k, rhs) == brute_pell(k, rhs), (k, rhs)
@@ -267,8 +253,46 @@ def test_stabilizer_search_within_deadline(text):
     worker = threading.Thread(target=lambda: out.append(_stabilizer_generator(p)), daemon=True)
     worker.start()
     worker.join(timeout=2.0)
-    assert not worker.is_alive(), f"stabilizer search at {text} took over 2 s"
+    assert not worker.is_alive(), f"stabilizer generator at {text} took over 2 s"
     assert out[0].apply(p) == p
+
+
+def test_stabilizer_large_generator_within_deadline():
+    # entries of 143,689 bits: an exponent search over powers of the
+    # fundamental unit took about 40,000 steps to reach them
+    text = "23/29-27/23*sqrt(35)"
+    p = qn_from_text(text)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_stabilizer_generator(p)), daemon=True)
+    worker.start()
+    worker.join(timeout=0.5)
+    assert not worker.is_alive(), f"stabilizer generator at {text} took over 0.5 s"
+    assert out[0].fixes(p) and max(abs(v) for v in out[0]).bit_length() == 143689
+
+
+def _wide_irrational_sample():
+    """100 seeded quadratic irrationals in the square-free fields k <= 41,
+    with numerators and denominators up to 30 in both parts."""
+    rng = random.Random(35)
+    fields = [k for k in range(2, 42) if all(k % (p * p) for p in range(2, isqrt(k) + 1))]
+    pts = []
+    for _ in range(100):
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+        pts.append(q(a, b, rng.choice(fields)))
+    return pts
+
+
+# SHA-256 of the generator text of each wide sample point, recorded with the
+# search for the least integral pullback of a power of the fundamental unit
+WIDE_STABILIZER_DIGEST = "0c827347778500feb606f9b40bc2c5d5b1cb736ee8d635455ff05acf6254ff3a"
+
+
+def test_wide_stabilizer_generators_pinned():
+    h = hashlib.sha256()
+    for p in _wide_irrational_sample():
+        h.update(f"{stabilizer_generator(p).to_text()}\n".encode())
+    assert h.hexdigest() == WIDE_STABILIZER_DIGEST
 
 
 def test_stabilizer_sqrt3():
