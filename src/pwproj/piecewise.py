@@ -570,8 +570,7 @@ def _try_hs_candidate(
             break
     if crossing is None:
         return None
-    if crossing.k == s.k:
-        return None
+    # crossing.k != s.k: the odd valuation above puts prime in crossing.k, and prime > s.k
     try:
         if above:
             built = pm_new([s, crossing, theta_plus], [ident, gen, partner, ident])

@@ -4,8 +4,9 @@ Matrices are sign-normalized so each group element has one representation.
 Point stabilizers are infinite cyclic; the canonical generator of the
 stabilizer of a rational is a closed form in its integers, that of a
 quadratic irrational is the automorph of its primitive form for the least
-unit of norm 1 (one continued-fraction period, which also solves Pell),
-and exponents in the stabilizer are read off the entries or the trace.
+unit of norm 1, and exponents in the stabilizer are read off the entries
+or the trace.  One continued-fraction walk, bounded at 2**20 quotients,
+finds that unit (and solves Pell) and decides orbit equivalence.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from math import gcd, isqrt, log, sqrt
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exactnum import (
     _ONE,
@@ -36,6 +37,10 @@ class DeterminantError(ValueError):
 
 class SquareRadicandError(ValueError):
     """Pell radicand that is a perfect square or below 2."""
+
+
+class LongPeriodError(ValueError):
+    """Continued-fraction period longer than the 2**20-quotient bound."""
 
 
 class IdentityMatrixError(ValueError):
@@ -227,6 +232,25 @@ def mat_fixed_points(m: ProjectiveMatrix) -> List[ExtendedPoint]:
 # -- Pell equations and stabilizers ------------------------------------
 
 
+# A step takes 0.5-1 us on a 2-vCPU VM, so a walk gives up after about 1 s.  The
+# longest period among 400 seeded points (k <= 400, parts up to 30) is 275,196.
+_MAX_QUOTIENTS = 1 << 20
+
+
+def _complete_quotients(P: int, Q: int, disc: int) -> Iterator[Tuple[int, int, int]]:
+    """Yield (a, P', Q') per step x -> 1 / (x - a), a = floor(x), of x = (P + sqrt(disc)) / Q:
+    the next complete quotient is (P' + sqrt(disc)) / Q', and Q | disc - P**2 stays true.
+    Raises LongPeriodError after _MAX_QUOTIENTS steps."""
+    root = isqrt(disc)
+    for _ in range(_MAX_QUOTIENTS):
+        # sqrt(disc) is irrational, so for Q < 0 the floor is one below -ceil
+        a = (P + root) // Q if Q > 0 else (P + root + 1) // Q
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+        yield a, P, Q
+    raise LongPeriodError(f"discriminant {disc}: no period within {_MAX_QUOTIENTS} quotients")
+
+
 def _least_unit(disc: int) -> Tuple[int, int]:
     """Least positive (t, u) with t*t - disc*u*u == 4, for non-square disc = 0, 1 mod 4.
 
@@ -237,24 +261,18 @@ def _least_unit(disc: int) -> Tuple[int, int]:
     p - q w' for the convergent p/q = [a_0; ..., a_{L-1}] of
     w = (s + sqrt(disc)) / 2, s = disc mod 2, whose period a_1 ... a_L
     starts at the reduced first complete quotient; its norm is (-1)**L.
-    The complete quotients (P + sqrt(disc)) / Q are tracked on (P, Q) alone,
-    and the quotients' matrices [[a, 1], [1, 0]] multiplied by a balanced
+    The quotients' matrices [[a, 1], [1, 0]] are multiplied by a balanced
     product tree.
     """
-    root = isqrt(disc)
     s = disc & 1
-    P, Q = s, 2
-    quotients = []
-    first = None
-    while True:
-        a = (P + root) // Q
-        P = a * Q - P
-        Q = (disc - P * P) // Q
+    steps = _complete_quotients(s, 2, disc)
+    a, P, Q = next(steps)
+    first = (P, Q)
+    quotients = [a]
+    for a, P, Q in steps:
         if (P, Q) == first:
             break
         quotients.append(a)
-        if first is None:
-            first = (P, Q)
     # the product is [[p, p'], [q, q']] with p/q = [a_0; ..., a_{L-1}]
     mats = [(a, 1, 1, 0) for a in quotients]
     while len(mats) > 1:
@@ -287,7 +305,7 @@ def pell_fundamental(k: int, rhs: int = 1) -> Tuple[int, int]:
     return (t // 2, u) if rhs == 1 else (t, 2 * u)
 
 
-# pays on products (375 against 346 pairs/s): 287 lookups for 86 distinct points per 80 pairs
+# pays on products (1,530 against 1,360 pairs/s): 142 lookups for 51 distinct points per 40 pairs
 _STABILIZER_CACHE: Dict[ExtendedPoint, ProjectiveMatrix] = {}
 
 
@@ -360,7 +378,7 @@ def germ_exponent(m: ProjectiveMatrix, p: ExtendedPoint) -> int:
     raise NotAPowerError(f"{m} is not a generator power at {p}")
 
 
-# -- orbit equivalence via cycles of reduced indefinite forms ------------
+# -- orbit equivalence on the continued-fraction cycle ------------------
 
 
 def _form_of(x: QuadraticNumber) -> Tuple[int, int, int]:
@@ -380,69 +398,50 @@ def _form_of(x: QuadraticNumber) -> Tuple[int, int, int]:
     return A, B, C
 
 
-def _rho(form: Tuple[int, int, int], disc: int, sq: int) -> Tuple[int, int, int]:
-    """Reduction / cycle step for indefinite forms."""
-    a, b, c = form
-    ac = abs(c)
-    if ac > sq:
-        r = (-b) % (2 * ac)
-        if r > ac:
-            r -= 2 * ac
-    else:
-        r = sq - ((sq + b) % (2 * ac))
-    return c, r, (r * r - disc) // (4 * c)
-
-
-def _is_reduced(form: Tuple[int, int, int], disc: int, sq: int) -> bool:
-    a, b, c = form
-    if b <= 0 or b * b >= disc:
-        return False
-    ta = 2 * abs(a)
-    return (ta - b) * (ta - b) < disc and (ta + b) * (ta + b) > disc
-
-
-def _reduce_form(form: Tuple[int, int, int], disc: int, sq: int) -> Tuple[int, int, int]:
-    seen = 0
-    while not _is_reduced(form, disc, sq):
-        form = _rho(form, disc, sq)
-        seen += 1
-        if seen > 100_000:
-            raise ArithmeticError("form reduction failed to terminate")
-    return form
-
-
-def _form_cycle(form: Tuple[int, int, int], disc: int, sq: int):
-    start = form
-    cycle = {start}
-    cur = _rho(start, disc, sq)
-    while cur != start:
-        cycle.add(cur)
-        cur = _rho(cur, disc, sq)
-        if len(cycle) > 1_000_000:
-            raise ArithmeticError("form cycle did not close")
-    return cycle
+def _first_reduced(P: int, Q: int, disc: int) -> Tuple[int, Tuple[int, int]]:
+    """(n, (P_n, Q_n)) of the first reduced complete quotient x_n = (P_n + sqrt(disc)) / Q_n
+    of (P + sqrt(disc)) / Q: x_n > 1 > 0 > x_n' > -1, so by Galois it starts the cycle."""
+    root = isqrt(disc)
+    n = 0
+    steps = _complete_quotients(P, Q, disc)
+    while not 0 <= root - P < Q <= root + P:
+        _, P, Q = next(steps)
+        n += 1
+    return n, (P, Q)
 
 
 def orbit_equivalent(p: ExtendedPoint, q: ExtendedPoint) -> bool:
-    """Whether some element of PSL2(Z) maps p to q."""
-    p_rat = is_infinity(p) or p.is_rational
-    q_rat = is_infinity(q) or q.is_rational
-    if p_rat or q_rat:
+    """Whether some element of PSL2(Z) maps p to q.
+
+    Irrationals of one discriminant are GL2(Z)-equivalent exactly when their
+    continued fractions share a complete quotient (Serret): when q's first
+    reduced quotient y_j is x_{i + h} on the cycle of p's, x_i.  Each step
+    x -> 1 / (x - a) is the matrix [[0, 1], [1, -a]] of determinant -1, so
+    that gives a map from p to q of determinant (-1)**(i + h + j).  An odd
+    period gives a unit of norm -1, a determinant -1 map fixing p, which
+    supplies the missing sign; with an even period every map fixing p has
+    determinant 1.  So sqrt(3), of period 2, is not PSL2-equivalent to -sqrt(3).
+    """
+    k = 1 if is_infinity(p) else p.k
+    if k != (1 if is_infinity(q) else q.k):
+        return False
+    if k == 1 or p == q:
         # rationals and INFINITY form a single orbit
-        return p_rat and q_rat
-    if p.k != q.k:
-        return False
-    if p == q:
         return True
-    fp = _form_of(p)
-    fq = _form_of(q)
-    disc_p = fp[1] * fp[1] - 4 * fp[0] * fp[2]
-    disc_q = fq[1] * fq[1] - 4 * fq[0] * fq[2]
-    if disc_p != disc_q:
+    # p is the root (-b + sqrt(disc)) / (2a) of its primitive form (a, b, c)
+    a, b, c = _form_of(p)
+    e, f, g = _form_of(q)
+    disc = b * b - 4 * a * c
+    if f * f - 4 * e * g != disc:
         return False
-    sq = isqrt(disc_p)
-    rp = _reduce_form(fp, disc_p, sq)
-    rq = _reduce_form(fq, disc_q, sq)
-    if rp == rq:
-        return True
-    return rq in _form_cycle(rp, disc_p, sq)
+    i, start = _first_reduced(-b, 2 * a, disc)
+    j, target = _first_reduced(-f, 2 * e, disc)
+    # once round p's cycle from x_i, or until an even i + h + j
+    h = 0 if target == start else None
+    for L, (_, P, Q) in enumerate(_complete_quotients(*start, disc), 1):
+        if h is not None and (i + h + j) % 2 == 0:
+            return True
+        if (P, Q) == start:
+            return h is not None and L % 2 == 1
+        if (P, Q) == target:
+            h = L

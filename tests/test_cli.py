@@ -26,6 +26,7 @@ def test_usage_error_exit_code(tmp_path):
     [
         ["construct-hs", "--s", "1/2"],
         ["construct-hs", "--s", "1/0"],
+        ["construct-hs", "--s", "0+1*sqrt(99999999999999999999999999999999999)"],
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
          "--alpha", "1/0"],
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
@@ -327,7 +328,7 @@ def test_kernel_ok(tmp_path):
     assert payload["violations"] == 0
 
 
-def test_walk_and_summability_and_entropy(tmp_path):
+def test_walk_and_summability(tmp_path):
     proc = run(
         ["walk", "--s", "0+1*sqrt(3)", "--T", "300", "--seed", "5"], tmp_path
     )

@@ -14,6 +14,7 @@ from pwproj.psl2 import (
     _stabilizer_generator,
     DeterminantError,
     IdentityMatrixError,
+    LongPeriodError,
     NotAPowerError,
     NotInStabilizerError,
     ProjectiveMatrix,
@@ -163,6 +164,30 @@ def test_pell_rhs4_large_unit_returns():
     x, y = out[0]
     assert x > 0 and y > 0
     assert x * x - 661 * y * y == 4
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda k: stabilizer_generator(q(0, 1, k)), pell_fundamental],
+    ids=["stabilizer_generator", "pell_fundamental"],
+)
+def test_long_period_fails_fast(solve):
+    # the period at discriminant 4 * (10**35 - 1) passes the 2**20-quotient
+    # bound, which the walk reaches in about 1 s
+    k = 10**35 - 1
+    out = []
+
+    def run():
+        try:
+            solve(k)
+        except LongPeriodError as exc:
+            out.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=2.0)
+    assert not worker.is_alive(), f"no answer at radicand {k} within 2 s"
+    assert len(out) == 1 and isinstance(out[0], ValueError)
 
 
 def test_pell_matches_brute_force_small():
@@ -426,6 +451,46 @@ def test_orbit_equivalent_is_equivalence():
             for z in sample:
                 if orbit_equivalent(x, y) and orbit_equivalent(y, z):
                     assert orbit_equivalent(x, z)
+
+
+def _orbit_pairs():
+    """2,000 seeded pairs: for each of 400 quadratic irrationals p in the
+    square-free fields k <= 30, with numerators and denominators up to 12,
+    the pairs (p, M p), (p, -p), (p, p'), (p, M (-p)) and (p, r), for
+    random words M and a random r of p's field with small parts."""
+    rng = random.Random(22)
+    fields = [k for k in range(2, 31) if all(k % (d * d) for d in range(2, isqrt(k) + 1))]
+    pairs = []
+    for _ in range(400):
+        k = rng.choice(fields)
+        sign = rng.choice([-1, 1])
+        p = q(Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+              Fraction(sign * rng.randint(1, 12), rng.randint(1, 12)), k)
+        r = q(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+              Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3)), k)
+        pairs += [
+            (p, random_matrix(rng, 8).apply(p)),
+            (p, -p),
+            (p, p.conjugate()),
+            (p, random_matrix(rng, 8).apply(-p)),
+            (p, r),
+        ]
+    return pairs
+
+
+# SHA-256 of the 0/1 answers of orbit_equivalent on the sample pairs,
+# recorded with the reduction and cycle of reduced indefinite forms
+ORBIT_DIGEST = "2f2c86d73610db44d7afb7421c3e2234171b22f4594a884d3f9116d49618e675"
+
+
+def test_orbit_equivalent_pinned():
+    pairs = _orbit_pairs()
+    answers = "".join("1" if orbit_equivalent(p, x) else "0" for p, x in pairs)
+    # -p and p' share p's discriminant, yet both answers occur for each
+    for kind in (1, 2):
+        assert {answers[i] for i in range(kind, len(pairs), 5)} == {"0", "1"}
+    assert set(answers[0::5]) == {"1"}
+    assert hashlib.sha256(answers.encode()).hexdigest() == ORBIT_DIGEST
 
 
 def test_orbit_zero_infinity_by_search():
