@@ -223,7 +223,10 @@ class _MeasureWalker:
     Points with small coordinates are interned to dense ids.  Each interned
     point has a successor row, shared across trajectories: per atom, the id
     of its image, or RAW until the walk first takes that atom there.  The
-    row has one more slot, for tail draws, that stays RAW.  Deeper points
+    row has one more slot, for tail draws, that stays RAW.  intern fills an
+    atom's slot with the point's own id when the hull test below proves
+    that the atom fixes the point, so that draw is a table hit from the
+    start.  Deeper points
     are handled verbatim until they shrink back or hit the freeze bound.
     Configuration deltas can only occur at interned points because every
     slope-change support point of the measure is itself small; a point's
@@ -270,6 +273,7 @@ class _MeasureWalker:
                 if lo is not None and hi is not None:
                     hull = (*lo, *hi)
             self.hulls.append(hull)
+        self.any_hull = any(h is not None for h in self.hulls)
         self.far_hull: Optional[Tuple[float, float, float, float]] = None
         if mu.tail is not None and self.hulls and None not in self.hulls:
             lo_f, lo_e, hi_f, hi_e = zip(*self.hulls)
@@ -291,7 +295,17 @@ class _MeasureWalker:
             pid = len(self.points)
             self.registry[key] = pid
             self.points.append(x)
-            self.succ.append([self.RAW] * (len(self.atom_confs) + 1))
+            succ = [self.RAW] * (len(self.atom_confs) + 1)
+            # run's hull test: an atom that provably fixes x maps it to itself
+            ax = qn_approx(x) if self.any_hull else None
+            if ax is not None:
+                fx, ex = ax
+                for ai, hull in enumerate(self.hulls):
+                    if hull is not None:
+                        lo, lo_err, hi, hi_err = hull
+                        if lo - fx > ex + lo_err or fx - hi > ex + hi_err:
+                            succ[ai] = pid
+            self.succ.append(succ)
             row = [conf.entries.get(x, 0) for conf in self.atom_confs]
             # the last slot, 0, is for tail draws: translations move nothing
             self.deltas.append(row + [0] if any(row) else None)
@@ -537,59 +551,93 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_slice(run, trajectories: int, master_seed: int, first: int, stride: int) -> list:
-    return [
-        run(trajectory_rng(master_seed, t)) for t in range(first, trajectories, stride)
-    ]
+# The token pipe of _run_trajectories holds at most this many 4-byte records,
+# written at once: 4096 bytes, PIPE_BUF on Linux, which any pipe holds.
+_MAX_TOKENS = 1024
+_TOKEN_BYTES = 4
+
+
+def _run_tokens(run, tokens: int, block: int, trajectories: int, master_seed: int) -> list:
+    """(t, row) for each trajectory t of each token read from fd tokens, to EOF.
+
+    A token is a block number i, which stands for the indices i*block up to
+    (i + 1)*block, cut at the trajectory count.
+    """
+    out = []
+    while True:
+        token = os.read(tokens, _TOKEN_BYTES)
+        if not token:
+            return out
+        if len(token) != _TOKEN_BYTES:
+            raise RuntimeError(f"token pipe gave a partial token of {len(token)} bytes")
+        first = int.from_bytes(token, "little") * block
+        for t in range(first, min(first + block, trajectories)):
+            out.append((t, run(trajectory_rng(master_seed, t))))
 
 
 def _run_trajectories(run, trajectories: int, master_seed: int) -> list:
     """[run(trajectory_rng(master_seed, t)) for t in range(trajectories)].
 
-    The module's one trajectory loop.  It forks W - 1 children, W the
-    number of CPUs of the affinity mask but at most the trajectory count,
-    and process w runs the trajectories t = w (mod W), the parent slice 0.
+    The module's one trajectory loop.  With W processes, W the number of
+    CPUs of the affinity mask but at most the trajectory count M, it hands
+    out the trajectories on demand, so a process that drew short
+    trajectories takes more of them.  Before forking W - 1 children, the
+    parent writes the tokens into one pipe and closes its write end: at
+    most _MAX_TOKENS records of _TOKEN_BYTES bytes, in one write of at most
+    PIPE_BUF bytes, which fits any pipe and never blocks, each naming a
+    block of ceil(M / _MAX_TOKENS) consecutive indices (one index per token
+    when M <= _MAX_TOKENS).  Every process, the parent too, then reads one
+    token per os.read(fd, 4) until EOF and runs its block.  A 4-byte read
+    takes one whole token: the pipe holds only whole records, and Linux
+    serializes the readers of one pipe, so no read splits a record.
     Every index has its own random stream and run's caches (the intern and
     successor tables) never decide a result, so each row depends only on
-    the seed and its index, and the merged list is the same for any W.  A
-    child sends its rows, or the exception it raised, back through a pipe;
-    the parent re-raises that exception with its type and message, and
-    reaps every child before it returns or raises, killing them first when
-    it raises.  A slice whose fork fails runs in the parent.  No option sets
-    the count: `taskset -c 0` gives one process, and the threads keyword
-    of the entry points still selects nothing.
+    the seed and its index, and the list, put in index order, is the same
+    for any W and any hand-out.  A child sends its (t, row) pairs, or the
+    exception it raised, back through its own pipe; the parent re-raises
+    that exception with its type and message, and reaps every child before
+    it returns or raises, killing them first when it raises.  When a fork
+    fails, the processes already running, the parent among them, take the
+    tokens that child would have.  No option sets the count: `taskset -c 0`
+    gives one process, and the threads keyword of the entry points still
+    selects nothing.
     """
     workers = max(1, min(_worker_count(), trajectories))
     if workers == 1:
-        return _run_slice(run, trajectories, master_seed, 0, 1)
+        return [run(trajectory_rng(master_seed, t)) for t in range(trajectories)]
     import pickle
     import signal
 
-    own = [0]
-    children = []  # (slice, pid)
+    block = -(-trajectories // _MAX_TOKENS)
+    count = -(-trajectories // block)
+    tokens, wr = os.pipe()
+    children = []
     pipes = {}  # pid -> read end of its pipe, until read
     try:
-        for w in range(1, workers):
+        try:
+            os.write(wr, b"".join(i.to_bytes(_TOKEN_BYTES, "little") for i in range(count)))
+        finally:
+            os.close(wr)
+        for _ in range(1, workers):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
                 os.close(r)
                 os.close(wr)
-                own.extend(range(w, workers))
                 break
             if pid == 0:
                 os.close(r)
                 for fd in pipes.values():
                     os.close(fd)
-                _child_main(wr, run, trajectories, master_seed, w, workers)
+                _child_main(wr, run, tokens, block, trajectories, master_seed)
             os.close(wr)
-            children.append((w, pid))
+            children.append(pid)
             pipes[pid] = r
         rows = [None] * trajectories
-        for w in own:
-            rows[w::workers] = _run_slice(run, trajectories, master_seed, w, workers)
-        for w, pid in children:
+        for t, row in _run_tokens(run, tokens, block, trajectories, master_seed):
+            rows[t] = row
+        for pid in children:
             with os.fdopen(pipes.pop(pid), "rb") as pipe:
                 data = pipe.read()
             if not data:
@@ -597,24 +645,27 @@ def _run_trajectories(run, trajectories: int, master_seed: int) -> list:
             ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
-            rows[w::workers] = payload
+            for t, row in payload:
+                rows[t] = row
         return rows
     finally:
         for pid, fd in pipes.items():
             os.kill(pid, signal.SIGKILL)
             os.close(fd)
-        for _, pid in children:
+        for pid in children:
             os.waitpid(pid, 0)
+        os.close(tokens)
 
 
-def _child_main(wr: int, run, trajectories: int, master_seed: int, first: int, stride: int):
-    """In a forked child: run one slice, write (True, rows) or (False, the
-    exception it raised) to the pipe wr, and exit; never returns."""
+def _child_main(wr: int, run, tokens: int, block: int, trajectories: int, master_seed: int):
+    """In a forked child: run tokens until the pipe tokens is empty, write
+    (True, its (t, row) pairs) or (False, the exception it raised) to the
+    pipe wr, and exit; never returns."""
     import pickle
 
     try:
         try:
-            result = (True, _run_slice(run, trajectories, master_seed, first, stride))
+            result = (True, _run_tokens(run, tokens, block, trajectories, master_seed))
         except BaseException as exc:  # the parent raises it
             result = (False, exc)
             try:

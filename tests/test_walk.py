@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 import threading
@@ -12,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from pwproj.exactnum import QuadraticNumber, point_to_text, qn_approx, qn_compare
+from pwproj.exactnum import (
+    QuadraticNumber,
+    canonical_key,
+    point_to_text,
+    qn_approx,
+    qn_compare,
+)
 from pwproj.piecewise import (
     configuration,
     construct_prechain,
@@ -506,6 +513,23 @@ def test_table_hits_keep_the_walking_point(wmu):
     assert y == atoms[ai].apply(x)
 
 
+def test_filled_successor_slots_are_the_atoms_images(wmu):
+    # every successor slot, filled when its point was interned or learned by
+    # the walk, names the point that the atom's exact apply gives
+    walker = _MeasureWalker(wmu, SQRT3)
+    for t in range(20):
+        walker.run(SQRT3, 2000, trajectory_rng(3, t), 1500)
+    atoms = [m for m, _ in wmu.atoms]
+    fixed = moved = 0
+    for pid, (x, row) in enumerate(zip(walker.points, walker.succ)):
+        for ai, slot in enumerate(row[: len(atoms)]):
+            if slot != walker.RAW:
+                assert canonical_key(atoms[ai].apply(x)) == canonical_key(walker.points[slot])
+                fixed += slot == pid
+                moved += slot != pid
+    assert fixed and moved, (fixed, moved)
+
+
 # -- the far state: raw points outside the union of the atoms' hulls ----------
 
 
@@ -797,19 +821,30 @@ class _PairError(Exception):
 def test_exception_in_a_child_reaches_the_caller(workers):
     parent = os.getpid()
 
-    def fails_in_children(error):
+    def fails_in_children(error, taken):
+        # the parent's run waits until a child has taken an index, so it
+        # cannot run all seven itself before either child reads a token
         def run(rng):
             if os.getpid() != parent:
+                os.write(taken[1], b"t")
                 raise error
+            assert select.select([taken[0]], [], [], 30)[0], "no child took an index"
             return 0
 
         return run
 
     workers(3)
-    with pytest.raises(ValueError, match="^trajectory failed$"):
-        _run_trajectories(fails_in_children(ValueError("trajectory failed")), 7, 1)
-    with pytest.raises(RuntimeError, match="^_PairError: 7: no row$"):
-        _run_trajectories(fails_in_children(_PairError(7, "no row")), 7, 1)
+    for error, raises, match in [
+        (ValueError("trajectory failed"), ValueError, "^trajectory failed$"),
+        (_PairError(7, "no row"), RuntimeError, "^_PairError: 7: no row$"),
+    ]:
+        taken = os.pipe()
+        try:
+            with pytest.raises(raises, match=match):
+                _run_trajectories(fails_in_children(error, taken), 7, 1)
+        finally:
+            os.close(taken[0])
+            os.close(taken[1])
 
 
 def test_exception_in_the_parent_slice_kills_the_children(workers):
@@ -836,6 +871,18 @@ def test_failed_fork_runs_the_slice_in_the_parent(workers, monkeypatch):
     workers(3)
     rows = _run_trajectories(lambda rng: rng.getrandbits(64), 7, 4)
     assert rows == [trajectory_rng(4, t).getrandbits(64) for t in range(7)]
+
+
+@pytest.mark.parametrize("trajectories, count", [(1000, 16), (5000, 16), (100_000, 2)])
+def test_token_pipe_under_more_workers_than_cores(workers, trajectories, count):
+    # more processes than CPUs contend for the tokens; above 1024
+    # trajectories a token is a block, and no trajectory count can make the
+    # parent's one token write block
+    rows = [trajectory_rng(4, t).getrandbits(64) for t in range(trajectories)]
+    workers(count)
+    start = time.perf_counter()
+    assert _run_trajectories(lambda rng: rng.getrandbits(64), trajectories, 4) == rows
+    assert time.perf_counter() - start < 30
 
 
 def test_one_worker_while_another_thread_runs():
@@ -986,6 +1033,19 @@ def test_prechain_tree_exact_means():
 def test_prechain_returns_match_exact_means():
     horizons = [10, 60, 100]
     rep = estimate_tree_returns(horizons, 4000, 11)
+    for mean, se, exact in zip(rep.means, rep.stderrs, _tree_mean_visits(horizons)):
+        assert abs(mean - exact) <= 4 * se, (mean, se, float(exact))
+
+
+@pytest.mark.parametrize("s", [SQRT3, q(Fraction(1, 3), 2, 5)], ids=["sqrt3", "1/3+2sqrt5"])
+def test_measure_walker_returns_match_exact_tree_means(s):
+    # the walk on the points themselves, from b under f^+-1 and g^+-1: its
+    # points grow without bound, f and g have hulls, and its mean returns
+    # are the tree model's exact ones
+    pre = construct_prechain(s)
+    mu = uniform_measure([pre.f, pre.f.inverse(), pre.g, pre.g.inverse()])
+    horizons = [10, 100]
+    rep = estimate_returns(mu, pre.b, horizons, 4000, 11)
     for mean, se, exact in zip(rep.means, rep.stderrs, _tree_mean_visits(horizons)):
         assert abs(mean - exact) <= 4 * se, (mean, se, float(exact))
 
