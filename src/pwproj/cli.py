@@ -38,12 +38,12 @@ from .schreier import (
 from .walk import (
     ALPHA_MIN,
     estimate_returns,
-    estimate_tree_returns,
     lamplighter_demo,
     nontriviality_witness,
     simulate_config_walk,
     summability_diagnostic,
     trajectory_rng,
+    tree_mean_returns,
     uniform_measure,
     witness_measure,
 )
@@ -247,7 +247,7 @@ def cmd_summability(args):
             handle.write(f"{i},{h},{c}\n")
     return {
         "atom_l1_mass": report["atom_l1_mass"],
-        "cumulative_final": report["cumulative"][-1] if report["cumulative"] else 0.0,
+        "cumulative_final": report["cumulative"][-1],
         "series_file": os.path.basename(series_path),
     }, 0
 
@@ -266,10 +266,10 @@ def cmd_returns(args):
         translation = pm_from_matrix(ProjectiveMatrix.translation(1))
         mu = uniform_measure([translation, translation.inverse()])
         rep = estimate_returns(mu, QuadraticNumber(0), horizons, args.M, args.seed)
-    else:
-        _prechain_for(args)  # the build certifies that the tree model applies
-        rep = estimate_tree_returns(horizons, args.M, args.seed)
-    return rep.as_dict(), 0
+        return rep.as_dict(), 0
+    _prechain_for(args)  # the build certifies that the tree model applies
+    means = tree_mean_returns(horizons)
+    return {"horizons": sorted(horizons), "mean_returns": [float(m) for m in means]}, 0
 
 
 def build_parser() -> _Parser:
@@ -364,7 +364,7 @@ def build_parser() -> _Parser:
                 ),
             ),
             ("--horizons", dict(type=_positive_int_list, default="10000,20000")),
-            ("--M", dict(type=_positive_int, default=500)),
+            ("--M", dict(type=_positive_int, default=500, help="trajectories; --target z only")),
         ],
     )
     return parser

@@ -502,10 +502,10 @@ def simulate_config_walk(
     """Track C_{g_n}(gamma) for the left walk g_{n+1} = h_n g_n, exactly.
 
     Only x_n = g_n(gamma) is kept.  When the exact coordinates of x_n
-    exceed freeze_bits the trajectory is frozen: reaching any point where
-    the configuration can still change would require shedding thousands
-    of coordinate bits through a long exactly-cancelling move sequence,
-    an event of vanishing probability; the walk is stopped there.
+    exceed freeze_bits the trajectory is frozen and the walk stopped.  That
+    is a heuristic: a later change needs a long exactly-cancelling move
+    sequence, and such sequences occur (tests/test_walk.py pins a walk that
+    visits its start 9 more times after the step where it would freeze).
     """
     changes, _, x, frozen_at = _MeasureWalker(mu, s).run(gamma, steps, rng, freeze_bits)
     return {
@@ -680,19 +680,6 @@ def _child_main(wr: int, run, tokens: int, block: int, trajectories: int, master
         os._exit(0)
 
 
-def _returns_report(run, horizons: List[int], trajectories: int, master_seed: int):
-    """Mean and standard error, per horizon, of the rows of run's visit counts."""
-    rows = _run_trajectories(run, trajectories, master_seed)
-    means, errs = [], []
-    for hi in range(len(horizons)):
-        col = [row[hi] for row in rows]
-        m = sum(col) / trajectories
-        var = _float_sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
-        means.append(m)
-        errs.append(math.sqrt(var / trajectories))
-    return ReturnsReport(horizons, means, errs, trajectories)
-
-
 def estimate_returns(
     mu: GroupMeasure,
     start: ExtendedPoint,
@@ -718,77 +705,83 @@ def estimate_returns(
         visits = walker.run(start, top, rng, freeze_bits)[1]
         return [bisect_right(visits, h) for h in horizons]
 
-    return _returns_report(run, horizons, trajectories, master_seed)
+    rows = _run_trajectories(run, trajectories, master_seed)
+    means, errs = [], []
+    for hi in range(len(horizons)):
+        col = [row[hi] for row in rows]
+        m = sum(col) / trajectories
+        var = _float_sum((v - m) ** 2 for v in col) / max(trajectories - 1, 1)
+        means.append(m)
+        errs.append(math.sqrt(var / trajectories))
+    return ReturnsReport(horizons, means, errs, trajectories)
 
 
-def estimate_tree_returns(
-    horizons: Sequence[int], trajectories: int, master_seed: int
-) -> ReturnsReport:
-    """Monte-Carlo mean root visits of the walk on the prechain tree model.
+# The recurrence of tree_mean_returns, sum_{i=0..5} P_i(n) g_{n+i} = 0: row i
+# holds the coefficients of P_i, constant term first.
+_TREE_RECURRENCE = (
+    (7455840, 17937136, 15342880, 5723984, 909440, 47040),
+    (-14558040, -24942716, -16139960, -4852564, -660880, -31440),
+    (2262960, 3280040, 1767560, 437740, 49360, 2100),
+    (4333560, 5349026, 2590445, 609709, 68635, 2865),
+    (-1859760, -2091652, -917830, -195428, -20030, -780),
+    (208320, 217264, 88000, 17276, 1640, 60),
+)
+# g_0, ..., g_4, which seed it
+_TREE_ROOT_SEED = (1, 2, 6, 18, 60)
+
+
+def tree_mean_returns(horizons: Sequence[int]) -> List[Fraction]:
+    """Exact mean root visits of the walk on the prechain tree, by each horizon.
 
     The orbit graph of b under a certified 2-prechain (f, g) is a rooted
-    binary tree inside [b, c] with a one-sided ray hanging off every
-    vertex; the simple random walk runs on that model with integer state
-    (see tree_root_visits), which is exact and keeps no coordinates.
+    binary tree inside [b, c] with a one-sided ray hanging off every vertex.
+    Left and right children move alike, so the walk uniform on f^+-1 and
+    g^+-1 is a Markov chain on (tree depth, depth on the current ray): on a
+    ray it steps out 1/4, in 1/4 and stays 1/2; the root steps to its child
+    1/4, onto its ray 1/4 and stays 1/2; any other tree vertex steps to its
+    parent 1/4, to a child 1/2 and onto its ray 1/4.
+
+    First passages give the generating functions: F = z/4 + (z/2)F +
+    (z/4)F^2 (one level down a ray), U = z/4 + (z/2)U^2 + (z/4)FU (from a
+    tree vertex to its parent), R = z/2 + (z/4)(U + F) (first return to the
+    root) and G = 1/(1 - R), whose n-th coefficient is the chance of being
+    at the root after step n.  F and U solve quadratics, so G is algebraic
+    and hence D-finite (Stanley, Europ. J. Combin. 1, 1980): the integers
+    g_n = 4^n [z^n] G satisfy a linear recurrence with polynomial
+    coefficients.  _TREE_RECURRENCE is one of order 5 and degree 5, found by
+    exact elimination over Q on g_0, ..., g_69, where the null space is
+    one-dimensional; it holds exactly for every n < 395, and the tests check
+    its terms against the series to n = 1000.  P_5 has positive
+    coefficients, so it is never 0 at n >= 0.
+
+    The mean by horizon h is sum_{n=1..h} g_n / 4^n = S_h / 4^h, with
+    S_h = 4 S_{h-1} + g_h.  The loop keeps S and the last five g, all
+    integers, and checks that each division by P_5 is exact, the one guard
+    on the table.  g_n and S_h have about 2n bits, so a step costs O(n) and
+    horizon h costs O(h^2): in one process on a 2-vCPU VM, 0.6-1.0 s at
+    h = 20000, 3.7-3.8 s at 50000 and 15-18 s at 100000.
     """
     horizons = sorted(horizons)
-    top = horizons[-1]
-
-    def run(rng):
-        return tree_root_visits(top, rng, horizons)
-
-    return _returns_report(run, horizons, trajectories, master_seed)
-
-
-def tree_root_visits(
-    steps: int, rng: random.Random, horizons: Sequence[int]
-) -> List[int]:
-    """Root visit counts by each horizon, walking on (depth, ray).
-
-    A vertex's children are g^-1(x) and f(x); the root keeps a g-loop and
-    the ray through f^-1.  Every non-root tree vertex moves to its parent,
-    to one of its two children or onto its ray with the same draws whether
-    it is a left or a right child, so the walk needs only the tree depth of
-    the current vertex and the depth on its ray.
-    """
-    horizons = sorted(horizons)
-    depth = 0
-    ray = 0  # > 0 means on the ray attached at the current vertex
-    visits = 0
-    out: List[int] = []
+    if horizons[0] < 1:
+        raise ValueError(f"horizons must be positive, got {horizons[0]}")
+    window = list(_TREE_ROOT_SEED)
+    total = 0
+    out: List[Fraction] = []
     hi = 0
-    rnd = rng.random
-    for n in range(1, steps + 1):
-        u = rnd()
-        if ray:
-            # f-type rays (left children and root) move under f;
-            # g-type rays (right children) move under g; other
-            # generator loops in place. Outward with probability 1/4,
-            # inward 1/4, loop 1/2 regardless of type.
-            if u < 0.25:
-                ray += 1
-            elif u < 0.5:
-                ray -= 1
-        elif depth == 0:
-            # moves at the root: f -> right child, f^-1 -> ray,
-            # g and g^-1 are loops
-            if u < 0.25:
-                depth = 1
-            elif u < 0.5:
-                ray = 1
-        # x in A (a left child): g -> parent, g^-1 -> left child,
-        # f -> right child, f^-1 -> ray; x in B (a right child):
-        # f^-1 -> parent, f -> right child, g^-1 -> left child, g -> ray
-        elif u < 0.25:
-            depth -= 1
-        elif u < 0.75:
-            depth += 1
+    for n in range(1, horizons[-1] + 1):
+        if n < 5:
+            term = window[n]
         else:
-            ray = 1
-        if depth == 0 and ray == 0:
-            visits += 1
+            m = n - 5
+            p = [sum(c * m**j for j, c in enumerate(row)) for row in _TREE_RECURRENCE]
+            # window holds g_m, ..., g_{m+4}; zip stops before P_5
+            term, rest = divmod(-sum(pi * g for pi, g in zip(p, window)), p[5])
+            if rest:
+                raise ArithmeticError(f"the tree recurrence does not divide at n = {n}")
+            window = window[1:] + [term]
+        total = 4 * total + term
         while hi < len(horizons) and horizons[hi] == n:
-            out.append(visits)
+            out.append(Fraction(total, 4**n))
             hi += 1
     return out
 

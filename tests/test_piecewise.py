@@ -390,9 +390,9 @@ def test_restrict(hs3):
     assert supp[0][0] == lo and supp[-1][1] == hi
 
 
-def test_configuration_on_rational_orbit():
-    # a generator of Thompson's group F; every rational is on the orbit of 0
-    x1 = pm_new(
+def _thompson_x1():
+    """x1 of Thompson's group F, whose x0 is translation(1): breaks 0, 1/2, 1."""
+    return pm_new(
         [q(0), q(Fraction(1, 2)), q(1)],
         [
             IDENT,
@@ -401,6 +401,19 @@ def test_configuration_on_rational_orbit():
             ProjectiveMatrix.translation(1),
         ],
     )
+
+
+def _word(*letters):
+    """The map of a word that acts first letter first: w1...wk is wk * ... * w1."""
+    out = pm_identity()
+    for letter in letters:
+        out = letter * out
+    return out
+
+
+def test_configuration_on_rational_orbit():
+    # every rational is on the orbit of 0
+    x1 = _thompson_x1()
     conf = configuration(x1, q(0))
     assert conf.as_text_dict() == {"0": 1, "1/2": -1, "1": 1}
     # rational points are found by equal points built on their own
@@ -410,6 +423,19 @@ def test_configuration_on_rational_orbit():
     assert conf.value_at(qn_from_text("1")) == 1
     assert conf.value_at(qn_from_text("1/3")) == 0
     assert config_act(x1, conf) == configuration(x1 * x1, q(0))
+
+
+def test_thompson_group_f_relations():
+    # x0 and x1 satisfy F's two defining relations and do not commute; every
+    # proper quotient of F is abelian, so they generate F
+    x0 = pm_from_matrix(ProjectiveMatrix.translation(1))
+    x1 = _thompson_x1()
+    a = _word(x0, x1.inverse())
+    for c in (x0, x0 * x0):
+        # [x0 x1^-1, x0^-1 x1 x0] = 1 and [x0 x1^-1, x0^-2 x1 x0^2] = 1
+        b = _word(c.inverse(), x1, c)
+        assert a * b == b * a
+    assert x0 * x1 != x1 * x0
 
 
 def test_configuration_examples(hs3):
