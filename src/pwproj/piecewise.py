@@ -60,10 +60,6 @@ class EndGermNotTranslationError(PiecewiseMapError):
     pass
 
 
-class NotFixedError(PiecewiseMapError):
-    pass
-
-
 class ConstructionFailedError(RuntimeError):
     """Bounded parameter search exhausted; indicates an implementation bug."""
 
@@ -333,24 +329,6 @@ def pm_new(
     return PiecewiseProjectiveMap(red_breaks, red_pieces)
 
 
-def pm_restrict(
-    f: PiecewiseProjectiveMap, a: QuadraticNumber, b: QuadraticNumber
-) -> PiecewiseProjectiveMap:
-    """The map equal to f on (a, b) and to the identity outside."""
-    if qn_compare(a, b) >= 0:
-        raise NotFixedError("restriction needs a < b")
-    if f.apply(a) != a or f.apply(b) != b:
-        raise NotFixedError("restriction endpoints must be fixed by the map")
-    ident = ProjectiveMatrix.identity()
-    new_breaks = [a]
-    for beta in f.breaks:
-        if qn_compare(beta, a) > 0 and qn_compare(beta, b) < 0:
-            new_breaks.append(beta)
-    new_pieces = [ident, *(f.right_germ(beta) for beta in new_breaks), ident]
-    new_breaks.append(b)
-    return pm_new(new_breaks, new_pieces)
-
-
 # -- configurations -------------------------------------------------------
 
 
@@ -419,15 +397,12 @@ def config_act(g: PiecewiseProjectiveMap, conf: Configuration) -> Configuration:
 
 
 def membership(f: PiecewiseProjectiveMap, kind: str, s: Optional[ExtendedPoint] = None) -> bool:
-    """Membership tests: kind in {"HZ", "GTILDE", "HS"}."""
+    """Membership tests: kind in {"HZ", "HS"}."""
     kind = kind.upper()
     if kind == "HZ":
         if f.pieces[0] != f.pieces[-1]:
             return False
         return all(not b.is_rational for b in f.breaks)
-    if kind == "GTILDE":
-        # any validated map qualifies: breaks are fixed points of germ changes
-        return True
     if kind == "HS":
         if s is None:
             raise ValueError("HS membership needs the base point")

@@ -33,10 +33,6 @@ class PreconditionViolatedError(ValueError):
     pass
 
 
-class NotARayError(ValueError):
-    pass
-
-
 _RAY_CAP = 1_000_000
 
 
@@ -55,17 +51,6 @@ class OrbitGraph:
 
     def order(self) -> int:
         return len(self.points)
-
-    def neighbors(self, point: ExtendedPoint) -> List[Tuple[str, ExtendedPoint]]:
-        out: List[Tuple[str, ExtendedPoint]] = []
-        for gi, emap in enumerate(self.edges):
-            if point in emap:
-                out.append((self.labels[gi], emap[point]))
-        for gi, emap in enumerate(self.edges):
-            for src, dst in emap.items():
-                if dst == point:
-                    out.append((self.labels[gi] + "^-1", src))
-        return out
 
     def sorted_keys(self) -> List[ExtendedPoint]:
         """The vertices in increasing order."""
@@ -406,41 +391,6 @@ class ComparisonKernel:
             if back != w:
                 return False
         return True
-
-
-# -- Foelner ratios along rays ------------------------------------------------
-
-
-def foelner_ratio(graph: OrbitGraph, ray_start: ExtendedPoint, length: int) -> Fraction:
-    """|boundary(S)| / |S| for S the first `length` vertices out along a ray."""
-    if graph.regions is None:
-        raise NotARayError("graph has no region tags")
-    tag = graph.regions.get(ray_start)
-    if tag is None or not tag.startswith("Ray"):
-        raise NotARayError(f"{ray_start} is not a ray vertex")
-    label = tag[4]
-    gi = graph.labels.index(label)
-    outward = graph.edges[gi]
-    if label == "f":
-        # f-rays extend away from [b, c] through f^-1: walk edges backwards
-        backward = {dst: src for src, dst in outward.items()}
-        step = backward
-    else:
-        step = outward
-    members = [ray_start]
-    cur = ray_start
-    for _ in range(length - 1):
-        if cur not in step:
-            raise NotARayError("ray shorter than requested length")
-        cur = step[cur]
-        members.append(cur)
-    sset = set(members)
-    boundary = set()
-    for point in sset:
-        for _, nb in graph.neighbors(point):
-            if nb not in sset:
-                boundary.add(nb)
-    return Fraction(len(boundary), len(sset))
 
 
 # -- export -------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .exactnum import (
     canonical_key,
     point_to_text,
     qn_approx,
+    qn_compare,
+    sorted_points,
 )
 from .piecewise import (
     Configuration,
@@ -182,10 +184,6 @@ class GroupMeasure:
         return self.tail.base.power(self._sampler.sample_signed(rng))
 
 
-def point_mass(element: PiecewiseProjectiveMap) -> GroupMeasure:
-    return GroupMeasure([(element, Fraction(1))])
-
-
 def uniform_measure(elements: Sequence[PiecewiseProjectiveMap]) -> GroupMeasure:
     w = Fraction(1, len(elements))
     return GroupMeasure([(e, w) for e in elements])
@@ -223,11 +221,12 @@ class _MeasureWalker:
     Points with small coordinates are interned to dense ids.  Each interned
     point has a successor row, shared across trajectories: per atom, the id
     of its image, or RAW until the walk first takes that atom there.  The
-    row has one more slot, for tail draws, that stays RAW.  intern fills an
-    atom's slot with the point's own id when the hull test below proves
-    that the atom fixes the point, so that draw is a table hit from the
-    start.  Deeper points
-    are handled verbatim until they shrink back or hit the freeze bound.
+    row has one more slot, for tail draws, that stays RAW: a tail draw
+    rebuilds the point, and one that leaves every hull enters the far state
+    below instead of the table.  intern fills an atom's slot with the
+    point's own id when the hull test below proves that the atom fixes the
+    point, so that draw is a table hit from the start.  Deeper points are
+    handled verbatim until they shrink back or hit the freeze bound.
     Configuration deltas can only occur at interned points because every
     slope-change support point of the measure is itself small; a point's
     delta row is None unless some atom's configuration is nonzero there.
@@ -243,8 +242,10 @@ class _MeasureWalker:
     encloses their union: the least first-break float with the largest
     error, and the greatest last-break float with the largest error.  A
     point outside far_hull by the hull test is outside every atom's hull by
-    that atom's own test, since rounding is monotone; run keeps raw points
-    outside far_hull in a far state (see run).
+    that atom's own test, since rounding is monotone; run keeps points that
+    a tail draw takes outside far_hull, interned or raw, in a far state (see
+    run).  span is the exact closed interval from the least first break to
+    the greatest last break, which far_hull encloses.
     """
 
     RAW = -1
@@ -275,9 +276,16 @@ class _MeasureWalker:
             self.hulls.append(hull)
         self.any_hull = any(h is not None for h in self.hulls)
         self.far_hull: Optional[Tuple[float, float, float, float]] = None
+        # the closed interval from the least first break to the greatest last
+        # break, exact; it holds every configuration entry, since each is a break
+        self.span: Optional[Tuple[QuadraticNumber, QuadraticNumber]] = None
         if mu.tail is not None and self.hulls and None not in self.hulls:
             lo_f, lo_e, hi_f, hi_e = zip(*self.hulls)
             self.far_hull = (min(lo_f), max(lo_e), max(hi_f), max(hi_e))
+            self.span = (
+                sorted_points(m.breaks[0] for m, _ in mu.atoms)[0],
+                sorted_points(m.breaks[-1] for m, _ in mu.atoms)[-1],
+            )
         entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
         # only decides caching: above every entry, below the freeze bound
         self.share_bits = max(128, max(entry_bits, default=0) + 1)
@@ -329,17 +337,20 @@ class _MeasureWalker:
         interned, so a return to it is recognized by its id (or, for a
         start above the intern bound, by comparing points).
 
-        The far state.  An exact apply or a tail add that leaves the point
-        raw, with bits(B) + bits(D) > share_bits, enters it when qn_approx
-        gives the point an enclosure (f0, e0) outside far_hull by the hull
-        test, with |f0| < 2**1000, and the start is not raw.  A tail keeps B
-        and D, so from there no tail draw brings the point back under the
-        intern bound, and while it stays outside far_hull every atom fixes
-        it: the walk can neither visit the interned start nor change the
-        configuration.  The point is kept
-        as x0 + off, x0 = (A0 + B*sqrt(k))/D the entry point and off an
-        int.  An atom draw is one uniform() and one compare with the atoms'
-        mass; a tail draw n adds t*n to off and stays far when
+        The far state.  A run has one when far_hull exists, the start is not
+        raw and the start lies in span, checked once by two exact compares.
+        A tail draw enters it, after the freeze check, when qn_approx gives
+        the new point, interned or raw, an enclosure (f0, e0) outside
+        far_hull by the hull test, with |f0| < 2**1000.  Such a point lies
+        strictly outside span, so it is neither the start nor a
+        configuration entry (each entry is a break of its atom), and while
+        it stays outside far_hull every atom fixes it: the walk can neither
+        visit the start nor change the configuration.  Only a tail draw can
+        reach such a point: an atom maps its closed hull onto itself and
+        fixes every point outside it, and span holds every hull.  The point
+        is kept as x0 + off, x0 = (A0 + B*sqrt(k))/D the entry point and off
+        an int.  An atom draw is one uniform() and one compare with the
+        atoms' mass; a tail draw n adds t*n to off and stays far when
           - bits(off) <= 1000, so every float below is finite;
           - the bit bound holds: A = A0 + off*D has at most
             max(bits(A0), bits(off) + bits(D)) + 1 bits, and that plus
@@ -349,9 +360,10 @@ class _MeasureWalker:
             F = float(off), computed in floats, is outside far_hull by the
             hull test.
         Otherwise the point A0 + off*D is built once and takes the checks
-        of any raw step: the freeze, then the entry test.  So every draw,
-        decision and result is that of the walk without the far state,
-        which would skip each atom there or apply it as the identity.
+        of any tail step: the freeze, then the entry test, then the intern
+        table if it is small.  So every draw, decision and result is that of
+        the walk without the far state, which would skip each atom there,
+        take it from the table as a fixed point or apply it as the identity.
 
         Why (f, e) decides the hull test soundly (u = 2**-53, S = |f0| +
         |F|): float(off) and the sum are correctly rounded, so
@@ -385,10 +397,14 @@ class _MeasureWalker:
         raw_start = _bits(start) > share_bits
         # None, or the qn_approx enclosure of x; set only while pid is raw
         ax = None
-        far_hull = None if raw_start else self.far_hull
+        far_hull = self.far_hull
         if far_hull is not None:
-            lo_f, lo_e, hi_f, hi_e = far_hull
-            atom_mass = cuts[-1]
+            lo, hi = self.span
+            if raw_start or qn_compare(lo, start) > 0 or qn_compare(start, hi) > 0:
+                far_hull = None
+            else:
+                lo_f, lo_e, hi_f, hi_e = far_hull
+                atom_mass = cuts[-1]
         # while far, the walking point is x0 + off, x0 = (A0, B0, D0, k0),
         # and x is stale; a tail draw stays far while bits(off) <= cap
         far = False
@@ -454,26 +470,31 @@ class _MeasureWalker:
                     visits.append(n)
                 elif freeze_bits is not None and bits > freeze_bits:
                     return changes, visits, x, n
-                elif far_hull is not None and bd > share_bits:
-                    # the far state's entry test; ax serves the hull skip
-                    ax = qn_approx(x)
-                    if ax is not None:
-                        f0, e0 = ax
-                        abs_f0 = abs(f0)
-                        far = abs_f0 < 2.0**1000 and (
-                            lo_f - f0 > e0 + lo_e or f0 - hi_f > e0 + hi_e
-                        )
-                    if far:
-                        A0, B0, D0, k0 = x
-                        off = 0
-                        cap = 1000
-                        if freeze_bits is not None:
-                            # the bit bound as a bound on bits(off)
-                            room = freeze_bits - 1 - bd
-                            if A.bit_length() > room:
-                                cap = -1
-                            else:
-                                cap = min(cap, room - D.bit_length())
+            if far_hull is not None and ai == natoms:
+                # the far state's entry test, after every tail draw (ai is
+                # still natoms when the far loop builds its point); ax
+                # serves the hull skip
+                ax = qn_approx(x)
+                if ax is not None:
+                    f0, e0 = ax
+                    abs_f0 = abs(f0)
+                    far = abs_f0 < 2.0**1000 and (
+                        lo_f - f0 > e0 + lo_e or f0 - hi_f > e0 + hi_e
+                    )
+                if far:
+                    pid = raw
+                    A0, B0, D0, k0 = x
+                    off = 0
+                    cap = 1000
+                    if freeze_bits is not None:
+                        # the bit bound as a bound on bits(off)
+                        room = freeze_bits - 1 - bd
+                        if A.bit_length() > room:
+                            cap = -1
+                        else:
+                            cap = min(cap, room - D.bit_length())
+                    continue
+            if bits > share_bits:
                 continue
             nid = intern(x)
             if pid != raw and ai < natoms:
@@ -680,6 +701,21 @@ def _child_main(wr: int, run, tokens: int, block: int, trajectories: int, master
         os._exit(0)
 
 
+def _check_trajectories(trajectories: int) -> None:
+    if trajectories < 1:
+        raise ValueError(f"trajectories must be positive, got {trajectories}")
+
+
+def _sorted_horizons(horizons: Sequence[int]) -> List[int]:
+    """The horizons in increasing order, at least one and each positive."""
+    horizons = sorted(horizons)
+    if not horizons:
+        raise ValueError("horizons must not be empty")
+    if horizons[0] < 1:
+        raise ValueError(f"horizons must be positive, got {horizons[0]}")
+    return horizons
+
+
 def estimate_returns(
     mu: GroupMeasure,
     start: ExtendedPoint,
@@ -697,7 +733,8 @@ def estimate_returns(
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
-    horizons = sorted(horizons)
+    _check_trajectories(trajectories)
+    horizons = _sorted_horizons(horizons)
     top = horizons[-1]
     walker = _MeasureWalker(mu, start)
 
@@ -761,9 +798,7 @@ def tree_mean_returns(horizons: Sequence[int]) -> List[Fraction]:
     horizon h costs O(h^2): in one process on a 2-vCPU VM, 0.6-1.0 s at
     h = 20000, 3.7-3.8 s at 50000 and 15-18 s at 100000.
     """
-    horizons = sorted(horizons)
-    if horizons[0] < 1:
-        raise ValueError(f"horizons must be positive, got {horizons[0]}")
+    horizons = _sorted_horizons(horizons)
     window = list(_TREE_ROOT_SEED)
     total = 0
     out: List[Fraction] = []
@@ -804,6 +839,7 @@ def summability_diagnostic(
     walking image of origin, its cumulative sum, and the exact l1 mass of
     the measure's configuration-support function restricted to atoms.
     """
+    _check_trajectories(trajectories)
     walker = _MeasureWalker(mu, s)
 
     def run(rng):
@@ -864,6 +900,7 @@ def nontriviality_witness(
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
+    _check_trajectories(trajectories)
     half = steps // 2
     walker = None
     done = 0
@@ -919,6 +956,7 @@ def lamplighter_demo(
     or simple +-1 steps (the recurrent control); each step is a coin flip
     between moving and toggling the lamp at the current position.
     """
+    _check_trajectories(trajectories)
     sampler = PowerLawSampler(Fraction(alpha)) if heavy_tail else None
     half = steps // 2
 

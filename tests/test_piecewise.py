@@ -19,7 +19,6 @@ from pwproj.exactnum import (
 from pwproj.piecewise import (
     DiscontinuousError,
     EndGermNotTranslationError,
-    NotFixedError,
     NotIncreasingError,
     PiecewiseProjectiveMap,
     PoleInsidePieceError,
@@ -31,7 +30,6 @@ from pwproj.piecewise import (
     pm_from_matrix,
     pm_identity,
     pm_new,
-    pm_restrict,
 )
 from pwproj.psl2 import ProjectiveMatrix, mat_fixed_points, stabilizer_generator
 from pwproj.walk import trajectory_rng, witness_measure
@@ -265,7 +263,6 @@ def test_hs_is_valid_four_piece(hs3):
     assert len(hs3.map.breaks) == 3
     assert hs3.map.pieces[1] == hs3.generator
     assert membership(hs3.map, "HZ")
-    assert membership(hs3.map, "GTILDE")
 
 
 def test_compose_inverse_identity(hs3):
@@ -377,19 +374,6 @@ def test_inverse_of_hs_configuration(hs3):
     assert len(conf.entries) == 1
 
 
-def test_restrict(hs3):
-    f = hs3.map
-    lo, hi = f.support_intervals()[0]
-    assert pm_restrict(f, lo, hi) == f
-    assert pm_restrict(pm_identity(), q(0), q(1)).is_identity
-    with pytest.raises(NotFixedError):
-        pm_restrict(pm_from_matrix(ProjectiveMatrix.translation(1)), q(0), q(1))
-    # restriction to a sub-window between fixed points clips the support
-    sub = pm_restrict(f, lo, hi)
-    supp = sub.support_intervals()
-    assert supp[0][0] == lo and supp[-1][1] == hi
-
-
 def _thompson_x1():
     """x1 of Thompson's group F, whose x0 is translation(1): breaks 0, 1/2, 1."""
     return pm_new(
@@ -491,6 +475,8 @@ def test_membership_examples(hs3):
     assert membership(pm_from_matrix(ProjectiveMatrix.translation(1)), "HS", SQRT3)
     assert not membership(hs3.map, "HS", SQRT3)
     assert membership(hs3.map, "HZ")
+    with pytest.raises(ValueError, match="unknown membership kind"):
+        membership(hs3.map, "GTILDE")
 
 
 def test_config_act_identities(hs3):

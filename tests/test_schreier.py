@@ -8,13 +8,11 @@ from pwproj.piecewise import construct_prechain, pm_from_matrix
 from pwproj.psl2 import ProjectiveMatrix, orbit_equivalent
 from pwproj.schreier import (
     ComparisonKernel,
-    NotARayError,
     PreconditionViolatedError,
     attach_regions,
     build_orbit_graph,
     export_csv,
     export_dot,
-    foelner_ratio,
     verify_tree_structure,
 )
 
@@ -166,38 +164,6 @@ def test_kernel_preconditions(pre3):
         ComparisonKernel(pre3.g, pre3.f, pre3.a, pre3.b, pre3.c, pre3.d)
 
 
-def test_foelner_ratio(graph600):
-    ray_keys = [
-        k
-        for k, tag in graph600.regions.items()
-        if tag.startswith("Ray") and k not in graph600.incomplete
-    ]
-    assert ray_keys
-    probe = None
-    best = None
-    for k in ray_keys:
-        for length in (6, 4, 2):
-            try:
-                ratio = foelner_ratio(graph600, k, length)
-            except NotARayError:
-                continue
-            if best is None or length > best[1]:
-                best = (k, length, ratio)
-            break
-    assert best is not None
-    key, length, ratio = best
-    assert ratio <= Fraction(2, 1)
-    assert ratio <= Fraction(2, length) + Fraction(1, length)
-    with pytest.raises(NotARayError):
-        foelner_ratio(graph600, graph600.root, 2)
-
-
-def test_foelner_one_vertex(graph600):
-    ray_keys = [k for k, tag in graph600.regions.items() if tag.startswith("Ray")]
-    ratio = foelner_ratio(graph600, ray_keys[0], 1)
-    assert ratio <= 2
-
-
 def test_tree_structure_mirrored_base():
     # base point with negative irrational part: mirrored prechain roles
     pc = construct_prechain(q(0, -1, 3))
@@ -206,20 +172,6 @@ def test_tree_structure_mirrored_base():
     report = verify_tree_structure(graph, pc.f, pc.g, pc.b, pc.c)
     assert report.tree_vertices > 100
     assert report.region_a + report.region_b + 1 == report.tree_vertices
-
-
-def test_foelner_decreases_on_doubling(pre3):
-    # BFS ball around a point deep on the root's f-ray is mostly ray
-    deep = pre3.b
-    f_inv = pre3.f.inverse()
-    for _ in range(40):
-        deep = f_inv(deep)
-    graph = build_orbit_graph([pre3.f, pre3.g], deep, 40, labels=["f", "g"])
-    attach_regions(graph, pre3)
-    assert graph.regions[deep].startswith("Ray(f")
-    ratios = [foelner_ratio(graph, deep, L) for L in (3, 6, 12)]
-    assert ratios[0] > ratios[1] > ratios[2]
-    assert ratios[2] <= Fraction(2, 12) + Fraction(1, 12)
 
 
 def test_export_deterministic(tmp_path, graph600):

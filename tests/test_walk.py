@@ -35,7 +35,6 @@ from pwproj.walk import (
     estimate_returns,
     lamplighter_demo,
     nontriviality_witness,
-    point_mass,
     simulate_config_walk,
     summability_diagnostic,
     trajectory_rng,
@@ -104,7 +103,7 @@ def test_measure_rejects_negative_tail_weight():
 
 
 def test_point_mass_always_same(pre3):
-    mu = point_mass(pre3.hs.map)
+    mu = GroupMeasure([(pre3.hs.map, Fraction(1))])
     rng = random.Random(0)
     for _ in range(5):
         assert mu.sample(rng) == pre3.hs.map
@@ -234,11 +233,11 @@ def test_symmetric_measure_drift(wmu):
 
 
 def test_simulate_config_walk_degenerate(pre3):
-    mu = point_mass(pre3.hs.map)
+    mu = GroupMeasure([(pre3.hs.map, Fraction(1))])
     report = simulate_config_walk(mu, SQRT3, SQRT3, 50, random.Random(1))
     assert report["value"] == 50  # value climbs every step, point stays put
     assert report["final_point"] == point_to_text(SQRT3)
-    mu2 = point_mass(A1)
+    mu2 = GroupMeasure([(A1, Fraction(1))])
     report2 = simulate_config_walk(mu2, SQRT3, q(0), 30, random.Random(1))
     assert report2["value"] == 0
     assert report2["final_point"] == point_to_text(q(30))
@@ -530,7 +529,7 @@ def test_filled_successor_slots_are_the_atoms_images(wmu):
     assert fixed and moved, (fixed, moved)
 
 
-# -- the far state: raw points outside the union of the atoms' hulls ----------
+# -- the far state: points a tail draw takes outside the atoms' hulls -----------
 
 
 # A walk's draws are written as a list of steps, each a list of the uniform
@@ -556,8 +555,9 @@ def _far_start(hs, target):
     hs lies above target by at most 2^-36, for target in [2, 2046].
 
     hs is increasing, so A is found by bisection on exact compares.  The
-    image has B and D of more than 128 bits together, so a tail draw that
-    takes it outside every hull enters the far state.
+    image has B and D of more than 128 bits together, a raw point.  The
+    start lies in hs's hull, and so in the walker's span, so a tail draw
+    that takes the image outside every hull enters the far state.
     """
 
     def start(A):
@@ -576,15 +576,11 @@ def _far_start(hs, target):
 
 
 def _enters_far_state(walker, x):
-    """The far state's entry test at a raw point x reached by a move."""
-    A, B, D, _ = x
+    """The far state's entry test at a point x, interned or raw, reached by
+    a tail draw in a run whose start is not raw and lies in walker.span."""
     f, e = qn_approx(x)
     lo_f, lo_e, hi_f, hi_e = walker.far_hull
-    return (
-        B.bit_length() + D.bit_length() > walker.share_bits
-        and abs(f) < 2.0**1000
-        and (lo_f - f > e + lo_e or f - hi_f > e + hi_e)
-    )
+    return abs(f) < 2.0**1000 and (lo_f - f > e + lo_e or f - hi_f > e + hi_e)
 
 
 def _random_steps(seed, steps):
@@ -727,14 +723,56 @@ def test_far_state_off_for_a_start_above_the_intern_bound(pre3, wmu, freeze_bits
 
 def test_far_state_off_for_points_raw_by_their_a_alone(wmu):
     """A start outside every hull and just inside the intern bound, left by
-    a tail draw whose A alone passes the bound: its B and D could come back
-    into the table, so the walk must not go far, and it sees the return."""
+    a tail draw whose A alone passes the bound.  The start lies below the
+    span, so the run has no far state, and it sees the return; in a far
+    state the tail back to the start would stay outside far_hull."""
     walker = _MeasureWalker(wmu, SQRT3)
     start = q(Fraction(-(2**64) - 1, 2**63 - 1))
     assert _bit_size(start) <= walker.share_bits < _bit_size(start - 6)
     steps = _tail_to(wmu, -6) + _each_atom(wmu) + _tail_to(wmu, 6) + _random_steps("a", 50)
     got = _assert_run_matches_oracle(walker, wmu, start, steps, 1500)
     assert got[1][0] == 6
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+def test_far_state_from_an_interned_point(wmu, freeze_bits):
+    """A tail draw at the interned start SQRT3 lands outside far_hull with
+    small B and D: it goes far without interning, and the exactly opposite
+    tail after further draws brings it back, a visit at the oracle's step."""
+    walker = _MeasureWalker(wmu, SQRT3)
+    assert _enters_far_state(walker, SQRT3 + 7000)
+    assert _bit_size(SQRT3 + 7000) <= walker.share_bits
+    steps = _tail_to(wmu, 7000) + _each_atom(wmu) + _tail_to(wmu, 5) + _each_atom(wmu)
+    steps += _tail_to(wmu, -7005)
+    got = _assert_run_matches_oracle(walker, wmu, SQRT3, steps, freeze_bits)
+    assert got[1] == [11]
+    assert walker.points == [SQRT3]  # the excursion interned nothing
+    _assert_run_matches_oracle(
+        walker, wmu, SQRT3, steps + _random_steps("interned", 300), freeze_bits
+    )
+
+
+@pytest.mark.parametrize("freeze_bits", [1500, None])
+@pytest.mark.parametrize("where", ["lo", "hi", "below_lo", "above_hi"])
+def test_far_state_for_a_start_at_an_edge_of_the_span(wmu, where, freeze_bits):
+    """A start at the least first break or the greatest last break lies in
+    the closed span, so its excursions go far; 2^-20 outside, the run has
+    no far state, where a far walk would miss the return.  Every atom fixes
+    each of these starts, so every atom step visits it."""
+    walker = _MeasureWalker(wmu, SQRT3)
+    lo, hi = walker.span
+    assert lo == min(m.breaks[0] for m, _ in wmu.atoms)
+    assert hi == max(m.breaks[-1] for m, _ in wmu.atoms)
+    tiny = q(Fraction(1, 2**20))
+    start = {"lo": lo, "hi": hi, "below_lo": lo - tiny, "above_hi": hi + tiny}[where]
+    away = -7000 if where.endswith("lo") else 7000
+    assert _enters_far_state(walker, start + away)
+    steps = _each_atom(wmu) + _tail_to(wmu, away) + _each_atom(wmu) + _tail_to(wmu, -away)
+    steps += _each_atom(wmu)
+    got = _assert_run_matches_oracle(walker, wmu, start, steps, freeze_bits)
+    assert got[1] == [1, 2, 3, 4, 10, 11, 12, 13, 14]
+    assert (walker.points == [start]) == (where in ("lo", "hi"))
+    _assert_run_matches_oracle(walker, wmu, start, steps + _random_steps(where, 300), freeze_bits)
 
 
 # SHA-256 over (changes, visits, x, frozen_at) of 40 witness trajectories
@@ -774,6 +812,29 @@ def test_threads_keyword_selects_nothing(wmu):
         nontriviality_witness(wmu, SQRT3, 300, 24, 9, threads=2)
     with pytest.raises(ValueError):
         estimate_returns(mu, q(0), [500], 40, 3, threads=2)
+
+
+@pytest.mark.parametrize("trajectories", [0, -1])
+def test_walk_experiments_reject_no_trajectories(wmu, trajectories):
+    mu = uniform_measure([A1, A1.inverse()])
+    with pytest.raises(ValueError, match="trajectories must be positive"):
+        estimate_returns(mu, q(0), [10], trajectories, 1)
+    with pytest.raises(ValueError, match="trajectories must be positive"):
+        nontriviality_witness(wmu, SQRT3, 10, trajectories, 1)
+    with pytest.raises(ValueError, match="trajectories must be positive"):
+        summability_diagnostic(wmu, SQRT3, SQRT3, 10, trajectories, 1)
+    with pytest.raises(ValueError, match="trajectories must be positive"):
+        lamplighter_demo(Fraction(4, 5), 10, trajectories, 1)
+
+
+@pytest.mark.parametrize("horizons", [[], [0], [-3, 10]])
+def test_returns_reject_bad_horizons(horizons):
+    # an empty list had no top horizon, and one <= 0 gave a mean of 0
+    mu = uniform_measure([A1, A1.inverse()])
+    with pytest.raises(ValueError, match="horizons must"):
+        estimate_returns(mu, q(0), horizons, 10, 1)
+    with pytest.raises(ValueError, match="horizons must"):
+        tree_mean_returns(horizons)
 
 
 # -- the forked trajectory loop -------------------------------------------------
@@ -956,7 +1017,7 @@ def test_hull_skips_at_a_start_above_the_intern_bound(pre3):
 
 
 def test_returns_point_mass_fixed(pre3):
-    mu = point_mass(pre3.hs.map)
+    mu = GroupMeasure([(pre3.hs.map, Fraction(1))])
     rep = estimate_returns(mu, SQRT3, [50], 3, 1)
     assert rep.means[0] == 50  # fixed point: returns every step
 
@@ -1075,7 +1136,7 @@ def test_summability_translation_never_hits():
 
 
 def test_summability_degenerate_diverges(pre3):
-    mu = point_mass(pre3.hs.map)
+    mu = GroupMeasure([(pre3.hs.map, Fraction(1))])
     rep = summability_diagnostic(mu, SQRT3, SQRT3, 50, 5, 3)
     assert rep["per_step_hit_mass"] == [1.0] * 50
     assert rep["cumulative"][-1] == 50.0
@@ -1097,7 +1158,7 @@ def test_witness_abelian_control_fails():
 
 
 def test_witness_deterministic_drift_fails(pre3):
-    mu = point_mass(pre3.hs.map)
+    mu = GroupMeasure([(pre3.hs.map, Fraction(1))])
     rep = nontriviality_witness(mu, SQRT3, 100, 10, 5)
     assert rep["stabilized_fraction"] == 0.0
     assert rep["verdict"] == "FAIL"
