@@ -134,9 +134,11 @@ class PiecewiseProjectiveMap:
     # -- action ----------------------------------------------------------
 
     def apply(self, x: ExtendedPoint) -> ExtendedPoint:
+        """The image of x; x itself when its piece is the identity."""
         if x is INFINITY:
             return INFINITY
-        return self.pieces[self.piece_index(x)].apply(x)
+        piece = self.pieces[self.piece_index(x)]
+        return x if piece.is_identity else piece.apply(x)
 
     def __call__(self, x: ExtendedPoint) -> ExtendedPoint:
         return self.apply(x)

@@ -223,36 +223,31 @@ class _MeasureWalker:
     of its image, or RAW until the walk first takes that atom there.  The
     row has one more slot, for tail draws, that stays RAW: a tail draw
     rebuilds the point, and one that leaves every hull enters the far state
-    below instead of the table.  intern fills an atom's slot with the
-    point's own id when the hull test below proves that the atom fixes the
-    point, so that draw is a table hit from the start.  Deeper points are
-    handled verbatim until they shrink back or hit the freeze bound.
-    Configuration deltas can only occur at interned points because every
-    slope-change support point of the measure is itself small; a point's
-    delta row is None unless some atom's configuration is nonzero there.
+    below instead of the table.  Deeper points are handled verbatim until
+    they shrink back or hit the freeze bound.  Configuration deltas can
+    only occur at interned points because every slope-change support point
+    of the measure is itself small; a point's delta row is None unless some
+    atom's configuration is nonzero there.  An atom fixes a point on one of
+    its identity pieces through its own apply, which returns the point
+    itself.  The tail base must be a translation x -> x + t, so a tail draw
+    n is one integer add, A += t*n*D.
 
     An atom whose end pieces are the identity fixes every point outside its
-    first and last break.  On a raw point such an atom is skipped when float
-    enclosures place the point outside, by the test piece_index uses; an
-    overlap, or a point without an enclosure, takes the exact apply.  The
-    tail base must be a translation x -> x + t, so a tail draw n is one
-    integer add, A += t*n*D.
-
-    When every atom has such a hull and the measure has a tail, far_hull
-    encloses their union: the least first-break float with the largest
-    error, and the greatest last-break float with the largest error.  A
-    point outside far_hull by the hull test is outside every atom's hull by
-    that atom's own test, since rounding is monotone; run keeps points that
-    a tail draw takes outside far_hull, interned or raw, in a far state (see
-    run).  span is the exact closed interval from the least first break to
-    the greatest last break, which far_hull encloses.
+    first and last break.  When every atom is such and the measure has a
+    tail, far_hull encloses the union of their hulls: the least first-break
+    float with the largest error, and the greatest last-break float with
+    the largest error (the errors of qn_approx).  A point outside far_hull
+    by the hull test, the float test of piece_index, is outside every
+    atom's hull, since rounding is monotone; run keeps points that a tail
+    draw takes outside far_hull, interned or raw, in a far state (see run).
+    span is the exact closed interval from the least first break to the
+    greatest last break, which far_hull encloses.
     """
 
     RAW = -1
 
     def __init__(self, mu: GroupMeasure, s: ExtendedPoint):
         self.mu = mu
-        self.s = s
         self.atom_confs: List[Configuration] = [
             configuration(m, s) for m, _ in mu.atoms
         ]
@@ -266,21 +261,20 @@ class _MeasureWalker:
             self.tail_shift = m.b
         # Float enclosures of the first and last break of each atom whose
         # end pieces are the identity; the atom fixes every point outside.
-        self.hulls: List[Optional[Tuple[float, float, float, float]]] = []
+        hulls: List[Optional[Tuple[float, float, float, float]]] = []
         for m, _ in mu.atoms:
             hull = None
             if m.breaks and m.pieces[0].is_identity and m.pieces[-1].is_identity:
                 lo, hi = qn_approx(m.breaks[0]), qn_approx(m.breaks[-1])
                 if lo is not None and hi is not None:
                     hull = (*lo, *hi)
-            self.hulls.append(hull)
-        self.any_hull = any(h is not None for h in self.hulls)
+            hulls.append(hull)
         self.far_hull: Optional[Tuple[float, float, float, float]] = None
         # the closed interval from the least first break to the greatest last
         # break, exact; it holds every configuration entry, since each is a break
         self.span: Optional[Tuple[QuadraticNumber, QuadraticNumber]] = None
-        if mu.tail is not None and self.hulls and None not in self.hulls:
-            lo_f, lo_e, hi_f, hi_e = zip(*self.hulls)
+        if mu.tail is not None and hulls and None not in hulls:
+            lo_f, lo_e, hi_f, hi_e = zip(*hulls)
             self.far_hull = (min(lo_f), max(lo_e), max(hi_f), max(hi_e))
             self.span = (
                 sorted_points(m.breaks[0] for m, _ in mu.atoms)[0],
@@ -303,17 +297,7 @@ class _MeasureWalker:
             pid = len(self.points)
             self.registry[key] = pid
             self.points.append(x)
-            succ = [self.RAW] * (len(self.atom_confs) + 1)
-            # run's hull test: an atom that provably fixes x maps it to itself
-            ax = qn_approx(x) if self.any_hull else None
-            if ax is not None:
-                fx, ex = ax
-                for ai, hull in enumerate(self.hulls):
-                    if hull is not None:
-                        lo, lo_err, hi, hi_err = hull
-                        if lo - fx > ex + lo_err or fx - hi > ex + hi_err:
-                            succ[ai] = pid
-            self.succ.append(succ)
+            self.succ.append([self.RAW] * (len(self.atom_confs) + 1))
             row = [conf.entries.get(x, 0) for conf in self.atom_confs]
             # the last slot, 0, is for tail draws: translations move nothing
             self.deltas.append(row + [0] if any(row) else None)
@@ -335,7 +319,9 @@ class _MeasureWalker:
         freezes the walk when its point is not interned and the bit sizes
         of its A, B and D sum past freeze_bits.  The start point is always
         interned, so a return to it is recognized by its id (or, for a
-        start above the intern bound, by comparing points).
+        start above the intern bound, by comparing points).  An atom step
+        off the table is the atom's apply, which fixes a point on an
+        identity piece.
 
         The far state.  A run has one when far_hull exists, the start is not
         raw and the start lies in span, checked once by two exact compares.
@@ -362,8 +348,8 @@ class _MeasureWalker:
         Otherwise the point A0 + off*D is built once and takes the checks
         of any tail step: the freeze, then the entry test, then the intern
         table if it is small.  So every draw, decision and result is that of
-        the walk without the far state, which would skip each atom there,
-        take it from the table as a fixed point or apply it as the identity.
+        the walk without the far state, which would take each atom there
+        from the table as a fixed point or apply it as the identity.
 
         Why (f, e) decides the hull test soundly (u = 2**-53, S = |f0| +
         |F|): float(off) and the sum are correctly rounded, so
@@ -381,7 +367,6 @@ class _MeasureWalker:
         points = self.points
         atoms = [m for m, _ in self.mu.atoms]
         natoms = len(atoms)
-        hulls = self.hulls
         cuts = self.mu._cuts
         succ = self.succ
         deltas = self.deltas
@@ -395,8 +380,6 @@ class _MeasureWalker:
         pid = start_pid = intern(start)
         # a start above the intern bound is seen again only by comparing points
         raw_start = _bits(start) > share_bits
-        # None, or the qn_approx enclosure of x; set only while pid is raw
-        ax = None
         far_hull = self.far_hull
         if far_hull is not None:
             lo, hi = self.span
@@ -437,21 +420,6 @@ class _MeasureWalker:
                             visits.append(n)
                         continue
                     x = points[pid]
-                elif ai < natoms:
-                    hull = hulls[ai]
-                    if hull is not None:
-                        # the float test of piece_index: x lies strictly
-                        # below the first break or above the last, on
-                        # identity pieces, so the atom fixes x
-                        if ax is None:
-                            ax = qn_approx(x)
-                        if ax is not None:
-                            fx, ex = ax
-                            lo, lo_err, hi, hi_err = hull
-                            if lo - fx > ex + lo_err or fx - hi > ex + hi_err:
-                                if raw_start and x == start:
-                                    visits.append(n)
-                                continue
                 if ai < natoms:
                     x = atoms[ai].apply(x)
                 else:
@@ -460,7 +428,6 @@ class _MeasureWalker:
                     A, B, D, k = x
                     A += shift * sampler.sample_signed(rng) * D
                     x = new_point(QuadraticNumber, (A, B, D, k))
-            ax = None
             A, B, D, _ = x
             bd = B.bit_length() + D.bit_length()
             bits = A.bit_length() + bd
@@ -472,8 +439,7 @@ class _MeasureWalker:
                     return changes, visits, x, n
             if far_hull is not None and ai == natoms:
                 # the far state's entry test, after every tail draw (ai is
-                # still natoms when the far loop builds its point); ax
-                # serves the hull skip
+                # still natoms when the far loop builds its point)
                 ax = qn_approx(x)
                 if ax is not None:
                     f0, e0 = ax
@@ -528,6 +494,7 @@ def simulate_config_walk(
     sequence, and such sequences occur (tests/test_walk.py pins a walk that
     visits its start 9 more times after the step where it would freeze).
     """
+    _check_positive("steps", steps)
     changes, _, x, frozen_at = _MeasureWalker(mu, s).run(gamma, steps, rng, freeze_bits)
     return {
         "value": sum(delta for _, delta in changes),
@@ -701,9 +668,9 @@ def _child_main(wr: int, run, tokens: int, block: int, trajectories: int, master
         os._exit(0)
 
 
-def _check_trajectories(trajectories: int) -> None:
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be positive, got {trajectories}")
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _sorted_horizons(horizons: Sequence[int]) -> List[int]:
@@ -733,7 +700,7 @@ def estimate_returns(
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
-    _check_trajectories(trajectories)
+    _check_positive("trajectories", trajectories)
     horizons = _sorted_horizons(horizons)
     top = horizons[-1]
     walker = _MeasureWalker(mu, start)
@@ -782,7 +749,9 @@ def tree_mean_returns(horizons: Sequence[int]) -> List[Fraction]:
     (z/4)F^2 (one level down a ray), U = z/4 + (z/2)U^2 + (z/4)FU (from a
     tree vertex to its parent), R = z/2 + (z/4)(U + F) (first return to the
     root) and G = 1/(1 - R), whose n-th coefficient is the chance of being
-    at the root after step n.  F and U solve quadratics, so G is algebraic
+    at the root after step n.  At z = 1, F = 1, U = 1/2 (the smaller root of
+    2U^2 - 3U + 1 = 0) and R = 7/8, so G(1) = 8: the means rise to
+    G(1) - 1 = 7, step 0 left out.  F and U solve quadratics, so G is algebraic
     and hence D-finite (Stanley, Europ. J. Combin. 1, 1980): the integers
     g_n = 4^n [z^n] G satisfy a linear recurrence with polynomial
     coefficients.  _TREE_RECURRENCE is one of order 5 and degree 5, found by
@@ -839,7 +808,8 @@ def summability_diagnostic(
     walking image of origin, its cumulative sum, and the exact l1 mass of
     the measure's configuration-support function restricted to atoms.
     """
-    _check_trajectories(trajectories)
+    _check_positive("trajectories", trajectories)
+    _check_positive("steps", steps)
     walker = _MeasureWalker(mu, s)
 
     def run(rng):
@@ -900,7 +870,8 @@ def nontriviality_witness(
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
-    _check_trajectories(trajectories)
+    _check_positive("trajectories", trajectories)
+    _check_positive("steps", steps)
     half = steps // 2
     walker = None
     done = 0
@@ -956,7 +927,8 @@ def lamplighter_demo(
     or simple +-1 steps (the recurrent control); each step is a coin flip
     between moving and toggling the lamp at the current position.
     """
-    _check_trajectories(trajectories)
+    _check_positive("trajectories", trajectories)
+    _check_positive("steps", steps)
     sampler = PowerLawSampler(Fraction(alpha)) if heavy_tail else None
     half = steps // 2
 

@@ -325,10 +325,11 @@ def test_walk_kernel_matches_stepwise_oracle(wmu, freeze_bits):
 
 @pytest.mark.parametrize("case", ["no_hull", "one_no_hull", "tail_3", "intern_bound"])
 def test_walk_kernel_paths_match_stepwise_oracle(pre3, wmu, case):
-    """The hull skip, the integer tail and the intern bound against the oracle.
+    """Atoms with and without identity end pieces, the integer tail and the
+    intern bound against the oracle.
 
     no_hull: two atoms are hs after a translation, whose end pieces are not
-    the identity, so they always take the exact apply.  one_no_hull: only
+    the identity, so they fix no point outside their breaks.  one_no_hull: only
     the first atom is; a measure without a hull on every atom has no far
     state.  tail_3: the tail adds 3n.  intern_bound: the witness measure,
     whose walks cross share_bits both ways (raw points shrink back into the
@@ -346,12 +347,13 @@ def test_walk_kernel_paths_match_stepwise_oracle(pre3, wmu, case):
     else:
         mu = wmu
     walker = _MeasureWalker(mu, SQRT3)
+    ends = [m.pieces[0].is_identity and m.pieces[-1].is_identity for m, _ in mu.atoms]
     if case == "no_hull":
-        assert [h is None for h in walker.hulls] == [True, True, False, False]
+        assert ends == [False, False, True, True]
     elif case == "one_no_hull":
-        assert [h is None for h in walker.hulls] == [True, False, False, False]
+        assert ends == [False, True, True, True]
     else:
-        assert None not in walker.hulls
+        assert all(ends)
     assert (walker.far_hull is None) == (case in ("no_hull", "one_no_hull"))
     assert walker.tail_shift == (3 if case == "tail_3" else 1)
     share = walker.share_bits
@@ -395,9 +397,12 @@ def _sqrt_convergents(k, lo_bits, hi_bits):
     return out
 
 
-def test_hull_skip_near_breaks_takes_exact_apply(wmu):
+def test_apply_near_breaks_is_exact(wmu):
     """Raw points within 2^-60 of an atom's first or last break, on either
-    side: the float test cannot place them, so the step is the exact apply.
+    side: piece_index's float test cannot place them, so apply decides by
+    exact compares, and a walk step there is that exact apply.  Points
+    strictly outside the first and last break are the atom's fixed points:
+    apply returns the point itself.
 
     Two kinds of point: b +- 2^-64, and b +- (p - q*sqrt(k)) for
     convergents p/q of sqrt(k) with p of 71 to 110 bits, whose float value
@@ -405,11 +410,14 @@ def test_hull_skip_near_breaks_takes_exact_apply(wmu):
     """
     tail = TailSpec(A1, Fraction(4, 5), Fraction(1, 2))
     tiny = q(Fraction(1, 2**64))
-    moved = wrong_side = 0
+    moved = outside = wrong_side = 0
     for atom, _ in wmu.atoms:
         walker = _MeasureWalker(GroupMeasure([(atom, Fraction(1, 2))], tail), SQRT3)
-        assert walker.hulls[0] is not None
-        for b in (atom.breaks[0], atom.breaks[-1]):
+        assert walker.far_hull is not None  # the atom's end pieces are the identity
+        first, last = atom.breaks[0], atom.breaks[-1]
+        for x in (first - 7000, first - 1, last + 1, last + 7000):
+            assert atom.apply(x) is x
+        for b in (first, last):
             near = [tiny] + [q(p, -q_, b.k) for p, q_ in _sqrt_convergents(b.k, 70, 110)]
             fb = qn_approx(b)[0]
             for x in [b + d for d in near] + [b - d for d in near]:
@@ -420,10 +428,14 @@ def test_hull_skip_near_breaks_takes_exact_apply(wmu):
                 _, _, y, _ = walker.run(x - 1, 2, rng, None)
                 assert y == atom.apply(x) == _exact_apply(atom, x)
                 moved += y != x
+                if qn_compare(x, first) < 0 or qn_compare(x, last) > 0:
+                    assert atom.apply(x) is x
+                    outside += 1
                 fx = qn_approx(x)[0]
                 wrong_side += fx != fb and (fx > fb) != (qn_compare(x, b) > 0)
     assert moved  # some of these points lie inside the atom's support
-    assert wrong_side  # and only the error bound keeps them from a skip
+    assert outside  # and some outside it
+    assert wrong_side  # and only the error bound keeps them from the wrong piece
 
 
 @pytest.mark.parametrize("reuse", [True, False])
@@ -513,8 +525,8 @@ def test_table_hits_keep_the_walking_point(wmu):
 
 
 def test_filled_successor_slots_are_the_atoms_images(wmu):
-    # every successor slot, filled when its point was interned or learned by
-    # the walk, names the point that the atom's exact apply gives
+    # every successor slot that the walk learned names the point that the
+    # atom's exact apply gives, the point itself where the atom fixes it
     walker = _MeasureWalker(wmu, SQRT3)
     for t in range(20):
         walker.run(SQRT3, 2000, trajectory_rng(3, t), 1500)
@@ -827,6 +839,20 @@ def test_walk_experiments_reject_no_trajectories(wmu, trajectories):
         lamplighter_demo(Fraction(4, 5), 10, trajectories, 1)
 
 
+@pytest.mark.parametrize("steps", [0, -5])
+def test_walk_experiments_reject_no_steps(wmu, steps):
+    # steps below 1 gave a negative stabilization horizon, a FAIL verdict,
+    # a stabilized fraction of 0 or empty series, all without an error
+    with pytest.raises(ValueError, match="steps must be positive"):
+        simulate_config_walk(wmu, SQRT3, SQRT3, steps, random.Random(1))
+    with pytest.raises(ValueError, match="steps must be positive"):
+        nontriviality_witness(wmu, SQRT3, steps, 10, 1)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        summability_diagnostic(wmu, SQRT3, SQRT3, steps, 10, 1)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        lamplighter_demo(Fraction(4, 5), steps, 10, 1)
+
+
 @pytest.mark.parametrize("horizons", [[], [0], [-3, 10]])
 def test_returns_reject_bad_horizons(horizons):
     # an empty list had no top horizon, and one <= 0 gave a mean of 0
@@ -1005,10 +1031,10 @@ def test_returns_from_a_start_above_the_intern_bound(bits):
     assert large.means == small.means
 
 
-def test_hull_skips_at_a_start_above_the_intern_bound(pre3):
-    # 2^200 lies far outside the hull of hs and above share_bits: the first
-    # step is an exact apply that fixes the point, and every later step is
-    # a hull skip that must still count the visit to the start
+def test_fixed_start_above_the_intern_bound_counts_every_visit(pre3):
+    # 2^200 lies far outside the hull of hs and above share_bits: every step
+    # is an apply that returns the point itself, never interned, and each
+    # must count the visit to the start by comparing points
     hs = pre3.hs.map
     mu = uniform_measure([hs, hs.inverse()])
     start = q(2**200)
@@ -1020,6 +1046,16 @@ def test_returns_point_mass_fixed(pre3):
     mu = GroupMeasure([(pre3.hs.map, Fraction(1))])
     rep = estimate_returns(mu, SQRT3, [50], 3, 1)
     assert rep.means[0] == 50  # fixed point: returns every step
+
+
+def test_prechain_means_rise_to_seven():
+    # G(1) - 1 = 7 bounds the means, and the gap closes like a constant
+    # over sqrt(h), from below: 26.60, 26.83, 26.95 and 27.02
+    horizons = [1250, 2500, 5000, 10000]
+    means = tree_mean_returns(horizons)
+    assert all(m < 7 for m in means)
+    scaled = [float(7 - m) * math.sqrt(h) for m, h in zip(means, horizons)]
+    assert all(a < b for a, b in zip(scaled, scaled[1:])), scaled
 
 
 def test_returns_prechain_saturates():
