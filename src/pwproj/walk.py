@@ -22,8 +22,8 @@ from .exactnum import (
     QuadraticNumber,
     canonical_key,
     point_to_text,
-    qn_approx,
     qn_compare,
+    qn_floor_times,
     sorted_points,
 )
 from .piecewise import (
@@ -73,9 +73,18 @@ class PowerLawSampler:
     truncation).  The largest draw is bounded only by the uniform draw's
     resolution, 1 - u >= 2**-53.  A draw has about 1/alpha bits at the
     median and up to 53/alpha bits, so alpha is held to ALPHA_MIN or more.
+
+    The table search is guided (Devroye, Non-Uniform Random Variate
+    Generation, 1986, sec. III.2.4): _guide[i] = bisect_left(_table, i/G)
+    for i = 0, ..., G.  For u <= _table[-1] < 1, i = int(u*G) is exact
+    (G is a power of two), so i/G <= u < (i + 1)/G, and since bisect_left
+    is monotone in its key, bisect_left(_table, u) lies in [_guide[i],
+    _guide[i + 1]]: a search of that range alone gives the same index.
+    _MeasureWalker.run inlines this draw.
     """
 
     TABLE = 1 << 14
+    GUIDE = 1 << 12
     # the cdf search covers j up to here; the log-space inverse goes beyond
     SEARCH_TOP = 1 << 62
 
@@ -91,6 +100,7 @@ class PowerLawSampler:
             acc += j**-self.s / self.norm
             table.append(acc)
         self._table = table
+        self._guide = [bisect_left(table, i / self.GUIDE) for i in range(self.GUIDE + 1)]
         self._search_top_cdf = self._cdf(self.SEARCH_TOP)
 
     def prob(self, j: int) -> float:
@@ -105,7 +115,11 @@ class PowerLawSampler:
         """A magnitude j from the law, with a fair sign: the walk's tail draw."""
         u = rng.random()
         table = self._table
-        mag = bisect_left(table, u) + 1 if u <= table[-1] else self._beyond_table(u)
+        if u <= table[-1]:
+            i = int(u * self.GUIDE)
+            mag = bisect_left(table, u, self._guide[i], self._guide[i + 1]) + 1
+        else:
+            mag = self._beyond_table(u)
         return mag if rng.random() < 0.5 else -mag
 
     def _beyond_table(self, u: float) -> int:
@@ -222,7 +236,7 @@ class _MeasureWalker:
     point has a successor row, shared across trajectories: per atom, the id
     of its image, or RAW until the walk first takes that atom there.  The
     row has one more slot, for tail draws, that stays RAW: a tail draw
-    rebuilds the point, and one that leaves every hull enters the far state
+    rebuilds the point, and one that leaves span enters the far state
     below instead of the table.  Deeper points are handled verbatim until
     they shrink back or hit the freeze bound.  Configuration deltas can
     only occur at interned points because every slope-change support point
@@ -234,14 +248,12 @@ class _MeasureWalker:
 
     An atom whose end pieces are the identity fixes every point outside its
     first and last break.  When every atom is such and the measure has a
-    tail, far_hull encloses the union of their hulls: the least first-break
-    float with the largest error, and the greatest last-break float with
-    the largest error (the errors of qn_approx).  A point outside far_hull
-    by the hull test, the float test of piece_index, is outside every
-    atom's hull, since rounding is monotone; run keeps points that a tail
-    draw takes outside far_hull, interned or raw, in a far state (see run).
-    span is the exact closed interval from the least first break to the
-    greatest last break, which far_hull encloses.
+    tail, span is the exact closed interval from the least first break to
+    the greatest last break, which holds every atom's hull and every
+    configuration entry, and far_bounds holds two integers around it,
+    floor(span[0]) <= span[0] and floor(span[1]) + 1 > span[1].  run keeps
+    points that a tail draw takes outside span, interned or raw, in a far
+    state (see run); otherwise span and far_bounds are None.
     """
 
     RAW = -1
@@ -259,27 +271,16 @@ class _MeasureWalker:
             if base.breaks or m.c != 0 or m.a != 1 or m.d != 1:
                 raise ValueError("tail base must be a translation x -> x + t")
             self.tail_shift = m.b
-        # Float enclosures of the first and last break of each atom whose
-        # end pieces are the identity; the atom fixes every point outside.
-        hulls: List[Optional[Tuple[float, float, float, float]]] = []
-        for m, _ in mu.atoms:
-            hull = None
-            if m.breaks and m.pieces[0].is_identity and m.pieces[-1].is_identity:
-                lo, hi = qn_approx(m.breaks[0]), qn_approx(m.breaks[-1])
-                if lo is not None and hi is not None:
-                    hull = (*lo, *hi)
-            hulls.append(hull)
-        self.far_hull: Optional[Tuple[float, float, float, float]] = None
-        # the closed interval from the least first break to the greatest last
-        # break, exact; it holds every configuration entry, since each is a break
         self.span: Optional[Tuple[QuadraticNumber, QuadraticNumber]] = None
-        if mu.tail is not None and hulls and None not in hulls:
-            lo_f, lo_e, hi_f, hi_e = zip(*hulls)
-            self.far_hull = (min(lo_f), max(lo_e), max(hi_f), max(hi_e))
-            self.span = (
-                sorted_points(m.breaks[0] for m, _ in mu.atoms)[0],
-                sorted_points(m.breaks[-1] for m, _ in mu.atoms)[-1],
-            )
+        self.far_bounds: Optional[Tuple[int, int]] = None
+        if mu.tail is not None and mu.atoms and all(
+            m.breaks and m.pieces[0].is_identity and m.pieces[-1].is_identity
+            for m, _ in mu.atoms
+        ):
+            lo = sorted_points(m.breaks[0] for m, _ in mu.atoms)[0]
+            hi = sorted_points(m.breaks[-1] for m, _ in mu.atoms)[-1]
+            self.span = (lo, hi)
+            self.far_bounds = (qn_floor_times(lo, 1), qn_floor_times(hi, 1) + 1)
         entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
         # only decides caching: above every entry, below the freeze bound
         self.share_bits = max(128, max(entry_bits, default=0) + 1)
@@ -303,6 +304,24 @@ class _MeasureWalker:
             self.deltas.append(row + [0] if any(row) else None)
         return pid
 
+    def far_entry(self, x: QuadraticNumber, freeze_bits: Optional[int]):
+        """(off_lo, off_hi, lim): the far state's bounds at its entry point x.
+
+        For an int off, x + off lies strictly below span when off <= off_lo
+        and strictly above it when off >= off_hi, and it is within
+        freeze_bits when |off| < lim (see run for both proofs).
+        """
+        A, B, D, _ = x
+        below, above = self.far_bounds
+        m = qn_floor_times(x, 1)
+        if freeze_bits is None:
+            lim = math.inf
+        else:
+            room = freeze_bits - 1 - B.bit_length() - D.bit_length()
+            cap = room - D.bit_length()
+            lim = 1 << cap if cap >= 0 and A.bit_length() <= room else 0
+        return below - m - 1, above - m, lim
+
     def run(
         self,
         start: QuadraticNumber,
@@ -319,47 +338,50 @@ class _MeasureWalker:
         freezes the walk when its point is not interned and the bit sizes
         of its A, B and D sum past freeze_bits.  The start point is always
         interned, so a return to it is recognized by its id (or, for a
-        start above the intern bound, by comparing points).  An atom step
-        off the table is the atom's apply, which fixes a point on an
-        identity piece.
+        start above the intern bound, by comparing points).  Each step takes
+        one uniform draw u: the tail when u >= the atoms' mass, else the
+        atom bisect_right(cuts, u).  An atom step off the table is the
+        atom's apply, which fixes a point on an identity piece.  A tail step
+        is the loop's one tail-draw site, PowerLawSampler.sample_signed
+        written out: a uniform draw for the magnitude, searched through the
+        sampler's guide, and one for the sign.
 
-        The far state.  A run has one when far_hull exists, the start is not
-        raw and the start lies in span, checked once by two exact compares.
-        A tail draw enters it, after the freeze check, when qn_approx gives
-        the new point, interned or raw, an enclosure (f0, e0) outside
-        far_hull by the hull test, with |f0| < 2**1000.  Such a point lies
-        strictly outside span, so it is neither the start nor a
-        configuration entry (each entry is a break of its atom), and while
-        it stays outside far_hull every atom fixes it: the walk can neither
-        visit the start nor change the configuration.  Only a tail draw can
-        reach such a point: an atom maps its closed hull onto itself and
-        fixes every point outside it, and span holds every hull.  The point
-        is kept as x0 + off, x0 = (A0 + B*sqrt(k))/D the entry point and off
-        an int.  An atom draw is one uniform() and one compare with the
-        atoms' mass; a tail draw n adds t*n to off and stays far when
-          - bits(off) <= 1000, so every float below is finite;
-          - the bit bound holds: A = A0 + off*D has at most
-            max(bits(A0), bits(off) + bits(D)) + 1 bits, and that plus
-            bits(B) + bits(D) is at most freeze_bits, so the point cannot
-            freeze;
-          - the enclosure (f, e) = (f0 + F, e0 + 2**-49 * (|f0| + |F|)),
-            F = float(off), computed in floats, is outside far_hull by the
-            hull test.
-        Otherwise the point A0 + off*D is built once and takes the checks
-        of any tail step: the freeze, then the entry test, then the intern
-        table if it is small.  So every draw, decision and result is that of
-        the walk without the far state, which would take each atom there
-        from the table as a fixed point or apply it as the identity.
+        The far state.  A run has one when far_bounds exists, the start is
+        not raw and the start lies in span, checked once by two exact
+        compares.  The walking point is then kept as x0 + off, x0 = (A0 +
+        B0*sqrt(k0))/D0 the point where the walk entered and off an int,
+        and far_entry turns x0 into three ints.  The walk stays far exactly
+        while
+          -lim < off <= off_lo  or  off_hi <= off < lim.
+        A tail draw enters the far state, after the freeze check, iff off = 0
+        passes this test, so entry and stay are one test.  While far, an
+        atom step is the step's uniform draw and one compare, and a tail
+        draw n adds t*n to off and takes the test again: integer work alone.
+        A draw that fails the test builds the point A0 + off*D0 once, and
+        that point takes the checks of any tail step: the freeze, then the
+        entry test, then the intern table if it is small.
 
-        Why (f, e) decides the hull test soundly (u = 2**-53, S = |f0| +
-        |F|): float(off) and the sum are correctly rounded, so
-        |x - f| < e0/2 + u*|F| + u*S <= e0/2 + 2u*S.  If fl(lo - f) >
-        fl(e + lo_e), then lo - f > (1 - 2u)(e + lo_e), and the computed e
-        is at least (1 - u)(e0 + 2**-49 * S * (1 - u)) - 2**-1075, the last
-        term for a subnormal product.  Every first break of an atom lies
-        above lo - lo_e/2, so it exceeds x by more than
-        (1/2 - 3u) e0 + (2**-49 (1 - 4u) - 2u) S - 2**-1075 > 0, as
-        e0 >= 2**-1000.  The upper side is the same.
+        Why the bounds are sound.  m = floor(x0) is exact, from x0's
+        integers (qn_floor_times), so m <= x0 < m + 1; far_bounds holds
+        below = floor(span[0]) and above = floor(span[1]) + 1, and far_entry
+        sets off_lo = below - m - 1 and off_hi = above - m.  For off <=
+        off_lo, x0 + off < m + 1 + off_lo = below <= span[0]; for off >=
+        off_hi, x0 + off >= m + off_hi = above > span[1].  So a far point
+        lies strictly outside span: it is neither the start nor a
+        configuration entry (each entry is a break of its atom), and every
+        atom fixes it, since span holds every atom's hull.  The walk can
+        neither visit the start nor change the configuration there.  Only a
+        tail draw can reach such a point: an atom maps its closed hull onto
+        itself and fixes every point outside it.  lim is the freeze bound
+        as a bound on off: A = A0 + off*D0 has at most max(bits(A0),
+        bits(off) + bits(D0)) + 1 bits, so with room = freeze_bits - 1 -
+        bits(B0) - bits(D0) and cap = room - bits(D0), the point cannot
+        freeze while bits(A0) <= room and bits(off) <= cap, that is while
+        |off| < 2**cap.  lim is 2**cap, or 0 when bits(A0) > room or cap < 0
+        (the walk does not enter), and unbounded without freeze_bits.  So
+        every draw, decision and result is that of the walk without the far
+        state, which would take each atom there from the table as a fixed
+        point or apply it as the identity.
         """
         raw = self.RAW
         share_bits = self.share_bits
@@ -371,6 +393,12 @@ class _MeasureWalker:
         succ = self.succ
         deltas = self.deltas
         sampler = self.mu._sampler
+        if sampler is not None:
+            table = sampler._table
+            top = table[-1]
+            guide = sampler._guide
+            buckets = float(sampler.GUIDE)
+            beyond = sampler._beyond_table
         shift = self.tail_shift
         uniform = rng.random
         new_point = tuple.__new__
@@ -380,34 +408,26 @@ class _MeasureWalker:
         pid = start_pid = intern(start)
         # a start above the intern bound is seen again only by comparing points
         raw_start = _bits(start) > share_bits
-        far_hull = self.far_hull
-        if far_hull is not None:
+        far_bounds = self.far_bounds
+        if far_bounds is not None:
             lo, hi = self.span
             if raw_start or qn_compare(lo, start) > 0 or qn_compare(start, hi) > 0:
-                far_hull = None
+                far_bounds = None
             else:
-                lo_f, lo_e, hi_f, hi_e = far_hull
+                far_entry = self.far_entry
                 atom_mass = cuts[-1]
         # while far, the walking point is x0 + off, x0 = (A0, B0, D0, k0),
-        # and x is stale; a tail draw stays far while bits(off) <= cap
+        # x is stale, and ai stays natoms, the tail's index
         far = False
         changes: List[Tuple[int, int]] = []
         visits: List[int] = []
         for n in range(1, steps + 1):
+            u = uniform()
             if far:
-                if uniform() < atom_mass:
+                if u < atom_mass:
                     continue
-                off += shift * sampler.sample_signed(rng)
-                if off.bit_length() <= cap:
-                    fo = float(off)
-                    f = f0 + fo
-                    e = e0 + 2.0**-49 * (abs_f0 + abs(fo))
-                    if lo_f - f > e + lo_e or f - hi_f > e + hi_e:
-                        continue
-                far = False
-                x = new_point(QuadraticNumber, (A0 + off * D0, B0, D0, k0))
             else:
-                ai = bisect_right(cuts, uniform())
+                ai = bisect_right(cuts, u)
                 if pid != raw:
                     row = deltas[pid]
                     if row is not None and row[ai]:
@@ -420,45 +440,49 @@ class _MeasureWalker:
                             visits.append(n)
                         continue
                     x = points[pid]
-                if ai < natoms:
-                    x = atoms[ai].apply(x)
+            if ai < natoms:
+                x = atoms[ai].apply(x)
+            else:
+                # the tail draw: sample_signed's guided search and sign
+                u = uniform()
+                if u <= top:
+                    i = int(u * buckets)
+                    j = guide[i]
+                    end = guide[i + 1]
+                    if j < end:
+                        j = bisect_left(table, u, j, end)
+                    j += 1
+                else:
+                    j = beyond(u)
+                if uniform() >= 0.5:
+                    j = -j
+                if far:
+                    off += shift * j
+                    if -lim < off <= off_lo or off_hi <= off < lim:
+                        continue
+                    far = False
+                    x = new_point(QuadraticNumber, (A0 + off * D0, B0, D0, k0))
                 else:
                     # x + t*n keeps B and D, and gcd(A + t*n*D, B, D) is
                     # gcd(A, B, D) = 1, so the point stays canonical
                     A, B, D, k = x
-                    A += shift * sampler.sample_signed(rng) * D
-                    x = new_point(QuadraticNumber, (A, B, D, k))
+                    x = new_point(QuadraticNumber, (A + shift * j * D, B, D, k))
             A, B, D, _ = x
-            bd = B.bit_length() + D.bit_length()
-            bits = A.bit_length() + bd
+            bits = A.bit_length() + B.bit_length() + D.bit_length()
             if bits > share_bits:
                 pid = raw
                 if raw_start and x == start:
                     visits.append(n)
                 elif freeze_bits is not None and bits > freeze_bits:
                     return changes, visits, x, n
-            if far_hull is not None and ai == natoms:
-                # the far state's entry test, after every tail draw (ai is
-                # still natoms when the far loop builds its point)
-                ax = qn_approx(x)
-                if ax is not None:
-                    f0, e0 = ax
-                    abs_f0 = abs(f0)
-                    far = abs_f0 < 2.0**1000 and (
-                        lo_f - f0 > e0 + lo_e or f0 - hi_f > e0 + hi_e
-                    )
-                if far:
+            if far_bounds is not None and ai == natoms:
+                # the far state's entry test, after every tail draw
+                off_lo, off_hi, lim = far_entry(x, freeze_bits)
+                off = 0
+                if -lim < off <= off_lo or off_hi <= off < lim:
+                    far = True
                     pid = raw
                     A0, B0, D0, k0 = x
-                    off = 0
-                    cap = 1000
-                    if freeze_bits is not None:
-                        # the bit bound as a bound on bits(off)
-                        room = freeze_bits - 1 - bd
-                        if A.bit_length() > room:
-                            cap = -1
-                        else:
-                            cap = min(cap, room - D.bit_length())
                     continue
             if bits > share_bits:
                 continue

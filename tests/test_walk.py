@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -8,7 +9,7 @@ import subprocess
 import sys
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from pwproj.exactnum import (
     point_to_text,
     qn_approx,
     qn_compare,
+    qn_normalize,
 )
 from pwproj.piecewise import (
     configuration,
@@ -202,6 +204,45 @@ def test_power_law_share_beyond_the_search_top():
     assert abs(above / n - p) < 3 * math.sqrt(p * (1 - p) / n), (above / n, p)
 
 
+def _guide_probes(sampler):
+    """Uniform draws where a guided search could go wrong: each bucket edge
+    i/G, each cdf value of the table, both float neighbours of each, 0, the
+    table's last cdf and the next float above it."""
+    table = sampler._table
+    probes = {0.0, table[-1], math.nextafter(table[-1], 1)}
+    edges = [i / PowerLawSampler.GUIDE for i in range(PowerLawSampler.GUIDE + 1)]
+    for v in edges + table:
+        probes |= {v, math.nextafter(v, 0), math.nextafter(v, 1)}
+    return sorted(u for u in probes if 0 <= u < 1)
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(1, 1000), Fraction(1, 2), Fraction(4, 5), Fraction(999, 1000)], ids=str
+)
+def test_power_law_guided_search_matches_a_full_bisection(alpha):
+    # the guide narrows bisect_left(_table, u) to one bucket's range: the
+    # same index as a search of the whole table, at every edge of a bucket
+    # or of a table entry; above the table the analytic tail takes over
+    sampler = PowerLawSampler(alpha)
+    table = sampler._table
+    assert len(sampler._guide) == PowerLawSampler.GUIDE + 1
+    for u in _guide_probes(sampler):
+        want = bisect_left(table, u) + 1 if u <= table[-1] else sampler._beyond_table(u)
+        assert abs(sampler.sample_signed(_FixedUniform(u))) == want, u
+
+
+def test_walk_kernel_tail_draw_matches_a_full_bisection():
+    # the walk kernel's own copy of the guided draw: one tail step of +j
+    # from 0, with a translation atom, so that no far state takes the step
+    sampler = PowerLawSampler(Fraction(4, 5))
+    mu = GroupMeasure([(A1, Fraction(3, 4))], TailSpec(A1, Fraction(4, 5), Fraction(1, 4)))
+    walker = _MeasureWalker(mu, q(0))
+    table = sampler._table
+    for u in _guide_probes(sampler):
+        want = bisect_left(table, u) + 1 if u <= table[-1] else sampler._beyond_table(u)
+        assert walker.run(q(0), 1, _Draws([0.875, u, 0.25]), None)[2] == q(want), u
+
+
 def test_measure_frequencies(wmu):
     rng = random.Random(5)
     n = 100_000
@@ -354,7 +395,7 @@ def test_walk_kernel_paths_match_stepwise_oracle(pre3, wmu, case):
         assert ends == [False, True, True, True]
     else:
         assert all(ends)
-    assert (walker.far_hull is None) == (case in ("no_hull", "one_no_hull"))
+    assert (walker.far_bounds is None) == (case in ("no_hull", "one_no_hull"))
     assert walker.tail_shift == (3 if case == "tail_3" else 1)
     share = walker.share_bits
     freeze_bits = 1500
@@ -413,7 +454,7 @@ def test_apply_near_breaks_is_exact(wmu):
     moved = outside = wrong_side = 0
     for atom, _ in wmu.atoms:
         walker = _MeasureWalker(GroupMeasure([(atom, Fraction(1, 2))], tail), SQRT3)
-        assert walker.far_hull is not None  # the atom's end pieces are the identity
+        assert walker.far_bounds is not None  # the atom's end pieces are the identity
         first, last = atom.breaks[0], atom.breaks[-1]
         for x in (first - 7000, first - 1, last + 1, last + 7000):
             assert atom.apply(x) is x
@@ -587,12 +628,12 @@ def _far_start(hs, target):
     return start(hi)
 
 
-def _enters_far_state(walker, x):
+def _enters_far_state(walker, x, freeze_bits=1500):
     """The far state's entry test at a point x, interned or raw, reached by
-    a tail draw in a run whose start is not raw and lies in walker.span."""
-    f, e = qn_approx(x)
-    lo_f, lo_e, hi_f, hi_e = walker.far_hull
-    return abs(f) < 2.0**1000 and (lo_f - f > e + lo_e or f - hi_f > e + hi_e)
+    a tail draw in a run whose start is not raw and lies in walker.span:
+    off = 0 passes the stay test."""
+    off_lo, off_hi, lim = walker.far_entry(x, freeze_bits)
+    return -lim < 0 <= off_lo or off_hi <= 0 < lim
 
 
 def _random_steps(seed, steps):
@@ -618,10 +659,10 @@ def _assert_run_matches_oracle(walker, mu, start, steps, freeze_bits):
 @pytest.mark.parametrize("edge", ["lo", "hi"])
 def test_far_state_near_a_hull_edge_after_a_large_offset(pre3, wmu, edge, side, freeze_bits):
     """A far walk is taken about 3e7 out and brought back to within 2^-29 of
-    an edge of the union hull, on either side.  Its widened enclosure
-    cannot place the point, so the walk builds it; just inside, the atom
-    of that edge moves it.  The lower edge belongs to the companion atoms,
-    whose hull is not the first atom's."""
+    an edge of the span, on either side.  The integer bounds cannot place
+    the point, so the walk builds it; just inside, the atom of that edge
+    moves it.  The lower edge belongs to the companion atoms, whose hull is
+    not the first atom's."""
     walker = _MeasureWalker(wmu, SQRT3)
     breaks = [m.breaks for m, _ in wmu.atoms]
     if edge == "lo":
@@ -663,10 +704,11 @@ def test_far_state_offsets_above_2_53(pre3, freeze_bits):
 
 
 @pytest.mark.parametrize("freeze_bits", [1500, None])
-def test_far_state_left_when_float_of_the_offset_overflows(pre3, freeze_bits):
+def test_far_state_offsets_beyond_the_float_range(pre3, freeze_bits):
     """A tail of t = 2^970 draws a magnitude near 2^61, an offset beyond the
-    float range: the walk leaves the far state, and enters it again when a
-    draw brings the offset back."""
+    float range: the integer bounds keep the walk far, the opposite draw
+    brings the offset back to 0, and a last draw of -t leaves the far
+    state at the entry point's image under the atom."""
     hs, companion = pre3.hs.map, pre3.companion
     t = 2**970
     mu = witness_measure(hs, companion, pm_from_matrix(ProjectiveMatrix.translation(t)))
@@ -737,7 +779,7 @@ def test_far_state_off_for_points_raw_by_their_a_alone(wmu):
     """A start outside every hull and just inside the intern bound, left by
     a tail draw whose A alone passes the bound.  The start lies below the
     span, so the run has no far state, and it sees the return; in a far
-    state the tail back to the start would stay outside far_hull."""
+    state the tail back to the start would stay outside span."""
     walker = _MeasureWalker(wmu, SQRT3)
     start = q(Fraction(-(2**64) - 1, 2**63 - 1))
     assert _bit_size(start) <= walker.share_bits < _bit_size(start - 6)
@@ -748,7 +790,7 @@ def test_far_state_off_for_points_raw_by_their_a_alone(wmu):
 
 @pytest.mark.parametrize("freeze_bits", [1500, None])
 def test_far_state_from_an_interned_point(wmu, freeze_bits):
-    """A tail draw at the interned start SQRT3 lands outside far_hull with
+    """A tail draw at the interned start SQRT3 lands outside span with
     small B and D: it goes far without interning, and the exactly opposite
     tail after further draws brings it back, a visit at the oracle's step."""
     walker = _MeasureWalker(wmu, SQRT3)
@@ -785,6 +827,81 @@ def test_far_state_for_a_start_at_an_edge_of_the_span(wmu, where, freeze_bits):
     assert got[1] == [1, 2, 3, 4, 10, 11, 12, 13, 14]
     assert (walker.points == [start]) == (where in ("lo", "hi"))
     _assert_run_matches_oracle(walker, wmu, start, steps + _random_steps(where, 300), freeze_bits)
+
+
+def _far_entry_points(pre3, wmu):
+    """Entry points of the far-state tests above, and seeded random points
+    of up to about 2^999 in size, rational and in Q(sqrt 3)."""
+    hs = wmu.atoms[0][0]
+    breaks = [m.breaks for m, _ in wmu.atoms]
+    lo_edge, hi_edge = min(b[0] for b in breaks), max(b[-1] for b in breaks)
+    points = []
+    for at, m in ((lo_edge, -1000), (hi_edge, 5000)):
+        for side in (1, -1):
+            y = hs.apply(_far_start(hs, at + q(Fraction(side, 2**30)) - m))
+            points += [y + 3 * 10**7, y + m]
+    y = hs.apply(_far_start(hs, q(1000)))
+    t = 2**970
+    points += [y + 2**53 + 1, y + 7 * (2**53 + 1), y + t, y + t + 2**61 * t]
+    points += [lo_edge, hi_edge, lo_edge - 7000, hi_edge + 7000, SQRT3 + 7000, SQRT3 - 7000]
+    rng = random.Random("far-entry")
+    for _ in range(300):
+        size = rng.randrange(1000)
+        D = rng.getrandbits(rng.randrange(1, 200)) | 1
+        A = rng.choice((-1, 1)) * rng.getrandbits(size) * D + rng.getrandbits(64)
+        B = rng.choice((0, -1, 1)) * rng.getrandbits(rng.randrange(1, 100))
+        points.append(qn_normalize(A, B, D, 3 if B else 1))
+    return points
+
+
+def test_far_state_bounds_lie_outside_the_span(pre3, wmu):
+    """At every entry point x0, x0 + off_lo lies strictly below the span and
+    x0 + off_hi strictly above it, by exact compares, and neither bound is
+    more than 2 away from the least or greatest such offset.  Below lim,
+    x0 + off stays within the freeze bound."""
+    walker = _MeasureWalker(wmu, SQRT3)
+    lo, hi = walker.span
+    entered = 0
+    for x0 in _far_entry_points(pre3, wmu):
+        off_lo, off_hi, lim = walker.far_entry(x0, None)
+        assert lim == math.inf
+        assert qn_compare(x0 + off_lo, lo) < 0 < qn_compare(x0 + off_lo + 2, lo), x0
+        assert qn_compare(x0 + off_hi, hi) > 0 > qn_compare(x0 + off_hi - 2, hi), x0
+        entered += _enters_far_state(walker, x0, None)
+        if _bit_size(x0) <= 1500:
+            assert walker.far_entry(x0, 1500)[:2] == (off_lo, off_hi)
+            lim = walker.far_entry(x0, 1500)[2]
+            for off in (lim - 1, 1 - lim) if lim else ():
+                assert _bit_size(x0 + off) <= 1500, (x0, off)
+    assert entered > 250  # most of them lie outside the span
+    # 1500 bits, with A too long for the bound on A0 + off*D0: no far state,
+    # since an offset of 2^1298 - 1 would carry A to 1400 bits
+    x0 = qn_normalize(-(2**1399 - 1), 1, 2**99 + 1, 3)
+    assert _bit_size(x0) == 1500 < _bit_size(x0 - (2**1298 - 1))
+    assert walker.far_entry(x0, 1500)[2] == 0
+    assert not _enters_far_state(walker, x0)
+
+
+# SHA-256 of the witness report, and over (changes, visits, x, frozen_at) of
+# its 20 trajectories, at alpha = 1/100 (T = 2000, seed 7), recorded before
+# the walk kernel drew its tail inline: there about 65% of the tail draws lie
+# above 2^62, beyond the table
+PINNED_HEAVY_TAIL_DIGESTS = (
+    "5678223cccb02636b3adb6cdcd0d74ed03e34f1359526979859c748cd2d65d67",
+    "57f523a36c5f516f836ecebd3a7ac4d68304e53fe6868c4447e25aca319b3e6f",
+)
+
+
+def test_heavy_tail_witness_is_pinned(pre3):
+    mu = witness_measure(pre3.hs.map, pre3.companion, A1, alpha=Fraction(1, 100))
+    report = nontriviality_witness(mu, SQRT3, 2000, 20, 7)
+    runs = hashlib.sha256()
+    walker = _MeasureWalker(mu, SQRT3)
+    for t in range(20):
+        changes, visits, x, frozen_at = walker.run(SQRT3, 2000, trajectory_rng(7, t), 1500)
+        runs.update(repr((changes, visits, tuple(x), frozen_at)).encode())
+    digests = (hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest(), runs.hexdigest())
+    assert digests == PINNED_HEAVY_TAIL_DIGESTS
 
 
 # SHA-256 over (changes, visits, x, frozen_at) of 40 witness trajectories
@@ -1184,6 +1301,28 @@ def test_summability_witness_flattens(wmu):
     last_decile = cum[-1] - cum[int(0.9 * len(cum))]
     assert last_decile < 0.10 * cum[-1]
     assert rep["atom_l1_mass"] == "3/8"  # two delta atoms at weight 3/16
+
+
+def test_summability_matches_the_exact_change_count(pre3):
+    """The walk uniform on f^+-1 and g^+-1 from b at sqrt 3, which has no
+    tail.  f's configuration is empty on the orbit and g's is 1 at b, so a
+    step changes the value exactly when it leaves the root by g^+-1, with
+    chance 1/2 at each root visit, step 0 included: E[changes by T] =
+    (1 + m_{T-1})/2, m the exact tree means.  cumulative[-1] is the mean
+    of the per-run change counts, which simulate_config_walk gives on the
+    same streams, and lies within 4 standard errors of that value."""
+    mu = uniform_measure([pre3.f, pre3.f.inverse(), pre3.g, pre3.g.inverse()])
+    T, M, seed = 100, 2000, 5
+    rep = summability_diagnostic(mu, SQRT3, pre3.b, T, M, seed, None)
+    counts = [
+        simulate_config_walk(mu, SQRT3, pre3.b, T, trajectory_rng(seed, t), None)["changes"]
+        for t in range(M)
+    ]
+    mean = sum(counts) / M
+    assert rep["cumulative"][-1] == pytest.approx(mean, rel=1e-12)
+    se = math.sqrt(_float_sum((c - mean) ** 2 for c in counts) / (M - 1) / M)
+    exact = (1 + tree_mean_returns([T - 1])[0]) / 2
+    assert abs(rep["cumulative"][-1] - exact) <= 4 * se, (mean, se, float(exact))
 
 
 def test_witness_abelian_control_fails():
