@@ -22,7 +22,7 @@ from .piecewise import (
     build_hs,
     configuration,
     construct_prechain,
-    membership,
+    in_hz,
     pm_from_matrix,
 )
 from .psl2 import ProjectiveMatrix
@@ -103,7 +103,7 @@ def cmd_construct_hs(args):
         "breaks": [point_to_text(b) for b in built.map.breaks],
         "break_fields": [b.k for b in built.map.breaks],
         "configuration": configuration(built.map, s).as_text_dict(),
-        "hz_member": membership(built.map, "HZ"),
+        "hz_member": in_hz(built.map),
         "support": [
             [point_to_text(lo), point_to_text(hi)]
             for lo, hi in built.map.support_intervals()

@@ -218,13 +218,6 @@ class QuadraticNumber(tuple):
     def is_rational(self) -> bool:
         return self[3] == 1
 
-    def conjugate(self) -> "QuadraticNumber":
-        A, B, D, k = self
-        return _new(QuadraticNumber, (A, -B, D, k))
-
-    def sign(self) -> int:
-        return _sign_root(self[0], self[1], self[3])
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -348,9 +341,6 @@ def qn_normalize(A: int, B: int, D: int, k: int) -> QuadraticNumber:
     return _new(QuadraticNumber, (A, B, D, k))
 
 
-_ONE = qn_normalize(1, 0, 1, 1)
-
-
 def _parts(x):
     """(A, B, D, k) of a quadratic number, int or Fraction; None otherwise."""
     if isinstance(x, QuadraticNumber):
@@ -418,10 +408,6 @@ class _InfinityType:
 INFINITY = _InfinityType()
 
 ExtendedPoint = Union[QuadraticNumber, _InfinityType]
-
-
-def is_infinity(p: ExtendedPoint) -> bool:
-    return p is INFINITY
 
 
 def qn_compare(x: QuadraticNumber, y: QuadraticNumber) -> int:
@@ -635,9 +621,3 @@ def qn_from_text(text: str) -> QuadraticNumber:
 
 def point_to_text(p: ExtendedPoint) -> str:
     return "inf" if p is INFINITY else qn_to_text(p)
-
-
-def point_from_text(text: str) -> ExtendedPoint:
-    if text.strip() == "inf":
-        return INFINITY
-    return qn_from_text(text)

@@ -20,13 +20,12 @@ from .exactnum import (
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
-    is_infinity,
     normalize_radicand,
     point_to_text,
-    point_from_text,
     qn_approx,
     qn_compare,
     qn_floor_times,
+    qn_from_text,
     qn_normalize,
 )
 from .psl2 import (
@@ -85,13 +84,8 @@ class PiecewiseProjectiveMap:
     def is_identity(self) -> bool:
         return not self.breaks and self.pieces[0].is_identity
 
-    def br(self) -> int:
-        """Number of break points, counting the one at infinity if present."""
-        extra = 0 if self.pieces[0] == self.pieces[-1] else 1
-        return len(self.breaks) + extra
-
-    def piece_index(self, x: QuadraticNumber, side: int = 1) -> int:
-        """Index of the piece governing x; side=-1 gives the left germ at x.
+    def piece_index(self, x: QuadraticNumber) -> int:
+        """Index of the piece governing x: the number of breaks at or below x.
 
         Each probe of the binary search first compares float enclosures
         (qn_approx) of x and the break: when |fl(f_x - f_b)| > e_x + e_b, the
@@ -121,15 +115,11 @@ class PiecewiseProjectiveMap:
                 if -gap > err:
                     hi = mid
                     continue
-            cmp = qn_compare(x, breaks[mid])
-            if cmp > 0 or (cmp == 0 and side > 0):
+            if qn_compare(x, breaks[mid]) >= 0:
                 lo = mid + 1
             else:
                 hi = mid
         return lo
-
-    def right_germ(self, x: QuadraticNumber) -> ProjectiveMatrix:
-        return self.pieces[self.piece_index(x, 1)]
 
     # -- action ----------------------------------------------------------
 
@@ -213,7 +203,7 @@ class PiecewiseProjectiveMap:
             fixed = [
                 f
                 for f in mat_fixed_points(piece)
-                if not is_infinity(f)
+                if f is not INFINITY
                 and (lo is None or qn_compare(f, lo) > 0)
                 and (hi is None or qn_compare(f, hi) < 0)
             ]
@@ -251,17 +241,16 @@ class PiecewiseProjectiveMap:
 
     @classmethod
     def from_text(cls, text: str) -> "PiecewiseProjectiveMap":
+        """The map written by to_text; ValueError on malformed text."""
         tokens = text.split()
-        pieces = [ProjectiveMatrix.from_text(tokens[0])]
-        breaks = []
-        i = 1
-        while i < len(tokens):
-            if not tokens[i].startswith("@"):
-                raise ValueError("malformed piecewise map text")
-            breaks.append(point_from_text(tokens[i][1:]))
-            pieces.append(ProjectiveMatrix.from_text(tokens[i + 1]))
-            i += 2
-        return pm_new(breaks, pieces)
+        marks = tokens[1::2]
+        if len(tokens) % 2 == 0 or not all(t.startswith("@") for t in marks):
+            raise ValueError(f"malformed piecewise map text: {text!r}")
+        try:
+            breaks = [qn_from_text(t[1:]) for t in marks]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in piecewise map text: {text!r}") from None
+        return pm_new(breaks, [ProjectiveMatrix.from_text(t) for t in tokens[::2]])
 
     def __repr__(self):
         return f"PiecewiseProjectiveMap({self.to_text()!r})"
@@ -339,15 +328,7 @@ class Configuration:
     """Finite integer-valued slope-change record on the orbit of a base point."""
 
     base: ExtendedPoint
-    field: int
     entries: Dict[ExtendedPoint, int] = field(default_factory=dict)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def value_at(self, p: ExtendedPoint) -> int:
-        return self.entries.get(p, 0)
 
     def items(self) -> List[Tuple[ExtendedPoint, int]]:
         return sorted(self.entries.items(), key=itemgetter(0))
@@ -361,18 +342,10 @@ class Configuration:
         return {point_to_text(p): v for p, v in self.items()}
 
 
-def _field_class(p: ExtendedPoint) -> int:
-    if is_infinity(p):
-        return 1
-    return p.k
-
-
 def configuration(f: PiecewiseProjectiveMap, s: ExtendedPoint) -> Configuration:
     """Slope-change configuration of f on the PSL2(Z)-orbit of s."""
-    conf = Configuration(s, _field_class(s))
+    conf = Configuration(s)
     for i, beta in enumerate(f.breaks):
-        if _field_class(beta) != conf.field:
-            continue
         if not orbit_equivalent(beta, s):
             continue
         left = f.pieces[i]
@@ -398,18 +371,9 @@ def config_act(g: PiecewiseProjectiveMap, conf: Configuration) -> Configuration:
     return result
 
 
-def membership(f: PiecewiseProjectiveMap, kind: str, s: Optional[ExtendedPoint] = None) -> bool:
-    """Membership tests: kind in {"HZ", "HS"}."""
-    kind = kind.upper()
-    if kind == "HZ":
-        if f.pieces[0] != f.pieces[-1]:
-            return False
-        return all(not b.is_rational for b in f.breaks)
-    if kind == "HS":
-        if s is None:
-            raise ValueError("HS membership needs the base point")
-        return configuration(f, s).is_zero
-    raise ValueError(f"unknown membership kind: {kind}")
+def in_hz(f: PiecewiseProjectiveMap) -> bool:
+    """Whether f lies in H(Z): equal end germs and no rational break."""
+    return f.pieces[0] == f.pieces[-1] and all(not b.is_rational for b in f.breaks)
 
 
 # -- construction of the delta-configuration element ----------------------
@@ -540,7 +504,7 @@ def _try_hs_candidate(
         window_lo, window_hi = theta_minus, s
     crossing = None
     for root in roots:
-        if is_infinity(root):
+        if root is INFINITY:
             continue
         if qn_compare(root, window_lo) > 0 and qn_compare(root, window_hi) < 0:
             crossing = root
@@ -561,7 +525,7 @@ def _try_hs_candidate(
     conf = configuration(built, s)
     if conf.as_text_dict() != {point_to_text(s): 1}:
         return None
-    if not membership(built, "HZ"):
+    if not in_hz(built):
         return None
     support = built.support_intervals()
     if len(support) != 1:

@@ -1,4 +1,4 @@
-"""PSL2(Z): normalized matrices, Moebius action, Pell solvers, stabilizers.
+"""PSL2(Z): normalized matrices, Moebius action, stabilizers.
 
 Matrices are sign-normalized so each group element has one representation.
 Point stabilizers are infinite cyclic; the canonical generator of the
@@ -6,7 +6,7 @@ stabilizer of a rational is a closed form in its integers, that of a
 quadratic irrational is the automorph of its primitive form for the least
 unit of norm 1, and exponents in the stabilizer are read off the entries
 or the trace.  One continued-fraction walk, bounded at 2**20 quotients,
-finds that unit (and solves Pell) and decides orbit equivalence.
+finds that unit and decides orbit equivalence.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exactnum import (
-    _ONE,
     INFINITY,
     ExtendedPoint,
     QuadraticNumber,
     int_from_text,
     int_to_text,
-    is_infinity,
     qn_normalize,
     squarefree_of_factors,
 )
@@ -33,10 +31,6 @@ _new = tuple.__new__
 
 class DeterminantError(ValueError):
     """Integer 2x2 matrix whose determinant is not 1."""
-
-
-class SquareRadicandError(ValueError):
-    """Pell radicand that is a perfect square or below 2."""
 
 
 class LongPeriodError(ValueError):
@@ -166,13 +160,6 @@ class ProjectiveMatrix(tuple):
             return False
         return B == 0 or 2 * c * A == (a - d) * D
 
-    def derivative_at(self, p: QuadraticNumber) -> QuadraticNumber:
-        """Exact derivative 1 / (c p + d)**2 at a finite non-pole point."""
-        denom = p * self.c + self.d
-        if denom.sign() == 0:
-            raise ZeroDivisionError("derivative at a pole")
-        return _ONE / (denom * denom)
-
     def pole(self) -> Optional[QuadraticNumber]:
         """The point -d/c sent to INFINITY; None for a translation."""
         if self.c == 0:
@@ -291,20 +278,6 @@ def _least_unit(disc: int) -> Tuple[int, int]:
     return t, u
 
 
-def pell_fundamental(k: int, rhs: int = 1) -> Tuple[int, int]:
-    """Minimal positive (x, y) with x*x - k*y*y == rhs, rhs in {1, 4}."""
-    if rhs not in (1, 4):
-        raise ValueError("rhs must be 1 or 4")
-    if k < 2 or isqrt(k) ** 2 == k:
-        raise SquareRadicandError(f"radicand {k} is a square or below 2")
-    if rhs == 4 and k % 4 in (0, 1):
-        return _least_unit(k)
-    # x*x - k*y*y == 1 is (2x)**2 - 4k*y*y == 4, and for k = 2, 3 mod 4 every
-    # solution of rhs 4 is twice one of rhs 1
-    t, u = _least_unit(4 * k)
-    return (t // 2, u) if rhs == 1 else (t, 2 * u)
-
-
 # pays on products (1,530 against 1,360 pairs/s): 142 lookups for 51 distinct points per 40 pairs
 _STABILIZER_CACHE: Dict[ExtendedPoint, ProjectiveMatrix] = {}
 
@@ -320,7 +293,7 @@ def stabilizer_generator(p: ExtendedPoint) -> ProjectiveMatrix:
 
 
 def _stabilizer_generator(p: ExtendedPoint) -> ProjectiveMatrix:
-    if is_infinity(p):
+    if p is INFINITY:
         return ProjectiveMatrix.translation(1)
     A, B, D, k = p
     if B == 0:
@@ -363,8 +336,8 @@ def germ_exponent(m: ProjectiveMatrix, p: ExtendedPoint) -> int:
     if m.is_identity:
         return 0
     gen = stabilizer_generator(p)
-    if is_infinity(p) or p.is_rational:
-        A, D = (1, 0) if is_infinity(p) else (p[0], p[2])
+    if p is INFINITY or p.is_rational:
+        A, D = (1, 0) if p is INFINITY else (p[0], p[2])
         n = (abs(m.b) + abs(m.c)) // (A * A + D * D)
     else:
         t = abs(gen.trace())
@@ -422,8 +395,8 @@ def orbit_equivalent(p: ExtendedPoint, q: ExtendedPoint) -> bool:
     supplies the missing sign; with an even period every map fixing p has
     determinant 1.  So sqrt(3), of period 2, is not PSL2-equivalent to -sqrt(3).
     """
-    k = 1 if is_infinity(p) else p.k
-    if k != (1 if is_infinity(q) else q.k):
+    k = 1 if p is INFINITY else p.k
+    if k != (1 if q is INFINITY else q.k):
         return False
     if k == 1 or p == q:
         # rationals and INFINITY form a single orbit

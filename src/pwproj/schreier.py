@@ -61,13 +61,11 @@ def build_orbit_graph(
     gens: Sequence[PiecewiseProjectiveMap],
     root: ExtendedPoint,
     max_vertices: int,
-    labels: Optional[Sequence[str]] = None,
+    labels: Sequence[str],
 ) -> OrbitGraph:
     """Deterministic BFS orbit enumeration, stopping at the vertex cap."""
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(gens))]
     graph = OrbitGraph(labels=list(labels), root=root)
     graph.edges = [dict() for _ in gens]
     graph.points[root] = None
@@ -378,9 +376,6 @@ class ComparisonKernel:
             target = self._maps(label, direction).apply(x)
             out.append((label, direction, target, self.weight(x, label, direction)))
         return out
-
-    def row_sum(self, x: QuadraticNumber) -> Fraction:
-        return sum(w for _, _, _, w in self.row(x))
 
     def check_symmetry(self, x: QuadraticNumber) -> bool:
         """P(x, y) == P(y, x) along every step out of x (loops trivially ok)."""

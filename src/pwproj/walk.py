@@ -103,9 +103,6 @@ class PowerLawSampler:
         self._guide = [bisect_left(table, i / self.GUIDE) for i in range(self.GUIDE + 1)]
         self._search_top_cdf = self._cdf(self.SEARCH_TOP)
 
-    def prob(self, j: int) -> float:
-        return j**-self.s / self.norm
-
     def _cdf(self, j: int) -> float:
         if j <= self.TABLE:
             return self._table[j - 1]
@@ -184,12 +181,6 @@ class GroupMeasure:
             acc += w
             self._cuts.append(float(acc))
         self._sampler = PowerLawSampler(tail.alpha) if tail is not None else None
-
-    def is_symmetric(self) -> bool:
-        bag: Dict[PiecewiseProjectiveMap, Fraction] = {}
-        for m, w in self.atoms:
-            bag[m] = bag.get(m, Fraction(0)) + w
-        return all(bag.get(m.inverse(), Fraction(0)) == w for m, w in bag.items())
 
     def sample(self, rng: random.Random) -> PiecewiseProjectiveMap:
         i = bisect_right(self._cuts, rng.random())

@@ -11,6 +11,7 @@ import pytest
 from pwproj.exactnum import INFINITY, QuadraticNumber, point_to_text, qn_from_text, qn_normalize
 from pwproj import psl2
 from pwproj.psl2 import (
+    _least_unit,
     _stabilizer_generator,
     DeterminantError,
     IdentityMatrixError,
@@ -18,18 +19,28 @@ from pwproj.psl2 import (
     NotAPowerError,
     NotInStabilizerError,
     ProjectiveMatrix,
-    SquareRadicandError,
     germ_exponent,
     mat_classify,
     mat_fixed_points,
     orbit_equivalent,
-    pell_fundamental,
     stabilizer_generator,
 )
 
 
 def q(a, b=0, k=1):
     return QuadraticNumber(Fraction(a), Fraction(b), k)
+
+
+def conj(x):
+    """The conjugate (A - B sqrt(k)) / D of x = (A + B sqrt(k)) / D."""
+    A, B, D, k = x
+    return qn_normalize(A, -B, D, k)
+
+
+def derivative(m, p):
+    """The derivative 1 / (c p + d)**2 of m at a finite point p, not its pole."""
+    denom = p * m.c + m.d
+    return 1 / (denom * denom)
 
 
 SQRT3 = q(0, 1, 3)
@@ -107,7 +118,7 @@ def test_fixed_points():
     for p in pts:
         assert M23.apply(p) == p
         assert not p.is_rational
-    assert pts[0] == pts[1].conjugate()
+    assert pts[0] == conj(pts[1])
     assert mat_fixed_points(ProjectiveMatrix.translation(5)) == [INFINITY]
     assert mat_fixed_points(ProjectiveMatrix.make(3, -1, 4, -1)) == [q(Fraction(1, 2))]
     assert mat_fixed_points(S) == []
@@ -127,7 +138,7 @@ def test_hyperbolic_fixed_points_random():
         count += 1
         lo, hi = mat_fixed_points(m)
         assert m.apply(lo) == lo and m.apply(hi) == hi
-        assert lo.conjugate() == hi
+        assert conj(lo) == hi
         assert lo < hi
 
 
@@ -142,25 +153,22 @@ def brute_pell(k, rhs):
 
 
 def test_pell_examples():
-    assert pell_fundamental(3, 1) == (2, 1)
-    assert pell_fundamental(2, 1) == (3, 2)
-    assert pell_fundamental(3, 4) == (4, 2)
-    assert pell_fundamental(5, 4) == (3, 1)
-    assert pell_fundamental(61, 4) == (1523, 195)
-    with pytest.raises(SquareRadicandError):
-        pell_fundamental(9, 1)
-    with pytest.raises(SquareRadicandError):
-        pell_fundamental(1, 1)
+    # the least (t, u) with t*t - disc*u*u == 4; at disc = 4k, (t/2, u) is the
+    # least solution of x*x - k*y*y == 1
+    assert _least_unit(12) == (4, 1)
+    assert _least_unit(8) == (6, 2)
+    assert _least_unit(5) == (3, 1)
+    assert _least_unit(61) == (1523, 195)
 
 
 def test_pell_rhs4_large_unit_returns():
-    # 661 = 1 mod 4: the rhs-4 solution is the least unit of norm 1, 42 bits
-    # here, against 124 bits for the least solution of rhs 1
+    # 661 = 1 mod 4: the least unit of norm 1 at disc 661 has 42 bits, against
+    # 124 bits at disc 4 * 661
     out = []
-    worker = threading.Thread(target=lambda: out.append(pell_fundamental(661, 4)), daemon=True)
+    worker = threading.Thread(target=lambda: out.append(_least_unit(661)), daemon=True)
     worker.start()
     worker.join(timeout=1.0)
-    assert not worker.is_alive(), "pell_fundamental(661, 4) took over a second"
+    assert not worker.is_alive(), "_least_unit(661) took over a second"
     x, y = out[0]
     assert x > 0 and y > 0
     assert x * x - 661 * y * y == 4
@@ -168,8 +176,8 @@ def test_pell_rhs4_large_unit_returns():
 
 @pytest.mark.parametrize(
     "solve",
-    [lambda k: stabilizer_generator(q(0, 1, k)), pell_fundamental],
-    ids=["stabilizer_generator", "pell_fundamental"],
+    [lambda k: stabilizer_generator(q(0, 1, k)), lambda k: _least_unit(4 * k)],
+    ids=["stabilizer_generator", "least_unit"],
 )
 def test_long_period_fails_fast(solve):
     # the period at discriminant 4 * (10**35 - 1) passes the 2**20-quotient
@@ -191,13 +199,14 @@ def test_long_period_fails_fast(solve):
 
 
 def test_pell_matches_brute_force_small():
-    # every non-square k, square-free or not: the least rhs-4 solution at
-    # k = 12 is (4, 1), not twice the rhs-1 solution (7, 2)
+    # every non-square k, square-free or not, at disc = 4k and, when k = 0 or
+    # 1 mod 4, at disc = k: at disc 12 the least solution is (4, 1), not twice
+    # (7, 2), the least solution of x*x - 12*y*y == 1
     for k in range(2, 40):
         if isqrt(k) ** 2 == k:
             continue
-        for rhs in (1, 4):
-            assert pell_fundamental(k, rhs) == brute_pell(k, rhs), (k, rhs)
+        for disc in (4 * k, k) if k % 4 in (0, 1) else (4 * k,):
+            assert _least_unit(disc) == brute_pell(disc, 4), disc
 
 
 def test_stabilizer_generator_fixes_point():
@@ -206,9 +215,9 @@ def test_stabilizer_generator_fixes_point():
         assert gen.apply(s) == s and gen.fixes(s)
         assert mat_classify(gen) == "hyperbolic"
         # c s + d is a unit of norm 1: the derivatives at s and its conjugate are phi and 1 / phi
-        phi = gen.derivative_at(s)
+        phi = derivative(gen, s)
         assert phi > 1
-        assert phi * gen.derivative_at(s.conjugate()) == 1
+        assert phi * derivative(gen, conj(s)) == 1
 
 
 def _stabilizer_sample():
@@ -228,7 +237,7 @@ def _phi(p):
     """The canonical generator's derivative at an irrational p; None otherwise."""
     if p is INFINITY or p.is_rational:
         return None
-    return stabilizer_generator(p).derivative_at(p)
+    return derivative(stabilizer_generator(p), p)
 
 
 # SHA-256 of the generator and phi text of each sample point, recorded with
@@ -348,7 +357,7 @@ def test_germ_exponent():
     with pytest.raises(NotInStabilizerError):
         germ_exponent(ProjectiveMatrix.translation(1), SQRT3)
     # the generator at -sqrt(3) is the inverse: its derivative there is 1 / phi
-    assert germ_exponent(gen.power(2), SQRT3.conjugate()) == -2
+    assert germ_exponent(gen.power(2), conj(SQRT3)) == -2
     for p in random.Random(18).sample(_stabilizer_sample(), 24):
         gen = stabilizer_generator(p)
         for n in (-3, -1, 1, 2):
@@ -471,7 +480,7 @@ def _orbit_pairs():
         pairs += [
             (p, random_matrix(rng, 8).apply(p)),
             (p, -p),
-            (p, p.conjugate()),
+            (p, conj(p)),
             (p, random_matrix(rng, 8).apply(-p)),
             (p, r),
         ]

@@ -38,7 +38,7 @@ def graph600(pre3):
 
 def test_translation_orbit_path():
     a1 = pm_from_matrix(ProjectiveMatrix.translation(1))
-    graph = build_orbit_graph([a1], q(0), 5)
+    graph = build_orbit_graph([a1], q(0), 5, labels=["a1"])
     assert graph.order() == 5
     assert graph.truncated
     points = sorted(float(p) for p in graph.points)
@@ -51,7 +51,7 @@ def test_translation_orbit_path():
 
 def test_fixed_point_loop(pre3):
     hs = pre3.hs.map
-    graph = build_orbit_graph([hs], SQRT3, 5)
+    graph = build_orbit_graph([hs], SQRT3, 5, labels=["g0"])
     # the delta element fixes its base point: single vertex with loops
     assert graph.order() == 1
     assert graph.edges[0][graph.root] == graph.root
@@ -130,7 +130,7 @@ def test_kernel_weights(graph600, pre3):
     ker = ComparisonKernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
     seen_cases = set()
     for p in list(graph600.points)[:200]:
-        assert ker.row_sum(p) == 1
+        assert sum(w for *_, w in ker.row(p)) == 1
         assert ker.check_symmetry(p)
         if qn_compare(p, pre3.b) >= 0 and qn_compare(p, pre3.c) <= 0:
             for lbl, d in (("f", 1), ("f", -1), ("g", 1), ("g", -1)):
@@ -185,7 +185,7 @@ def test_export_deterministic(tmp_path, graph600):
 
 def test_export_dot_syntax(tmp_path, pre3):
     hs = pre3.hs.map
-    graph = build_orbit_graph([hs], SQRT3, 5)
+    graph = build_orbit_graph([hs], SQRT3, 5, labels=["g0"])
     path = os.path.join(tmp_path, "loop.dot")
     export_dot(graph, path)
     text = open(path).read()
