@@ -81,8 +81,8 @@ def _out_path(args, default_name: str) -> str:
 def _base_point(args) -> QuadraticNumber:
     try:
         return qn_from_text(args.s)
-    except ZeroDivisionError:
-        raise ValueError(f"--s: zero denominator in {args.s!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"--s: {exc}") from None
 
 
 def _prechain_for(args):
@@ -397,8 +397,7 @@ def main(argv=None) -> int:
         print(text)
         sys.stdout.flush()
         return code
-    except (PiecewiseMapError, ConstructionFailedError, ValueError, ZeroDivisionError) as exc:
-        # ZeroDivisionError: arithmetic on input that no option check caught
+    except (PiecewiseMapError, ConstructionFailedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -586,10 +586,13 @@ def _fraction_repr(n: int, d: int) -> str:
     return f"Fraction({int_to_text(n // g)}, {int_to_text(d // g)})"
 
 
-def _ratio_from_text(text: str) -> Fraction:
-    """Fraction(text) for the grammar's [+-]n or [+-]n/d."""
+def _ratio_from_text(text: str, whole: str) -> Fraction:
+    """Fraction(text) for the grammar's [+-]n or [+-]n/d, a part of whole."""
     num, _, den = text.partition("/")
-    return Fraction(int_from_text(num), int_from_text(den) if den else 1)
+    d = int_from_text(den) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator in {whole!r}")
+    return Fraction(int_from_text(num), d)
 
 
 def qn_to_text(x: QuadraticNumber) -> str:
@@ -603,16 +606,16 @@ def qn_to_text(x: QuadraticNumber) -> str:
 def qn_from_text(text: str) -> QuadraticNumber:
     m = _QN_RE.match(text)
     if m:
-        b = _ratio_from_text(m.group("b"))
+        b = _ratio_from_text(m.group("b"), text)
         if m.group("sign") == "-":
             b = -b
-        return QuadraticNumber(_ratio_from_text(m.group("a")), b, int_from_text(m.group("k")))
+        return QuadraticNumber(_ratio_from_text(m.group("a"), text), b, int_from_text(m.group("k")))
     m = _RAT_RE.match(text)
     if m:
-        return QuadraticNumber(_ratio_from_text(m.group("a")))
+        return QuadraticNumber(_ratio_from_text(m.group("a"), text))
     m = _ROOT_RE.match(text)
     if m:
-        b = _ratio_from_text(m.group("b")) if m.group("b") else Fraction(1)
+        b = _ratio_from_text(m.group("b"), text) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
         return QuadraticNumber(0, b, int_from_text(m.group("k")))

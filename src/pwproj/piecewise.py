@@ -246,10 +246,7 @@ class PiecewiseProjectiveMap:
         marks = tokens[1::2]
         if len(tokens) % 2 == 0 or not all(t.startswith("@") for t in marks):
             raise ValueError(f"malformed piecewise map text: {text!r}")
-        try:
-            breaks = [qn_from_text(t[1:]) for t in marks]
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in piecewise map text: {text!r}") from None
+        breaks = [qn_from_text(t[1:]) for t in marks]
         return pm_new(breaks, [ProjectiveMatrix.from_text(t) for t in tokens[::2]])
 
     def __repr__(self):
@@ -397,7 +394,6 @@ class HsConstruction:
 
     map: PiecewiseProjectiveMap
     base: QuadraticNumber
-    generator: ProjectiveMatrix
     far_end: QuadraticNumber
     prime: int
     branch: str
@@ -542,7 +538,6 @@ def _try_hs_candidate(
     return HsConstruction(
         map=built,
         base=s,
-        generator=gen,
         far_end=far,
         prime=prime,
         branch="above" if above else "below",

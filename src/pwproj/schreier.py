@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
     ExtendedPoint,
@@ -33,6 +33,7 @@ class PreconditionViolatedError(ValueError):
     pass
 
 
+# the kernel's ray walks; attach_regions bounds its own by the graph's order
 _RAY_CAP = 1_000_000
 
 
@@ -47,7 +48,8 @@ class OrbitGraph:
     edges: List[Dict[ExtendedPoint, ExtendedPoint]] = field(default_factory=list)
     truncated: bool = False
     incomplete: set = field(default_factory=set)
-    regions: Optional[Dict[ExtendedPoint, str]] = None
+    # each vertex's (kind, first-entry count) under the prechain region rule
+    regions: Optional[Dict[ExtendedPoint, Tuple[str, int]]] = None
 
     def order(self) -> int:
         return len(self.points)
@@ -111,9 +113,9 @@ def first_entry_steps(
     x: QuadraticNumber,
     lo: QuadraticNumber,
     hi: QuadraticNumber,
-    cap: int = _RAY_CAP,
+    cap: int,
 ) -> int:
-    """min(n >= 0 | f^n(x) in [lo, hi]) by exact iteration."""
+    """min(n >= 0 | f^n(x) in [lo, hi]) by exact iteration, at most cap steps."""
     n = 0
     cur = x
     while not _in_closed(cur, lo, hi):
@@ -124,28 +126,45 @@ def first_entry_steps(
     return n
 
 
-def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
-    """Tag vertices as A, B, C inside [b, c] or Ray(label, index) outside."""
-    f, g = pre.f, pre.g
-    b, c = pre.b, pre.c
+def _region_rule(
+    f: PiecewiseProjectiveMap,
+    g: PiecewiseProjectiveMap,
+    b: QuadraticNumber,
+    c: QuadraticNumber,
+) -> Callable[[QuadraticNumber, int], Tuple[str, int]]:
+    """The rule placing a point in the orbit structure of the 2-prechain (f, g).
+
+    ("A", 0) on [b, g^-1(c)], ("B", 0) on [f(b), c], ("C", 0) between them;
+    ("f", n) below b and ("g", n) above c, where n is the first_entry_steps
+    count of f (g^-1) within the cap that the caller passes.
+    """
     g_inv = g.inverse()
     g_inv_c = g_inv.apply(c)
     f_b = f.apply(b)
-    regions: Dict[ExtendedPoint, str] = {}
-    for p in graph.points:
-        if _in_closed(p, b, g_inv_c):
-            regions[p] = "A"
-        elif _in_closed(p, f_b, c):
-            regions[p] = "B"
-        elif _in_closed(p, b, c):
-            regions[p] = "C"
-        elif qn_compare(p, b) < 0:
-            n = first_entry_steps(f, p, b, c)
-            regions[p] = f"Ray(f,{n})"
-        else:
-            n = first_entry_steps(g_inv, p, b, c)
-            regions[p] = f"Ray(g,{n})"
-    graph.regions = regions
+
+    def region(x: QuadraticNumber, cap: int) -> Tuple[str, int]:
+        if qn_compare(x, b) < 0:
+            return "f", first_entry_steps(f, x, b, c, cap)
+        if qn_compare(x, c) > 0:
+            return "g", first_entry_steps(g_inv, x, b, c, cap)
+        if qn_compare(x, g_inv_c) <= 0:
+            return "A", 0
+        if qn_compare(x, f_b) >= 0:
+            return "B", 0
+        return "C", 0
+
+    return region
+
+
+def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
+    """Tag every vertex with its (kind, first-entry count) under the region rule.
+
+    On a 2-prechain a ray vertex is reached only along its own ray, so its
+    walk into [b, c] passes only vertices; a longer one means (f, g) is no
+    prechain, and raises PreconditionViolatedError.
+    """
+    region = _region_rule(pre.f, pre.g, pre.b, pre.c)
+    graph.regions = {p: region(p, graph.order() - 1) for p in graph.points}
 
 
 @dataclass
@@ -168,30 +187,31 @@ def verify_tree_structure(
 
     Raises StructureViolationError with a counterexample vertex; truncated
     frontier vertices are skipped for checks that need their neighbors.
-    The graph must carry the region tags of attach_regions, whose walk of
+    The graph must carry the region tags of attach_regions, which say what
+    lies inside [b, c], in A, B or C, or on which ray; the rule's walk of
     every ray vertex back into [b, c] is the ray check of step (5).
     """
-    if graph.regions is None:
+    regions = graph.regions
+    if regions is None:
         raise PreconditionViolatedError("graph has no region tags")
     g_inv = g.inverse()
     f_inv = f.inverse()
-    g_inv_c = g_inv.apply(c)
-    f_b = f.apply(b)
     root = graph.root
     if root != b:
         raise PreconditionViolatedError("graph root is not b")
 
-    inside = dict.fromkeys(p for p in graph.points if _in_closed(p, b, c))
+    # first-entry count 0: the vertices inside [b, c]
+    inside = dict.fromkeys(p for p in graph.points if regions[p][1] == 0)
     region_a = region_b = 0
     parent: Dict[ExtendedPoint, ExtendedPoint] = {}
     for p in inside:
+        kind = regions[p][0]
         # (4) the middle gap C contains no orbit point
-        if qn_compare(p, g_inv_c) > 0 and qn_compare(p, f_b) < 0:
+        if kind == "C":
             raise StructureViolationError(point_to_text(p), "orbit point inside C")
         if p == root:
             continue
-        in_a = _in_closed(p, b, g_inv_c)
-        if in_a:
+        if kind == "A":
             region_a += 1
             par = g.apply(p)
             # (3) left children leave [b, c] under f^-1
@@ -267,14 +287,10 @@ def verify_tree_structure(
             raise StructureViolationError(point_to_text(p), "c is in the orbit graph")
 
     # (5) outside vertices sit on one-sided rays under a single generator
-    ray_count = 0
     for p in graph.points:
-        if p in inside:
+        if p in inside or p in graph.incomplete:
             continue
-        ray_count += 1
-        if p in graph.incomplete:
-            continue
-        if graph.regions[p][4] == "f":
+        if regions[p][0] == "f":
             if g.apply(p) != p:
                 raise StructureViolationError(point_to_text(p), "g moves an f-ray point")
         elif f.apply(p) != p:
@@ -282,7 +298,7 @@ def verify_tree_structure(
 
     return TreeReport(
         tree_vertices=len(inside),
-        ray_vertices=ray_count,
+        ray_vertices=graph.order() - len(inside),
         region_a=region_a,
         region_b=region_b,
         max_depth=max_depth,
@@ -296,15 +312,13 @@ _QUARTER = Fraction(1, 4)
 _THREE_QUARTER = Fraction(3, 4)
 _ZERO = Fraction(0)
 
-_STEPS = (("f", 1), ("f", -1), ("g", 1), ("g", -1))
-
-
 class ComparisonKernel:
     """Doubly stochastic symmetric kernel majorized by the prechain SRW.
 
-    Weights: 1/4 for all four steps on [b, c]; on (a, b) the f-direction
-    weights are (1/4, 3/4) for odd first-entry count and swapped for even,
-    with g-steps zero; mirrored with g on (c, d).
+    Weights: 1/4 for all four steps on [b, c].  Outside, a point of the f-ray
+    (below b) or the g-ray (above c) with first-entry count n steps only by
+    its own generator: 3/4 on the step away from [b, c] at odd n and on the
+    step toward it at even n, 1/4 on the other.
     """
 
     def __init__(
@@ -324,58 +338,38 @@ class ComparisonKernel:
             raise PreconditionViolatedError("supp(f) must be exactly (a, c)")
         if supp_g != [(b, d)]:
             raise PreconditionViolatedError("supp(g) must be exactly (b, d)")
-        self.f = f
-        self.g = g
-        self.f_inv = f.inverse()
-        self.g_inv = g.inverse()
-        self.a, self.b, self.c, self.d = a, b, c, d
-        # pays on the kernel command (off-bench): check_symmetry asks again
-        # for each row's points; --cap 2000 --sample 2000 takes 0.32 s, 0.37 s without
-        self._entry_cache: Dict[QuadraticNumber, int] = {}
-
-    def _maps(self, label: str, direction: int) -> PiecewiseProjectiveMap:
-        if label == "f":
-            return self.f if direction > 0 else self.f_inv
-        return self.g if direction > 0 else self.g_inv
-
-    def _entry_count(self, x: QuadraticNumber) -> int:
-        cached = self._entry_cache.get(x)
-        if cached is None:
-            if qn_compare(x, self.b) < 0:
-                cached = first_entry_steps(self.f, x, self.b, self.c)
-            else:
-                cached = first_entry_steps(self.g_inv, x, self.b, self.c)
-            self._entry_cache[x] = cached
-        return cached
+        # the four steps, in the order of a row
+        self._steps = {("f", 1): f, ("f", -1): f.inverse(), ("g", 1): g, ("g", -1): g.inverse()}
+        self.a, self.d = a, d
+        self._rule = _region_rule(f, g, b, c)
+        # pays on the kernel command (off-bench): check_symmetry asks again for
+        # each row's points; --cap 2000 --sample 2000 takes 0.20-0.25 s, 0.37-0.39 s without
+        self._regions: Dict[QuadraticNumber, Tuple[str, int]] = {}
 
     def weight(self, x: QuadraticNumber, label: str, direction: int) -> Fraction:
-        if _in_closed(x, self.b, self.c):
-            return _QUARTER
-        below = qn_compare(x, self.b) < 0
-        if below:
+        region = self._regions.get(x)
+        if region is None:
+            # f and g fix every point outside (a, d): its ray walk would not end
             if qn_compare(x, self.a) <= 0:
                 raise PreconditionViolatedError("point at or below a")
-            if label == "g":
-                return _ZERO
-            odd = self._entry_count(x) % 2 == 1
-            if direction > 0:
-                return _QUARTER if odd else _THREE_QUARTER
-            return _THREE_QUARTER if odd else _QUARTER
-        if qn_compare(x, self.d) >= 0:
-            raise PreconditionViolatedError("point at or beyond d")
-        if label == "f":
+            if qn_compare(x, self.d) >= 0:
+                raise PreconditionViolatedError("point at or beyond d")
+            region = self._regions[x] = self._rule(x, _RAY_CAP)
+        kind, n = region
+        if n == 0:
+            return _QUARTER
+        if label != kind:
             return _ZERO
-        odd = self._entry_count(x) % 2 == 1
-        if direction > 0:
-            return _THREE_QUARTER if odd else _QUARTER
-        return _QUARTER if odd else _THREE_QUARTER
+        # f steps its ray up toward b, g^-1 steps its ray down toward c
+        toward = 1 if kind == "f" else -1
+        heavy = -toward if n % 2 else toward
+        return _THREE_QUARTER if direction == heavy else _QUARTER
 
     def row(self, x: QuadraticNumber) -> List[Tuple[str, int, ExtendedPoint, Fraction]]:
-        out = []
-        for label, direction in _STEPS:
-            target = self._maps(label, direction).apply(x)
-            out.append((label, direction, target, self.weight(x, label, direction)))
-        return out
+        return [
+            (label, direction, move.apply(x), self.weight(x, label, direction))
+            for (label, direction), move in self._steps.items()
+        ]
 
     def check_symmetry(self, x: QuadraticNumber) -> bool:
         """P(x, y) == P(y, x) along every step out of x (loops trivially ok)."""
@@ -395,6 +389,8 @@ _REGION_COLORS = {
     "A": "lightblue",
     "B": "lightgreen",
     "C": "red",
+    "f": "lightyellow",
+    "g": "lightyellow",
 }
 
 
@@ -406,10 +402,8 @@ def export_dot(graph: OrbitGraph, path: str) -> None:
     for i, p in enumerate(order):
         attrs = [f'label="{point_to_text(p)}"']
         if graph.regions:
-            tag = graph.regions.get(p, "")
-            color = _REGION_COLORS.get(tag, "lightyellow" if tag.startswith("Ray") else None)
-            if color:
-                attrs.append(f'style=filled fillcolor="{color}"')
+            kind = graph.regions[p][0]
+            attrs.append(f'style=filled fillcolor="{_REGION_COLORS[kind]}"')
         if p == graph.root:
             attrs.append("shape=doublecircle")
         lines.append(f'  v{i} [{" ".join(attrs)}];')

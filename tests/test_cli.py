@@ -26,6 +26,7 @@ def test_usage_error_exit_code(tmp_path):
     [
         ["construct-hs", "--s", "1/2"],
         ["construct-hs", "--s", "1/0"],
+        ["construct-hs", "--s", "1+1/0*sqrt(2)"],
         ["construct-hs", "--s", "0+1*sqrt(99999999999999999999999999999999999)"],
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "2", "--seed", "1",
          "--alpha", "1/0"],

@@ -229,6 +229,12 @@ def test_text_round_trip():
         qn_from_text("2 + sqrt(x)")
 
 
+@pytest.mark.parametrize("text", ["1/0", "1+1/0*sqrt(2)", "1/2-3/0*sqrt(5)", "-2/0*sqrt(3)"])
+def test_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match=r"^zero denominator in '.*'$"):
+        qn_from_text(text)
+
+
 def test_keys_injective():
     assert canonical_key(q(2, 1, 3)) == canonical_key(q(2, 1, 3))
     assert canonical_key(q(0, 1, 3)) != canonical_key(q(0, 1, 2))

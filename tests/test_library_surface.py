@@ -5,6 +5,10 @@ A definition whose name appears nowhere in ``src/`` outside its own body
 the package, such as the tests; it belongs in the tests, or nowhere.  The
 scan is by name alone, so a definition that shares its name with another
 use passes unseen.
+
+Likewise every annotated class field is read somewhere in ``src/`` (as a
+loaded name or attribute, or a string constant); a field that is only
+written, say as a keyword argument of the constructor, carries nothing.
 """
 
 import ast
@@ -49,9 +53,13 @@ def _spelling(node):
     return None
 
 
+def _trees():
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+
+
 def unreached_definitions():
     """Qualified names of non-dunder definitions that src/ never names."""
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    trees = _trees()
     uses = {}  # spelling -> ids of the nodes that spell it
     for tree in trees:
         for node in ast.walk(tree):
@@ -70,5 +78,30 @@ def unreached_definitions():
     return sorted(unreached)
 
 
+def unread_fields():
+    """Qualified names of annotated class fields that src/ never reads."""
+    trees = _trees()
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            text = _spelling(node)
+            if text is not None and isinstance(getattr(node, "ctx", ast.Load()), ast.Load):
+                reads.add(text)
+    unread = []
+    for tree in trees:
+        for qualname, node in _definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if stmt.target.id not in reads:
+                        unread.append(f"{qualname}.{stmt.target.id}")
+    return sorted(unread)
+
+
 def test_every_definition_is_reached_from_the_library():
     assert unreached_definitions() == sorted(ALLOWED)
+
+
+def test_every_class_field_is_read_in_the_library():
+    assert unread_fields() == []

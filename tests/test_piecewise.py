@@ -266,7 +266,7 @@ def test_pm_new_reduces_equal_pieces():
 
 def test_hs_is_valid_four_piece(hs3):
     assert len(hs3.map.breaks) == 3
-    assert hs3.map.pieces[1] == hs3.generator
+    assert hs3.map.pieces[1] == stabilizer_generator(hs3.base)
     assert in_hz(hs3.map)
 
 

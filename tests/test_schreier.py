@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from pwproj.psl2 import ProjectiveMatrix, orbit_equivalent
 from pwproj.schreier import (
     ComparisonKernel,
     PreconditionViolatedError,
+    StructureViolationError,
     attach_regions,
     build_orbit_graph,
     export_csv,
@@ -89,6 +92,66 @@ def test_tree_structure(graph600, pre3):
     assert report.max_depth >= 5
 
 
+def _tagged_graph(pre, cap, planted=()):
+    """The orbit graph of pre.b at cap, with points planted before tagging."""
+    graph = build_orbit_graph([pre.f, pre.g], pre.b, cap, labels=["f", "g"])
+    graph.points.update(dict.fromkeys(planted))
+    attach_regions(graph, pre)
+    return graph
+
+
+def test_tree_structure_rejects_a_broken_parent_chain(pre3):
+    graph = _tagged_graph(pre3, 400)
+    del graph.points[pre3.f(pre3.f(pre3.b))]
+    with pytest.raises(StructureViolationError, match="parent chain leaves the graph"):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.c)
+
+
+def test_tree_structure_rejects_a_wrong_right_end(pre3):
+    # with d for c the g-ray joins [b, c], where f^-1 keeps f(b) inside
+    graph = _tagged_graph(dataclasses.replace(pre3, c=pre3.d), 400)
+    with pytest.raises(StructureViolationError, match=r"f\^-1 keeps a left child inside"):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.d)
+
+
+def test_tree_structure_rejects_a_point_in_the_gap(pre3):
+    # the gap C runs from g^-1(c) ~ 1.809 to f(b) ~ 3.229
+    graph = _tagged_graph(pre3, 400, planted=[q(Fraction(5, 2))])
+    with pytest.raises(StructureViolationError, match="orbit point inside C"):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.c)
+
+
+def test_tree_structure_rejects_c(pre3):
+    # f fixes c, so c is its own parent
+    graph = _tagged_graph(pre3, 400, planted=[pre3.c])
+    with pytest.raises(StructureViolationError, match="parent chain has a cycle"):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.c)
+
+
+@pytest.mark.parametrize("pair", ["f, g^-1", "g, f"])
+def test_attach_regions_fails_fast_off_a_prechain(pre3, pair):
+    # the walk of a ray vertex into [b, c] never ends on these pairs; on a
+    # prechain it passes only vertices, so the graph's order bounds it
+    swapped = {
+        "f, g^-1": dataclasses.replace(pre3, g=pre3.g.inverse()),
+        "g, f": dataclasses.replace(pre3, f=pre3.g, g=pre3.f),
+    }[pair]
+    graph = build_orbit_graph([swapped.f, swapped.g], swapped.b, 50, labels=["f", "g"])
+    out = []
+
+    def run():
+        try:
+            attach_regions(graph, swapped)
+        except PreconditionViolatedError as exc:
+            out.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=0.5)
+    assert not worker.is_alive(), f"attach_regions on ({pair}) took over 0.5 s"
+    assert len(out) == 1
+
+
 def test_tree_structure_needs_region_tags(pre3):
     graph = build_orbit_graph([pre3.f, pre3.g], pre3.b, 50, labels=["f", "g"])
     with pytest.raises(PreconditionViolatedError):
@@ -126,6 +189,16 @@ def test_binary_growth(graph600, pre3):
         assert counts.get(d, 0) == 2 ** (d - 1), (d, counts)
 
 
+def _entry_steps(step, x, pre):
+    """The number of applications of step that bring x into [b, c]."""
+    n = 0
+    while not (pre.b <= x <= pre.c):
+        x = step(x)
+        n += 1
+        assert n < 1000
+    return n
+
+
 def test_kernel_weights(graph600, pre3):
     ker = ComparisonKernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
     seen_cases = set()
@@ -137,7 +210,7 @@ def test_kernel_weights(graph600, pre3):
                 assert ker.weight(p, lbl, d) == Fraction(1, 4)
             seen_cases.add("middle")
         elif qn_compare(p, pre3.b) < 0:
-            n = ker._entry_count(p)
+            n = _entry_steps(pre3.f, p, pre3)
             if n % 2 == 1:
                 assert ker.weight(p, "f", 1) == Fraction(1, 4)
                 assert ker.weight(p, "f", -1) == Fraction(3, 4)
@@ -148,7 +221,7 @@ def test_kernel_weights(graph600, pre3):
                 seen_cases.add("below-even")
             assert ker.weight(p, "g", 1) == 0
         else:
-            m = ker._entry_count(p)
+            m = _entry_steps(pre3.g.inverse(), p, pre3)
             if m % 2 == 1:
                 assert ker.weight(p, "g", 1) == Fraction(3, 4)
                 seen_cases.add("above-odd")
