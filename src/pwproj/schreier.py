@@ -50,6 +50,8 @@ class OrbitGraph:
     incomplete: set = field(default_factory=set)
     # each vertex's (kind, first-entry count) under the prechain region rule
     regions: Optional[Dict[ExtendedPoint, Tuple[str, int]]] = None
+    # the (f, g, b, c) of the rule that made regions
+    tagged_with: Optional[tuple] = None
 
     def order(self) -> int:
         return len(self.points)
@@ -115,15 +117,18 @@ def first_entry_steps(
     hi: QuadraticNumber,
     cap: int,
 ) -> int:
-    """min(n >= 0 | f^n(x) in [lo, hi]) by exact iteration, at most cap steps."""
-    n = 0
+    """min(n >= 1 | f^n(x) in [lo, hi]) by exact iteration, at most cap steps.
+
+    x lies outside [lo, hi] (the region rule has placed it below lo or above
+    hi), so the test starts at the first apply.  It stays two-sided: an
+    orbit that steps over [lo, hi], as off a prechain, runs into the cap.
+    """
     cur = x
-    while not _in_closed(cur, lo, hi):
+    for n in range(1, cap + 1):
         cur = f.apply(cur)
-        n += 1
-        if n > cap:
-            raise PreconditionViolatedError("iteration cap hit while entering [b, c]")
-    return n
+        if _in_closed(cur, lo, hi):
+            return n
+    raise PreconditionViolatedError("iteration cap hit while entering [b, c]")
 
 
 def _region_rule(
@@ -165,6 +170,7 @@ def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
     """
     region = _region_rule(pre.f, pre.g, pre.b, pre.c)
     graph.regions = {p: region(p, graph.order() - 1) for p in graph.points}
+    graph.tagged_with = (pre.f, pre.g, pre.b, pre.c)
 
 
 @dataclass
@@ -187,13 +193,16 @@ def verify_tree_structure(
 
     Raises StructureViolationError with a counterexample vertex; truncated
     frontier vertices are skipped for checks that need their neighbors.
-    The graph must carry the region tags of attach_regions, which say what
-    lies inside [b, c], in A, B or C, or on which ray; the rule's walk of
-    every ray vertex back into [b, c] is the ray check of step (5).
+    The graph must carry the region tags of attach_regions, made with this
+    f, g, b and c, which say what lies inside [b, c], in A, B or C, or on
+    which ray; the rule's walk of every ray vertex back into [b, c] is the
+    ray check of step (5).
     """
     regions = graph.regions
     if regions is None:
         raise PreconditionViolatedError("graph has no region tags")
+    if graph.tagged_with != (f, g, b, c):
+        raise PreconditionViolatedError("graph's region tags are for another f, g, b or c")
     g_inv = g.inverse()
     f_inv = f.inverse()
     root = graph.root

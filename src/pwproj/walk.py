@@ -224,11 +224,13 @@ class _MeasureWalker:
     """Shared exact-step engine over interned orbit points.
 
     Points with small coordinates are interned to dense ids.  Each interned
-    point has a successor row, shared across trajectories: per atom, the id
-    of its image, or RAW until the walk first takes that atom there.  The
-    row has one more slot, for tail draws, that stays RAW: a tail draw
-    rebuilds the point, and one that leaves span enters the far state
-    below instead of the table.  Deeper points are handled verbatim until
+    point has one row in rows, shared across trajectories: per atom, the
+    row of its image, or None while the walk has not yet taken that atom
+    there or where that atom changes the configuration value at the point.
+    Then comes a tail slot, always None: a tail draw rebuilds the point,
+    and one that leaves span enters the far state below instead of the
+    table.  The point's id comes last.  So a walk on the table costs one
+    lookup a step (see run).  Deeper points are handled verbatim until
     they shrink back or hit the freeze bound.  Configuration deltas can
     only occur at interned points because every slope-change support point
     of the measure is itself small; a point's delta row is None unless some
@@ -275,11 +277,10 @@ class _MeasureWalker:
         entry_bits = [_bits(p) for conf in self.atom_confs for p in conf.entries]
         # only decides caching: above every entry, below the freeze bound
         self.share_bits = max(128, max(entry_bits, default=0) + 1)
-        # these rows pay on returns-z, where nearly every step is a hit
-        # (about 11x against apply and intern on every step)
+        # the row table pays on returns-z, where nearly every step is a hit
         self.registry: Dict[tuple, int] = {}
         self.points: List[QuadraticNumber] = []
-        self.succ: List[List[int]] = []
+        self.rows: List[list] = []
         self.deltas: List[Optional[List[int]]] = []
 
     def intern(self, x: QuadraticNumber) -> int:
@@ -289,7 +290,7 @@ class _MeasureWalker:
             pid = len(self.points)
             self.registry[key] = pid
             self.points.append(x)
-            self.succ.append([self.RAW] * (len(self.atom_confs) + 1))
+            self.rows.append([None] * (len(self.atom_confs) + 1) + [pid])
             row = [conf.entries.get(x, 0) for conf in self.atom_confs]
             # the last slot, 0, is for tail draws: translations move nothing
             self.deltas.append(row + [0] if any(row) else None)
@@ -328,14 +329,27 @@ class _MeasureWalker:
         step at which the walk froze (None if it ran to the end).  A step
         freezes the walk when its point is not interned and the bit sizes
         of its A, B and D sum past freeze_bits.  The start point is always
-        interned, so a return to it is recognized by its id (or, for a
-        start above the intern bound, by comparing points).  Each step takes
-        one uniform draw u: the tail when u >= the atoms' mass, else the
-        atom bisect_right(cuts, u).  An atom step off the table is the
+        interned, so a return to it is recognized by its id or its row (or,
+        for a start above the intern bound, by comparing points).  Each step
+        takes one uniform draw u: the tail when u >= the atoms' mass, else
+        the atom bisect_right(cuts, u).  An atom step off the table is the
         atom's apply, which fixes a point on an identity piece.  A tail step
         is the loop's one tail-draw site, PowerLawSampler.sample_signed
         written out: a uniform draw for the magnitude, searched through the
         sampler's guide, and one for the sign.
+
+        Table runs.  A step from an interned point whose slot holds a row
+        starts a table run: an inner loop over the same step iterator that
+        draws, bisects, looks the slot up in the current row and moves to
+        the row it holds, counting a visit when that is the start's row.  It
+        breaks at the first None slot, reads the point's id from the end of
+        the row and takes that step off the table, with the same atom: the
+        configuration delta, the exact apply or the tail draw, intern and
+        the fill, which sets the slot to the new point's row unless the
+        step changes the configuration.  Such a slot stays None, so a run
+        never passes over a change, and that step is an exact apply each
+        time; it happens only at configuration entries.  The table holds
+        only what an exact apply gave, so it never decides a result.
 
         The far state.  A run has one when far_bounds exists, the start is
         not raw and the start lies in span, checked once by two exact
@@ -381,7 +395,7 @@ class _MeasureWalker:
         atoms = [m for m, _ in self.mu.atoms]
         natoms = len(atoms)
         cuts = self.mu._cuts
-        succ = self.succ
+        rows = self.rows
         deltas = self.deltas
         sampler = self.mu._sampler
         if sampler is not None:
@@ -394,9 +408,10 @@ class _MeasureWalker:
         uniform = rng.random
         new_point = tuple.__new__
         # the walking point is points[pid], or x while pid is raw; a table
-        # hit moves pid alone, so x may be stale while pid is interned
+        # run moves the row alone, so x may be stale while pid is interned
         x = start
         pid = start_pid = intern(start)
+        start_row = rows[start_pid]
         # a start above the intern bound is seen again only by comparing points
         raw_start = _bits(start) > share_bits
         far_bounds = self.far_bounds
@@ -412,7 +427,8 @@ class _MeasureWalker:
         far = False
         changes: List[Tuple[int, int]] = []
         visits: List[int] = []
-        for n in range(1, steps + 1):
+        steps_left = iter(range(1, steps + 1))
+        for n in steps_left:
             u = uniform()
             if far:
                 if u < atom_mass:
@@ -420,16 +436,30 @@ class _MeasureWalker:
             else:
                 ai = bisect_right(cuts, u)
                 if pid != raw:
-                    row = deltas[pid]
-                    if row is not None and row[ai]:
-                        changes.append((n, row[ai]))
-                    # the table hit: a known successor of an interned point
-                    nid = succ[pid][ai]
-                    if nid != raw:
-                        pid = nid
-                        if nid == start_pid:
+                    row = rows[pid]
+                    nxt = row[ai]
+                    if nxt is not None:
+                        # a table run, one lookup a step
+                        row = nxt
+                        if row is start_row:
                             visits.append(n)
-                        continue
+                        for n in steps_left:
+                            ai = bisect_right(cuts, uniform())
+                            nxt = row[ai]
+                            if nxt is None:
+                                break
+                            row = nxt
+                            if row is start_row:
+                                visits.append(n)
+                        else:
+                            # the run took the walk's last step
+                            pid = row[-1]
+                            break
+                        pid = row[-1]
+                    # step n off the table, from the interned point pid
+                    delta = deltas[pid]
+                    if delta is not None and delta[ai]:
+                        changes.append((n, delta[ai]))
                     x = points[pid]
             if ai < natoms:
                 x = atoms[ai].apply(x)
@@ -479,7 +509,9 @@ class _MeasureWalker:
                 continue
             nid = intern(x)
             if pid != raw and ai < natoms:
-                succ[pid][ai] = nid
+                delta = deltas[pid]
+                if delta is None or not delta[ai]:
+                    rows[pid][ai] = rows[nid]
             pid = nid
             if pid == start_pid:
                 visits.append(n)
@@ -594,7 +626,7 @@ def _run_trajectories(run, trajectories: int, master_seed: int) -> list:
     takes one whole token: the pipe holds only whole records, and Linux
     serializes the readers of one pipe, so no read splits a record.
     Every index has its own random stream and run's caches (the intern and
-    successor tables) never decide a result, so each row depends only on
+    row tables) never decide a result, so each row depends only on
     the seed and its index, and the list, put in index order, is the same
     for any W and any hand-out.  A child sends its (t, row) pairs, or the
     exception it raised, back through its own pipe; the parent re-raises

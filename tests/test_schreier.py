@@ -114,6 +114,13 @@ def test_tree_structure_rejects_a_wrong_right_end(pre3):
         verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.d)
 
 
+def test_tree_structure_needs_the_tagging_endpoints(pre3):
+    # tags made with c, checked with d for c: the tags do not describe [b, d]
+    graph = _tagged_graph(pre3, 400)
+    with pytest.raises(PreconditionViolatedError, match="region tags are for another"):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.d)
+
+
 def test_tree_structure_rejects_a_point_in_the_gap(pre3):
     # the gap C runs from g^-1(c) ~ 1.809 to f(b) ~ 3.229
     graph = _tagged_graph(pre3, 400, planted=[q(Fraction(5, 2))])
@@ -261,12 +268,14 @@ def test_export_dot_syntax(tmp_path, pre3):
     graph = build_orbit_graph([hs], SQRT3, 5, labels=["g0"])
     path = os.path.join(tmp_path, "loop.dot")
     export_dot(graph, path)
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     assert text.startswith("digraph orbit {")
     assert text.rstrip().endswith("}")
     assert "v0 -> v0" in text  # rendered self-loop
     csvp = os.path.join(tmp_path, "loop.csv")
     export_csv(graph, csvp)
-    lines = open(csvp).read().splitlines()
+    with open(csvp) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "src,label,dst"
     assert len(lines) == 2

@@ -527,9 +527,10 @@ def _atom_draw(mu, ai):
 
 
 def test_table_hits_keep_the_walking_point(wmu):
-    """A table hit moves the point id alone; the point is read back where it
-    is used.  A run whose last step is a hit returns that point; an exact
-    apply and a tail draw right after hits start from it."""
+    """A table hit moves the walk's row alone; the point is read back, by
+    the id at the row's end, where it is used.  A run whose last step is a
+    hit returns that point; an exact apply and a tail draw right after hits
+    start from it."""
     atoms = [m for m, _ in wmu.atoms]
     walker = _MeasureWalker(wmu, SQRT3)
 
@@ -539,22 +540,29 @@ def test_table_hits_keep_the_walking_point(wmu):
             xs.append(atoms[ai].apply(xs[-1]))
         return xs
 
-    # three steps, each to a new point small enough to be interned
+    def changes_at(y, ai):
+        return walker.atom_confs[ai].entries.get(y, 0)
+
+    # three steps, each to a new point small enough to be interned, and
+    # none of them a step that changes the configuration (which the table
+    # never holds)
     path = next(
         path
         for path in itertools.product(range(len(atoms)), repeat=3)
         if len(set(points_on(path))) == 4
         and all(_bit_size(y) <= walker.share_bits for y in points_on(path))
+        and not any(changes_at(y, ai) for y, ai in zip(points_on(path), path))
     )
     x = points_on(path)[-1]
     draws = [_atom_draw(wmu, ai) for ai in path]
-    # first run: every step an exact apply, which fills the successor rows
+    # first run: every step an exact apply, which fills the rows
     first = walker.run(SQRT3, len(path), _Draws(draws), None)
     assert first[2] == x
-    pid = walker.intern(SQRT3)
+    row = walker.rows[walker.intern(SQRT3)]
     for ai in path:
-        assert walker.succ[pid][ai] != walker.RAW
-        pid = walker.succ[pid][ai]
+        assert row[ai] is not None
+        row = row[ai]
+    assert walker.points[row[-1]] == x
     # the same steps again: all table hits, the last one included
     assert walker.run(SQRT3, len(path), _Draws(draws), None) == first
     # hits, then the tail: magnitude 1, sign +
@@ -562,26 +570,81 @@ def test_table_hits_keep_the_walking_point(wmu):
     _, _, y, _ = walker.run(SQRT3, len(path) + 1, _Draws(draws + tail), None)
     assert y == x + 1
     # hits, then an atom at a point where its successor is not yet known
-    ai = next(i for i in range(len(atoms)) if walker.succ[pid][i] == walker.RAW)
+    ai = next(i for i in range(len(atoms)) if row[i] is None)
     _, _, y, _ = walker.run(SQRT3, len(path) + 1, _Draws(draws + [_atom_draw(wmu, ai)]), None)
     assert y == atoms[ai].apply(x)
 
 
+def _assert_rows_are_the_atoms_images(walker, atoms):
+    """Every row ends in a None tail slot and its own id; every per-atom
+    slot that the walk filled holds the row of the point that the atom's
+    exact apply gives, and a slot whose step changes the configuration
+    holds none.  Returns the counts of filled slots that the atom fixes,
+    that it moves, and of slots that change the configuration."""
+    natoms = len(atoms)
+    fixed = moved = changing = 0
+    for pid, (x, row) in enumerate(zip(walker.points, walker.rows)):
+        assert len(row) == natoms + 2
+        assert row[natoms] is None and row[-1] == pid
+        delta = walker.deltas[pid]
+        for ai, slot in enumerate(row[:natoms]):
+            if delta is not None and delta[ai]:
+                assert slot is None
+                changing += 1
+            elif slot is not None:
+                assert slot is walker.rows[slot[-1]]
+                assert canonical_key(atoms[ai].apply(x)) == canonical_key(walker.points[slot[-1]])
+                fixed += slot is row
+                moved += slot is not row
+    return fixed, moved, changing
+
+
 def test_filled_successor_slots_are_the_atoms_images(wmu):
-    # every successor slot that the walk learned names the point that the
-    # atom's exact apply gives, the point itself where the atom fixes it
+    # every successor slot that the walk learned holds the row of the point
+    # that the atom's exact apply gives, the point's own row where the atom
+    # fixes it
     walker = _MeasureWalker(wmu, SQRT3)
+    changes = 0
     for t in range(20):
-        walker.run(SQRT3, 2000, trajectory_rng(3, t), 1500)
-    atoms = [m for m, _ in wmu.atoms]
-    fixed = moved = 0
-    for pid, (x, row) in enumerate(zip(walker.points, walker.succ)):
-        for ai, slot in enumerate(row[: len(atoms)]):
-            if slot != walker.RAW:
-                assert canonical_key(atoms[ai].apply(x)) == canonical_key(walker.points[slot])
-                fixed += slot == pid
-                moved += slot != pid
+        changes += len(walker.run(SQRT3, 2000, trajectory_rng(3, t), 1500)[0])
+    fixed, moved, changing = _assert_rows_are_the_atoms_images(walker, [m for m, _ in wmu.atoms])
     assert fixed and moved, (fixed, moved)
+    # the walks changed the configuration, at interned points whose slots
+    # for those steps hold no row
+    assert changes and changing, (changes, changing)
+
+
+def test_table_runs_match_the_oracle_on_the_prechain_measure(pre3):
+    """The walk uniform on f^+-1 and g^+-1 from b, which is the base point:
+    g and g^-1 change the configuration at b, an interned point, so a table
+    run breaks there and that step takes the exact apply.  A walker reused
+    across the runs gives what the stepwise oracle gives on every run, when
+    the run's last step is a table hit and when it is an exact apply."""
+    f, g = pre3.f, pre3.g
+    mu = uniform_measure([f, f.inverse(), g, g.inverse()])
+    start = pre3.b
+    assert start == SQRT3
+    walker = _MeasureWalker(mu, SQRT3)
+    assert any(conf.entries.get(start) for conf in walker.atom_confs)
+    last_hit = last_apply = changes = visits = 0
+    for seed in range(40):
+        rng = random.Random(f"table-runs:{seed}")
+        steps = rng.randrange(1, 80)
+        draws = [rng.random() for _ in range(steps)]
+        # the last step's point and atom; a slot the table knew before the
+        # run makes that step a table hit
+        points, _ = _oracle_path(mu, steps, _Draws(draws), None, start=start)
+        pid = walker.registry.get(canonical_key(([start] + points)[-2]))
+        hit = pid is not None and walker.rows[pid][bisect_right(mu._cuts, draws[-1])] is not None
+        got = walker.run(start, steps, _Draws(draws), 1500)
+        assert got == _oracle_run(mu, start, steps, _Draws(draws), 1500), seed
+        last_hit += hit
+        last_apply += not hit
+        changes += len(got[0])
+        visits += len(got[1])
+    assert last_hit and last_apply, (last_hit, last_apply)
+    assert changes and visits, (changes, visits)
+    _assert_rows_are_the_atoms_images(walker, [m for m, _ in mu.atoms])
 
 
 # -- the far state: points a tail draw takes outside the atoms' hulls -----------
