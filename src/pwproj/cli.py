@@ -173,7 +173,8 @@ def cmd_kernel(args):
     graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
     rows = []
     bad = 0
-    for p in graph.sorted_keys()[: args.sample]:
+    for i in graph.sorted_ids()[: args.sample]:
+        p = graph.points[i]
         row = kernel.row(p)
         total = sum(w for _, _, _, w in row)
         sym = kernel.check_symmetry(p)
@@ -352,7 +353,6 @@ def build_parser() -> _Parser:
     add(
         "returns",
         cmd_returns,
-        seed=True,
         extras=[
             ("--target", dict(choices=["z", "prechain"], default="prechain")),
             (
@@ -364,10 +364,26 @@ def build_parser() -> _Parser:
                 ),
             ),
             ("--horizons", dict(type=_positive_int_list, default="10000,20000")),
-            ("--M", dict(type=_positive_int, default=500, help="trajectories; --target z only")),
+            ("--M", dict(type=_positive_int, help="trajectories (default 500); --target z only")),
+            ("--seed", dict(type=int, help="required with --target z, refused otherwise")),
         ],
     )
     return parser
+
+
+def _returns_options(parser: _Parser, args) -> None:
+    """--M and --seed drive the Monte-Carlo estimate on Z and nothing else.
+
+    --target z requires --seed and takes --M, 500 by default.  The
+    prechain's means are exact, so --target prechain refuses both.
+    """
+    if args.target == "prechain":
+        if args.M is not None or args.seed is not None:
+            parser.error("returns --target prechain: --M and --seed apply to --target z only")
+    elif args.seed is None:
+        parser.error("returns --target z: the following arguments are required: --seed")
+    elif args.M is None:
+        args.M = 500
 
 
 def _config(args) -> dict:
@@ -379,6 +395,8 @@ def _config(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "returns":
+        _returns_options(parser, args)
     # made before the run, so an unusable directory fails before the work
     source = "--out" if args.out else "PWPROJ_OUT"
     args.out = args.out or os.environ.get("PWPROJ_OUT", ".")

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class MixedFieldError(ArithmeticError):
@@ -500,15 +500,21 @@ def point_order_key(p: ExtendedPoint, n: int = 64):
     return (qn_floor_times(p, 1 << n), p)
 
 
-def sorted_points(points: Iterable[ExtendedPoint]) -> List[ExtendedPoint]:
-    """The points in increasing order, INFINITY last.
+def point_order_keys(points: Sequence[ExtendedPoint]) -> list:
+    """The point_order_key of each point, with one n for all of them.
 
-    Sorted by point_order_key with n the largest denominator bit length
-    (at least 64), so that few pairs tie on the integer part.
+    n is the largest denominator bit length (at least 64), so that few
+    pairs tie on the integer part.
     """
-    points = list(points)
     n = max([64] + [p[2].bit_length() for p in points if p is not INFINITY])
-    return sorted(points, key=lambda p: point_order_key(p, n))
+    return [point_order_key(p, n) for p in points]
+
+
+def sorted_points(points: Iterable[ExtendedPoint]) -> List[ExtendedPoint]:
+    """The points in increasing order of their point_order_keys, INFINITY last."""
+    points = list(points)
+    keys = point_order_keys(points)
+    return [points[i] for i in sorted(range(len(points)), key=keys.__getitem__)]
 
 
 def canonical_key(p: ExtendedPoint):

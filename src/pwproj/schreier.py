@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .exactnum import (
     ExtendedPoint,
     QuadraticNumber,
+    canonical_key,
+    point_order_keys,
     point_to_text,
     qn_compare,
-    sorted_points,
 )
 from .piecewise import PiecewiseProjectiveMap, Prechain
 
@@ -36,29 +37,101 @@ class PreconditionViolatedError(ValueError):
 # the kernel's ray walks; attach_regions bounds its own by the graph's order
 _RAY_CAP = 1_000_000
 
+# a vertex id, or a point that is no vertex of the graph
+Node = Union[int, ExtendedPoint]
+
 
 @dataclass
 class OrbitGraph:
-    """BFS-enumerated orbit of a root point under generators and inverses."""
+    """BFS-enumerated orbit of a root point under generators and inverses.
 
+    Vertex i is points[i], numbered in BFS order from the root, 0.  The
+    edges are per-generator int arrays: succ[gi][i] is the vertex that
+    gens[gi] maps i to, pred[gi][i] the one that gens[gi]^-1 maps it to,
+    and -1 stands where the BFS recorded no image (past the vertex cap, or
+    at a vertex added after the BFS).
+    """
+
+    gens: Tuple[PiecewiseProjectiveMap, ...]
+    # gens[gi]^-1, for the images that no edge records
+    inverses: Tuple[PiecewiseProjectiveMap, ...]
     labels: List[str]
-    root: ExtendedPoint
-    # the vertices in BFS order, as an insertion-ordered set
-    points: Dict[ExtendedPoint, None] = field(default_factory=dict)
-    edges: List[Dict[ExtendedPoint, ExtendedPoint]] = field(default_factory=list)
+    points: List[ExtendedPoint] = field(default_factory=list)
+    # canonical_key of each vertex's point -> its id
+    index: Dict[tuple, int] = field(default_factory=dict)
+    succ: List[List[int]] = field(default_factory=list)
+    pred: List[List[int]] = field(default_factory=list)
     truncated: bool = False
-    incomplete: set = field(default_factory=set)
+    # the ids of the vertices with an image left out at the cap
+    incomplete: Set[int] = field(default_factory=set)
     # each vertex's (kind, first-entry count) under the prechain region rule
-    regions: Optional[Dict[ExtendedPoint, Tuple[str, int]]] = None
+    regions: Optional[List[Tuple[str, int]]] = None
     # the (f, g, b, c) of the rule that made regions
     tagged_with: Optional[tuple] = None
+    # made once for the exports: the ids in increasing order of their
+    # points, and each vertex's point as text
+    _sorted: Optional[List[int]] = field(default=None, repr=False)
+    _texts: Optional[List[str]] = field(default=None, repr=False)
+
+    @property
+    def root(self) -> ExtendedPoint:
+        return self.points[0]
 
     def order(self) -> int:
         return len(self.points)
 
-    def sorted_keys(self) -> List[ExtendedPoint]:
-        """The vertices in increasing order."""
-        return sorted_points(self.points)
+    def vertex(self, p: ExtendedPoint) -> Optional[int]:
+        """The id of the vertex at p, None if p is no vertex."""
+        return self.index.get(canonical_key(p))
+
+    def add_vertex(self, p: ExtendedPoint) -> int:
+        """The id of p, which becomes a vertex without edges if it is none yet.
+
+        A new vertex drops the region tags and the export order, as they no
+        longer cover every vertex.
+        """
+        key = canonical_key(p)
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.points)
+            self.points.append(p)
+            for arrays in (self.succ, self.pred):
+                for arr in arrays:
+                    arr.append(-1)
+            self.regions = self.tagged_with = self._sorted = self._texts = None
+        return i
+
+    def point(self, x: Node) -> ExtendedPoint:
+        return self.points[x] if x.__class__ is int else x
+
+    def image(self, x: Node, gi: int, inverse: bool = False) -> Node:
+        """x moved by gens[gi], or by its inverse: a vertex id where it is one.
+
+        Reads the recorded edge where there is one.  Only where there is
+        none, at a frontier vertex, a vertex added after the BFS or a point
+        off the graph, it applies the map.
+        """
+        if x.__class__ is int:
+            j = (self.pred if inverse else self.succ)[gi][x]
+            if j >= 0:
+                return j
+            x = self.points[x]
+        y = (self.inverses if inverse else self.gens)[gi].apply(x)
+        j = self.vertex(y)
+        return y if j is None else j
+
+    def sorted_ids(self) -> List[int]:
+        """The vertex ids in increasing order of their points."""
+        if self._sorted is None:
+            keys = point_order_keys(self.points)
+            self._sorted = sorted(range(len(keys)), key=keys.__getitem__)
+        return self._sorted
+
+    def texts(self) -> List[str]:
+        """Each vertex's point as text, by id."""
+        if self._texts is None:
+            self._texts = [point_to_text(p) for p in self.points]
+        return self._texts
 
 
 def build_orbit_graph(
@@ -67,39 +140,41 @@ def build_orbit_graph(
     max_vertices: int,
     labels: Sequence[str],
 ) -> OrbitGraph:
-    """Deterministic BFS orbit enumeration, stopping at the vertex cap."""
+    """Deterministic BFS orbit enumeration, stopping at the vertex cap.
+
+    Each edge is applied once, from the end the BFS expands first, and
+    recorded in both directions; the other end finds it recorded.
+    """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
-    graph = OrbitGraph(labels=list(labels), root=root)
-    graph.edges = [dict() for _ in gens]
-    graph.points[root] = None
-    moves = [
-        (gi, forward, gen if forward else gen.inverse())
-        for gi, gen in enumerate(gens)
-        for forward in (True, False)
-    ]
-    # each point with the move that found it; the opposite move leads back to
-    # the parent along an edge already recorded, so it is not applied again
-    queue = [(root, None, None)]
-    qi = 0
-    while qi < len(queue):
-        point, found_gi, found_forward = queue[qi]
-        qi += 1
-        for gi, forward, move in moves:
-            if gi == found_gi and forward != found_forward:
+    graph = OrbitGraph(
+        gens=tuple(gens), inverses=tuple(gen.inverse() for gen in gens), labels=list(labels)
+    )
+    graph.succ = [[] for _ in gens]
+    graph.pred = [[] for _ in gens]
+    graph.add_vertex(root)
+    points, index, add_vertex = graph.points, graph.index, graph.add_vertex
+    # each move with the array of its images and the array of the reverse move
+    moves = []
+    for gen, inv, succ, pred in zip(graph.gens, graph.inverses, graph.succ, graph.pred):
+        moves += [(gen, succ, pred), (inv, pred, succ)]
+    i = 0
+    while i < len(points):
+        x = points[i]
+        for move, out, back in moves:
+            if out[i] >= 0:
                 continue
-            mapped = move.apply(point)
-            if mapped not in graph.points:
-                if len(graph.points) >= max_vertices:
+            y = move.apply(x)
+            j = index.get(canonical_key(y))
+            if j is None:
+                if len(points) >= max_vertices:
                     graph.truncated = True
-                    graph.incomplete.add(point)
+                    graph.incomplete.add(i)
                     continue
-                graph.points[mapped] = None
-                queue.append((mapped, gi, forward))
-            if forward:
-                graph.edges[gi][point] = mapped
-            else:
-                graph.edges[gi][mapped] = point
+                j = add_vertex(y)
+            out[i] = j
+            back[j] = i
+        i += 1
     return graph
 
 
@@ -110,25 +185,8 @@ def _in_closed(x: ExtendedPoint, lo: QuadraticNumber, hi: QuadraticNumber) -> bo
     return qn_compare(x, lo) >= 0 and qn_compare(x, hi) <= 0
 
 
-def first_entry_steps(
-    f: PiecewiseProjectiveMap,
-    x: QuadraticNumber,
-    lo: QuadraticNumber,
-    hi: QuadraticNumber,
-    cap: int,
-) -> int:
-    """min(n >= 1 | f^n(x) in [lo, hi]) by exact iteration, at most cap steps.
-
-    x lies outside [lo, hi] (the region rule has placed it below lo or above
-    hi), so the test starts at the first apply.  It stays two-sided: an
-    orbit that steps over [lo, hi], as off a prechain, runs into the cap.
-    """
-    cur = x
-    for n in range(1, cap + 1):
-        cur = f.apply(cur)
-        if _in_closed(cur, lo, hi):
-            return n
-    raise PreconditionViolatedError("iteration cap hit while entering [b, c]")
+def _itself(x):
+    return x
 
 
 def _region_rule(
@@ -136,40 +194,92 @@ def _region_rule(
     g: PiecewiseProjectiveMap,
     b: QuadraticNumber,
     c: QuadraticNumber,
-) -> Callable[[QuadraticNumber, int], Tuple[str, int]]:
+    at: Callable,
+    up: Callable,
+    down: Callable,
+    known: Callable,
+    cap: int,
+) -> Callable[[Node], Tuple[str, int]]:
     """The rule placing a point in the orbit structure of the 2-prechain (f, g).
 
     ("A", 0) on [b, g^-1(c)], ("B", 0) on [f(b), c], ("C", 0) between them;
-    ("f", n) below b and ("g", n) above c, where n is the first_entry_steps
-    count of f (g^-1) within the cap that the caller passes.
+    ("f", n) below b and ("g", n) above c, where n is the first-entry count
+    min(n >= 1 | f^n(x) in [b, c]) (g^-1 for "g") within the cap that the
+    caller passes.  The rule reads the point of x as at(x), and up and down
+    step x along its ray toward [b, c], by f and by g^-1: an edge lookup on
+    the graph, an apply in the kernel.  known(x) is the region already
+    decided for x, or None: a walk that reaches a point of its own ray adds
+    that point's count (f^n(x) = f^(n-m)(y) when y = f^m(x)), and one that
+    reaches a point inside [b, c] stops, without comparing again.
     """
-    g_inv = g.inverse()
-    g_inv_c = g_inv.apply(c)
+    g_inv_c = g.inverse().apply(c)
     f_b = f.apply(b)
 
-    def region(x: QuadraticNumber, cap: int) -> Tuple[str, int]:
-        if qn_compare(x, b) < 0:
-            return "f", first_entry_steps(f, x, b, c, cap)
-        if qn_compare(x, c) > 0:
-            return "g", first_entry_steps(g_inv, x, b, c, cap)
-        if qn_compare(x, g_inv_c) <= 0:
+    def first_entry(kind: str, step: Callable, x: Node) -> int:
+        # x lies outside [b, c], so the test starts at the first step; it
+        # stays two-sided: an orbit that steps over [b, c], as off a
+        # prechain, runs into the cap
+        for n in range(1, cap + 1):
+            x = step(x)
+            tag = known(x)
+            if tag is None:
+                if _in_closed(at(x), b, c):
+                    return n
+            elif tag[1] == 0:
+                return n
+            elif tag[0] == kind and n + tag[1] <= cap:
+                return n + tag[1]
+        raise PreconditionViolatedError("iteration cap hit while entering [b, c]")
+
+    def region(x: Node) -> Tuple[str, int]:
+        p = at(x)
+        if qn_compare(p, b) < 0:
+            return "f", first_entry("f", up, x)
+        if qn_compare(p, c) > 0:
+            return "g", first_entry("g", down, x)
+        if qn_compare(p, g_inv_c) <= 0:
             return "A", 0
-        if qn_compare(x, f_b) >= 0:
+        if qn_compare(p, f_b) >= 0:
             return "B", 0
         return "C", 0
 
     return region
 
 
+def _check_generators(graph: OrbitGraph, f: PiecewiseProjectiveMap, g: PiecewiseProjectiveMap):
+    # the edges of generator 0 are read as f's, those of generator 1 as g's
+    if graph.gens != (f, g):
+        raise PreconditionViolatedError("graph's edges are for generators other than (f, g)")
+
+
 def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
     """Tag every vertex with its (kind, first-entry count) under the region rule.
 
-    On a 2-prechain a ray vertex is reached only along its own ray, so its
-    walk into [b, c] passes only vertices; a longer one means (f, g) is no
-    prechain, and raises PreconditionViolatedError.
+    A ray walk steps along the recorded edges.  On a 2-prechain a ray
+    vertex is reached only along its own ray, from the vertex one step
+    further in, which has a smaller id and so its tag already; the walk
+    reads that tag.  A walk that has to go on passes only vertices; a
+    longer one means (f, g) is no prechain, and raises
+    PreconditionViolatedError.
     """
-    region = _region_rule(pre.f, pre.g, pre.b, pre.c)
-    graph.regions = {p: region(p, graph.order() - 1) for p in graph.points}
+    _check_generators(graph, pre.f, pre.g)
+    image = graph.image
+    tags: List[Tuple[str, int]] = []
+
+    def up(x):
+        return image(x, 0)
+
+    def down(x):
+        return image(x, 1, inverse=True)
+
+    def known(x):
+        return tags[x] if x.__class__ is int and x < len(tags) else None
+
+    cap = graph.order() - 1
+    region = _region_rule(pre.f, pre.g, pre.b, pre.c, graph.point, up, down, known, cap)
+    for i in range(graph.order()):
+        tags.append(region(i))
+    graph.regions = tags
     graph.tagged_with = (pre.f, pre.g, pre.b, pre.c)
 
 
@@ -193,121 +303,114 @@ def verify_tree_structure(
 
     Raises StructureViolationError with a counterexample vertex; truncated
     frontier vertices are skipped for checks that need their neighbors.
-    The graph must carry the region tags of attach_regions, made with this
-    f, g, b and c, which say what lies inside [b, c], in A, B or C, or on
-    which ray; the rule's walk of every ray vertex back into [b, c] is the
-    ray check of step (5).
+    The graph must be built from (f, g), whose images its edges record,
+    and carry the region tags of attach_regions, made with this f, g, b and
+    c, which say what lies inside [b, c], in A, B or C, or on which ray; the
+    rule's walk of every ray vertex back into [b, c] is the ray check of
+    step (5).  A map is applied only where the graph records no image.
     """
+    _check_generators(graph, f, g)
     regions = graph.regions
     if regions is None:
         raise PreconditionViolatedError("graph has no region tags")
     if graph.tagged_with != (f, g, b, c):
         raise PreconditionViolatedError("graph's region tags are for another f, g, b or c")
-    g_inv = g.inverse()
-    f_inv = f.inverse()
-    root = graph.root
-    if root != b:
+    if graph.root != b:
         raise PreconditionViolatedError("graph root is not b")
+    image, at, incomplete = graph.image, graph.point, graph.incomplete
+    order = graph.order()
 
-    # first-entry count 0: the vertices inside [b, c]
-    inside = dict.fromkeys(p for p in graph.points if regions[p][1] == 0)
+    def text(x: Node) -> str:
+        return point_to_text(at(x))
+
+    def within(x: Node) -> bool:
+        # a vertex's tag says whether it lies in [b, c]
+        return regions[x][1] == 0 if x.__class__ is int else _in_closed(x, b, c)
+
+    def same(x: Node, i: int) -> bool:
+        return x.__class__ is int and x == i
+
+    # first-entry count 0: the vertices inside [b, c]; the root is vertex 0
+    inside = [i for i in range(order) if regions[i][1] == 0]
     region_a = region_b = 0
-    parent: Dict[ExtendedPoint, ExtendedPoint] = {}
-    for p in inside:
-        kind = regions[p][0]
+    # each inside vertex's parent, -1 where it is no vertex
+    parent = [-1] * order
+    for i in inside:
+        kind = regions[i][0]
         # (4) the middle gap C contains no orbit point
         if kind == "C":
-            raise StructureViolationError(point_to_text(p), "orbit point inside C")
-        if p == root:
+            raise StructureViolationError(text(i), "orbit point inside C")
+        if i == 0:
             continue
         if kind == "A":
             region_a += 1
-            par = g.apply(p)
+            par = image(i, 1)
             # (3) left children leave [b, c] under f^-1
-            esc = f_inv.apply(p)
-            if _in_closed(esc, b, c):
-                raise StructureViolationError(
-                    point_to_text(p), "f^-1 keeps a left child inside [b, c]"
-                )
+            if within(image(i, 0, inverse=True)):
+                raise StructureViolationError(text(i), "f^-1 keeps a left child inside [b, c]")
         else:
             region_b += 1
-            par = f_inv.apply(p)
-            esc = g.apply(p)
-            if _in_closed(esc, b, c):
-                raise StructureViolationError(
-                    point_to_text(p), "g keeps a right child inside [b, c]"
-                )
-        if not _in_closed(par, b, c):
-            raise StructureViolationError(point_to_text(p), "parent left [b, c]")
-        parent[p] = par
+            par = image(i, 0, inverse=True)
+            if within(image(i, 1)):
+                raise StructureViolationError(text(i), "g keeps a right child inside [b, c]")
+        if not within(par):
+            raise StructureViolationError(text(i), "parent left [b, c]")
+        if par.__class__ is int:
+            parent[i] = par
 
     # (1) parent links reach the root without cycles: the subgraph is a tree
-    depth: Dict[ExtendedPoint, int] = {root: 0}
+    depth = [-1] * order
+    depth[0] = 0
     max_depth = 0
-
-    def _depth(k: ExtendedPoint) -> int:
+    for k in inside:
         chain = []
         cur = k
-        while cur not in depth:
+        while depth[cur] < 0:
             chain.append(cur)
-            if cur not in parent:
-                raise StructureViolationError(
-                    point_to_text(cur), "parent chain leaves the graph"
-                )
+            if parent[cur] < 0:
+                raise StructureViolationError(text(cur), "parent chain leaves the graph")
             cur = parent[cur]
             if len(chain) > len(inside):
-                raise StructureViolationError(
-                    point_to_text(k), "parent chain has a cycle"
-                )
+                raise StructureViolationError(text(k), "parent chain has a cycle")
         base = depth[cur]
-        for i, node in enumerate(reversed(chain)):
-            depth[node] = base + i + 1
-        return depth[k]
-
-    for p in inside:
-        if p != root:
-            max_depth = max(max_depth, _depth(p))
+        for n, node in enumerate(reversed(chain), 1):
+            depth[node] = base + n
+        max_depth = max(max_depth, depth[k])
 
     # (2) two children inside [b, c] for every fully expanded tree vertex
-    for p in inside:
-        if p in graph.incomplete:
+    c_vertex = graph.vertex(c)
+    for i in inside:
+        if i in incomplete:
             continue
-        for child, name in ((g_inv.apply(p), "g^-1"), (f.apply(p), "f")):
-            if p == root and name == "g^-1":
-                if child != p:
-                    raise StructureViolationError(
-                        point_to_text(p), "g does not fix the root"
-                    )
+        for child, name in ((image(i, 1, inverse=True), "g^-1"), (image(i, 0), "f")):
+            if i == 0 and name == "g^-1":
+                if not same(child, i):
+                    raise StructureViolationError(text(i), "g does not fix the root")
                 continue
-            if not _in_closed(child, b, c):
-                raise StructureViolationError(
-                    point_to_text(p), f"{name} child left [b, c]"
-                )
-            if child not in graph.points:
-                raise StructureViolationError(
-                    point_to_text(p), f"{name} child missing from graph"
-                )
-            if parent.get(child) != p:
-                raise StructureViolationError(
-                    point_to_text(p), f"{name} child has a different parent"
-                )
+            if not within(child):
+                raise StructureViolationError(text(i), f"{name} child left [b, c]")
+            if child.__class__ is not int:
+                raise StructureViolationError(text(i), f"{name} child missing from graph")
+            if parent[child] != i:
+                raise StructureViolationError(text(i), f"{name} child has a different parent")
         # c itself never appears
-        if p == c:
-            raise StructureViolationError(point_to_text(p), "c is in the orbit graph")
+        if i == c_vertex:
+            raise StructureViolationError(text(i), "c is in the orbit graph")
 
     # (5) outside vertices sit on one-sided rays under a single generator
-    for p in graph.points:
-        if p in inside or p in graph.incomplete:
+    for i in range(order):
+        kind, n = regions[i]
+        if n == 0 or i in incomplete:
             continue
-        if regions[p][0] == "f":
-            if g.apply(p) != p:
-                raise StructureViolationError(point_to_text(p), "g moves an f-ray point")
-        elif f.apply(p) != p:
-            raise StructureViolationError(point_to_text(p), "f moves a g-ray point")
+        if kind == "f":
+            if not same(image(i, 1), i):
+                raise StructureViolationError(text(i), "g moves an f-ray point")
+        elif not same(image(i, 0), i):
+            raise StructureViolationError(text(i), "f moves a g-ray point")
 
     return TreeReport(
         tree_vertices=len(inside),
-        ray_vertices=graph.order() - len(inside),
+        ray_vertices=order - len(inside),
         region_a=region_a,
         region_b=region_b,
         max_depth=max_depth,
@@ -350,10 +453,13 @@ class ComparisonKernel:
         # the four steps, in the order of a row
         self._steps = {("f", 1): f, ("f", -1): f.inverse(), ("g", 1): g, ("g", -1): g.inverse()}
         self.a, self.d = a, d
-        self._rule = _region_rule(f, g, b, c)
         # pays on the kernel command (off-bench): check_symmetry asks again for
         # each row's points; --cap 2000 --sample 2000 takes 0.20-0.25 s, 0.37-0.39 s without
         self._regions: Dict[QuadraticNumber, Tuple[str, int]] = {}
+        g_inv = self._steps[("g", -1)]
+        self._rule = _region_rule(
+            f, g, b, c, _itself, f.apply, g_inv.apply, self._regions.get, _RAY_CAP
+        )
 
     def weight(self, x: QuadraticNumber, label: str, direction: int) -> Fraction:
         region = self._regions.get(x)
@@ -363,7 +469,7 @@ class ComparisonKernel:
                 raise PreconditionViolatedError("point at or below a")
             if qn_compare(x, self.d) >= 0:
                 raise PreconditionViolatedError("point at or beyond d")
-            region = self._regions[x] = self._rule(x, _RAY_CAP)
+            region = self._regions[x] = self._rule(x)
         kind, n = region
         if n == 0:
             return _QUARTER
@@ -405,23 +511,23 @@ _REGION_COLORS = {
 
 def export_dot(graph: OrbitGraph, path: str) -> None:
     """Deterministic DOT rendering with generator labels and region colors."""
-    order = graph.sorted_keys()
-    index = {p: i for i, p in enumerate(order)}
+    order, text, regions = graph.sorted_ids(), graph.texts(), graph.regions
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
     lines = ["digraph orbit {"]
-    for i, p in enumerate(order):
-        attrs = [f'label="{point_to_text(p)}"']
-        if graph.regions:
-            kind = graph.regions[p][0]
-            attrs.append(f'style=filled fillcolor="{_REGION_COLORS[kind]}"')
-        if p == graph.root:
+    for r, i in enumerate(order):
+        attrs = [f'label="{text[i]}"']
+        if regions:
+            attrs.append(f'style=filled fillcolor="{_REGION_COLORS[regions[i][0]]}"')
+        if i == 0:
             attrs.append("shape=doublecircle")
-        lines.append(f'  v{i} [{" ".join(attrs)}];')
-    for gi, emap in enumerate(graph.edges):
-        label = graph.labels[gi]
-        for i, src in enumerate(order):
-            dst = emap.get(src)
-            if dst is not None:
-                lines.append(f'  v{i} -> v{index[dst]} [label="{label}"];')
+        lines.append(f'  v{r} [{" ".join(attrs)}];')
+    for label, succ in zip(graph.labels, graph.succ):
+        for r, i in enumerate(order):
+            j = succ[i]
+            if j >= 0:
+                lines.append(f'  v{r} -> v{rank[j]} [label="{label}"];')
     lines.append("}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -429,14 +535,12 @@ def export_dot(graph: OrbitGraph, path: str) -> None:
 
 def export_csv(graph: OrbitGraph, path: str) -> None:
     """Adjacency dump: src, label, dst points."""
-    order = graph.sorted_keys()
-    text = {p: point_to_text(p) for p in order}
+    order, text = graph.sorted_ids(), graph.texts()
     lines = ["src,label,dst"]
-    for gi, emap in enumerate(graph.edges):
-        label = graph.labels[gi]
-        for src in order:
-            dst = emap.get(src)
-            if dst is not None:
-                lines.append(f'"{text[src]}",{label},"{text[dst]}"')
+    for label, succ in zip(graph.labels, graph.succ):
+        for i in order:
+            j = succ[i]
+            if j >= 0:
+                lines.append(f'"{text[i]}",{label},"{text[j]}"')
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

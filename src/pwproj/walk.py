@@ -80,7 +80,7 @@ class PowerLawSampler:
     (G is a power of two), so i/G <= u < (i + 1)/G, and since bisect_left
     is monotone in its key, bisect_left(_table, u) lies in [_guide[i],
     _guide[i + 1]]: a search of that range alone gives the same index.
-    _MeasureWalker.run inlines this draw.
+    _MeasureWalker.run and lamplighter_demo's run loop inline this draw.
     """
 
     TABLE = 1 << 14
@@ -976,21 +976,35 @@ def lamplighter_demo(
     """
     _check_positive("trajectories", trajectories)
     _check_positive("steps", steps)
-    sampler = PowerLawSampler(Fraction(alpha)) if heavy_tail else None
+    if heavy_tail:
+        sampler = PowerLawSampler(Fraction(alpha))
+        table, guide, beyond = sampler._table, sampler._guide, sampler._beyond_table
+        top, buckets = table[-1], float(sampler.GUIDE)
     half = steps // 2
 
     def run(rng):
+        uniform = rng.random
         pos = 0
         last_origin_toggle = -1
         for n in range(1, steps + 1):
-            if rng.random() < 0.5:
-                if sampler is not None:
-                    pos += sampler.sample_signed(rng)
-                else:
-                    pos += 1 if rng.random() < 0.5 else -1
-            else:
+            if uniform() >= 0.5:
                 if pos == 0:
                     last_origin_toggle = n
+            elif not heavy_tail:
+                pos += 1 if uniform() < 0.5 else -1
+            else:
+                # the tail draw: sample_signed's guided search and sign
+                u = uniform()
+                if u <= top:
+                    i = int(u * buckets)
+                    j = guide[i]
+                    end = guide[i + 1]
+                    if j < end:
+                        j = bisect_left(table, u, j, end)
+                    j += 1
+                else:
+                    j = beyond(u)
+                pos += j if uniform() < 0.5 else -j
         return last_origin_toggle
 
     last_toggles = _run_trajectories(run, trajectories, master_seed)

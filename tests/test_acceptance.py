@@ -219,12 +219,13 @@ def test_criterion_07_comparison_kernel(graph2000, pre3):
     quarter = Fraction(1, 4)
     three_quarter = Fraction(3, 4)
     checked = 0
-    for p in graph2000.sorted_keys():
+    for i in graph2000.sorted_ids():
         if checked >= 200:
             break
+        p = graph2000.points[i]
         assert sum(w for *_, w in kernel.row(p)) == 1
         assert kernel.check_symmetry(p)
-        kind, _ = graph2000.regions[p]
+        kind, _ = graph2000.regions[i]
         if kind in ("A", "B", "C"):
             for lbl, d in (("f", 1), ("f", -1), ("g", 1), ("g", -1)):
                 assert kernel.weight(p, lbl, d) == quarter

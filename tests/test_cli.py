@@ -86,6 +86,23 @@ def test_missing_seed_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--target", "z", "--horizons", "10", "--M", "2"], "required: --seed"),
+        (["--target", "prechain", "--horizons", "10", "--seed", "1"], "apply to --target z only"),
+        (["--horizons", "10", "--M", "2"], "apply to --target z only"),
+    ],
+)
+def test_returns_takes_m_and_seed_for_z_only(tmp_path, args, message):
+    # the prechain's means are exact: no trajectories and no seed
+    proc = run(["returns"] + args, tmp_path)
+    assert proc.returncode == 64
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["witness", "--s", "0+1*sqrt(3)", "--T", "10", "--M", "0", "--seed", "1"],
@@ -147,8 +164,8 @@ SEEDED_REPORTS = {
         "453cd8abe5c47d71d8d7d5e0751cabb027e53f2c9d2b19203b34be93906b20d3",
     ),
     "returns-prechain": (
-        ["returns", "--target", "prechain", "--horizons", "100,1000", "--M", "50", "--seed", "6"],
-        "8ad6d5953be08f590acdd6fcd7c8aecd513d94a42c740d58d9e32dd99ea32a12",
+        ["returns", "--target", "prechain", "--horizons", "100,1000"],
+        "aba68d6112920780161113200949a5e65bca9bad3491d23e7465806fc15284ea",
     ),
     "summability": (
         ["summability", "--s", "0+1*sqrt(3)", "--T", "500", "--M", "40", "--seed", "7"],
@@ -302,7 +319,7 @@ def test_returns_prechain_does_not_depend_on_s(tmp_path):
     reports = []
     for s in ("0+1*sqrt(3)", "1/3+2*sqrt(5)"):
         args = ["returns", "--target", "prechain", "--s", s, "--horizons", "100,1000"]
-        proc = run(args + ["--M", "50", "--seed", "6"], tmp_path)
+        proc = run(args, tmp_path)
         assert proc.returncode == 0
         reports.append(json.loads(proc.stdout)["mean_returns"])
     assert reports[0] == reports[1]

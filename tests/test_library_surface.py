@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pwproj"
 
 # qualified name -> why it stays although nothing in src/ names it
 ALLOWED = {
-    "_Parser.error": "argparse calls it on a usage error",
     "config_act": "the group action on configurations; the products benchmark "
     "and acceptance criterion 2 check the cocycle identity through it",
     "PiecewiseProjectiveMap.from_text": "the input path for maps given as text",

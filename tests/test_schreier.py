@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import threading
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pwproj.exactnum import QuadraticNumber, qn_compare, qn_from_text
-from pwproj.piecewise import construct_prechain, pm_from_matrix
+from pwproj.piecewise import PiecewiseProjectiveMap, construct_prechain, pm_from_matrix
 from pwproj.psl2 import ProjectiveMatrix, orbit_equivalent
 from pwproj.schreier import (
     ComparisonKernel,
@@ -47,9 +48,9 @@ def test_translation_orbit_path():
     points = sorted(float(p) for p in graph.points)
     assert points == [-2.0, -1.0, 0.0, 1.0, 2.0]
     # a rational vertex is found by an equal point built on its own
-    assert qn_from_text("-2") in graph.points
-    assert QuadraticNumber(Fraction(2)) in graph.points
-    assert qn_from_text("3") not in graph.points
+    assert graph.vertex(qn_from_text("-2")) is not None
+    assert graph.vertex(QuadraticNumber(Fraction(2))) is not None
+    assert graph.vertex(qn_from_text("3")) is None
 
 
 def test_fixed_point_loop(pre3):
@@ -57,27 +58,35 @@ def test_fixed_point_loop(pre3):
     graph = build_orbit_graph([hs], SQRT3, 5, labels=["g0"])
     # the delta element fixes its base point: single vertex with loops
     assert graph.order() == 1
-    assert graph.edges[0][graph.root] == graph.root
+    assert graph.succ[0] == graph.pred[0] == [0]
 
 
 def test_root_loop_under_g(graph600, pre3):
     gi = graph600.labels.index("g")
-    assert graph600.edges[gi][graph600.root] == graph600.root
+    assert graph600.succ[gi][0] == graph600.pred[gi][0] == 0
 
 
 def test_bfs_deterministic(pre3):
     g1 = build_orbit_graph([pre3.f, pre3.g], pre3.b, 200, labels=["f", "g"])
     g2 = build_orbit_graph([pre3.f, pre3.g], pre3.b, 200, labels=["f", "g"])
-    assert list(g1.points) == list(g2.points)
-    assert g1.edges == g2.edges
+    assert g1.points == g2.points
+    assert (g1.succ, g1.pred) == (g2.succ, g2.pred)
 
 
 def test_edges_realized_by_maps(graph600, pre3):
     maps = {"f": pre3.f, "g": pre3.g}
-    for gi, emap in enumerate(graph600.edges):
-        label = graph600.labels[gi]
-        for src, dst in emap.items():
-            assert maps[label](src) == dst
+    points = graph600.points
+    for label, succ, pred in zip(graph600.labels, graph600.succ, graph600.pred):
+        for i, j in enumerate(succ):
+            if j >= 0:
+                assert maps[label](points[i]) == points[j]
+                assert pred[j] == i
+        for j, i in enumerate(pred):
+            if i >= 0:
+                assert succ[i] == j
+        # only a frontier vertex misses an image, in either direction
+        missing = {i for i in range(len(points)) if succ[i] < 0 or pred[i] < 0}
+        assert missing <= graph600.incomplete
 
 
 def test_all_vertices_orbit_equivalent(graph600):
@@ -93,16 +102,25 @@ def test_tree_structure(graph600, pre3):
 
 
 def _tagged_graph(pre, cap, planted=()):
-    """The orbit graph of pre.b at cap, with points planted before tagging."""
+    """The orbit graph of pre.b at cap, with points planted before tagging.
+
+    A planted vertex has no recorded edges, so verification applies the
+    maps to it.
+    """
     graph = build_orbit_graph([pre.f, pre.g], pre.b, cap, labels=["f", "g"])
-    graph.points.update(dict.fromkeys(planted))
+    for p in planted:
+        graph.add_vertex(p)
     attach_regions(graph, pre)
     return graph
 
 
 def test_tree_structure_rejects_a_broken_parent_chain(pre3):
-    graph = _tagged_graph(pre3, 400)
-    del graph.points[pre3.f(pre3.f(pre3.b))]
+    # f^20(b) lies in the tree, deeper than the cap reaches: its parent
+    # f^19(b) is no vertex
+    deep = pre3.b
+    for _ in range(20):
+        deep = pre3.f(deep)
+    graph = _tagged_graph(pre3, 400, planted=[deep])
     with pytest.raises(StructureViolationError, match="parent chain leaves the graph"):
         verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.c)
 
@@ -112,6 +130,32 @@ def test_tree_structure_rejects_a_wrong_right_end(pre3):
     graph = _tagged_graph(dataclasses.replace(pre3, c=pre3.d), 400)
     with pytest.raises(StructureViolationError, match=r"f\^-1 keeps a left child inside"):
         verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.d)
+
+
+def test_tree_structure_refuses_another_graphs_edges(pre3):
+    # the edges of (g, f) are not those of (f, g), whatever the tags say
+    graph = build_orbit_graph([pre3.g, pre3.f], pre3.b, 400, labels=["g", "f"])
+    with pytest.raises(PreconditionViolatedError, match="edges are for generators other"):
+        attach_regions(graph, pre3)
+    graph.regions = _tagged_graph(pre3, 400).regions
+    graph.tagged_with = (pre3.f, pre3.g, pre3.b, pre3.c)
+    with pytest.raises(PreconditionViolatedError, match="edges are for generators other"):
+        verify_tree_structure(graph, pre3.f, pre3.g, pre3.b, pre3.c)
+
+
+def test_tree_structure_applies_maps_only_at_the_frontier(graph600, pre3, monkeypatch):
+    # every other image is read from the recorded edges
+    applied = []
+    apply = PiecewiseProjectiveMap.apply
+
+    def counted(self, x):
+        applied.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(PiecewiseProjectiveMap, "apply", counted)
+    verify_tree_structure(graph600, pre3.f, pre3.g, pre3.b, pre3.c)
+    assert applied
+    assert {graph600.vertex(x) for x in applied} <= graph600.incomplete
 
 
 def test_tree_structure_needs_the_tagging_endpoints(pre3):
@@ -166,29 +210,30 @@ def test_tree_structure_needs_region_tags(pre3):
 
 
 def test_c_not_in_graph(graph600, pre3):
-    assert pre3.c not in graph600.points
+    assert graph600.vertex(pre3.c) is None
 
 
 def test_binary_growth(graph600, pre3):
     # the [b, c] subgraph is a binary tree: exactly 2^d vertices per depth
     g_map, f_map = pre3.g, pre3.f
-    g_inv_c = g_map.inverse()(pre3.c)
-    depth = {graph600.root: 0}
+    depth = {0: 0}  # by vertex id; the root is vertex 0
     counts = {0: 1}
-    frontier = [graph600.root]
+    frontier = [0]
     while frontier:
         nxt = []
-        for p in frontier:
-            if p in graph600.incomplete:
+        for i in frontier:
+            if i in graph600.incomplete:
                 continue
+            p = graph600.points[i]
             for child in (g_map.inverse()(p), f_map(p)):
-                if p == graph600.root and child == p:
+                if i == 0 and child == p:
                     continue
                 if qn_compare(child, pre3.b) >= 0 and qn_compare(child, pre3.c) <= 0:
-                    if child in graph600.points and child not in depth:
-                        depth[child] = depth[p] + 1
-                        counts[depth[child]] = counts.get(depth[child], 0) + 1
-                        nxt.append(child)
+                    j = graph600.vertex(child)
+                    if j is not None and j not in depth:
+                        depth[j] = depth[i] + 1
+                        counts[depth[j]] = counts.get(depth[j], 0) + 1
+                        nxt.append(j)
         frontier = nxt
     # the root has the single child f(b); every deeper vertex has two
     assert counts[0] == 1
@@ -261,6 +306,20 @@ def test_export_deterministic(tmp_path, graph600):
     export_dot(graph600, p2)
     with open(p1, "rb") as h1, open(p2, "rb") as h2:
         assert h1.read() == h2.read()
+
+
+def test_export_bytes_at_cap_600(tmp_path, graph600):
+    # in process, the digests that test_cli's GRAPH_EXPORTS pins through the
+    # graph command: they fix the vertex order, the colours and the edge lines
+    expected = {
+        "dot": "3d18c166daa61061e55a84f443f63a54f2d082a2df88f067defbeeb8f3cd0b7b",
+        "csv": "926b7ef12bf457c4a2306733f1f8e241c9ac13c0a834fa1910052c1428c1054f",
+    }
+    for fmt, export in (("dot", export_dot), ("csv", export_csv)):
+        path = os.path.join(tmp_path, f"graph_600.{fmt}")
+        export(graph600, path)
+        with open(path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == expected[fmt], fmt
 
 
 def test_export_dot_syntax(tmp_path, pre3):
