@@ -89,6 +89,14 @@ def _prechain_for(args):
     return construct_prechain(_base_point(args))
 
 
+def _tagged_graph_for(args):
+    """The prechain and its region-tagged orbit graph of b, up to --cap vertices."""
+    pre = _prechain_for(args)
+    graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
+    attach_regions(graph, pre)
+    return pre, graph
+
+
 # Each cmd_* returns (payload, exit code); main adds the command and its
 # config to the payload, writes it to <command>.json and prints it.
 
@@ -129,9 +137,7 @@ def cmd_prechain(args):
 
 
 def cmd_graph(args):
-    pre = _prechain_for(args)
-    graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
-    attach_regions(graph, pre)
+    _, graph = _tagged_graph_for(args)
     base = f"graph_{args.cap}"
     paths = []
     if args.format in ("dot", "both"):
@@ -150,9 +156,7 @@ def cmd_graph(args):
 
 
 def cmd_verify_tree(args):
-    pre = _prechain_for(args)
-    graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
-    attach_regions(graph, pre)
+    pre, graph = _tagged_graph_for(args)
     try:
         report = verify_tree_structure(graph, pre.f, pre.g, pre.b, pre.c)
     except StructureViolationError as exc:
@@ -168,21 +172,19 @@ def cmd_verify_tree(args):
 
 
 def cmd_kernel(args):
-    pre = _prechain_for(args)
-    kernel = ComparisonKernel(pre.f, pre.g, pre.a, pre.b, pre.c, pre.d)
-    graph = build_orbit_graph([pre.f, pre.g], pre.b, args.cap, labels=["f", "g"])
+    pre, graph = _tagged_graph_for(args)
+    kernel = ComparisonKernel(graph, pre)
     rows = []
     bad = 0
     for i in graph.sorted_ids()[: args.sample]:
-        p = graph.points[i]
-        row = kernel.row(p)
+        row = kernel.row(i)
         total = sum(w for _, _, _, w in row)
-        sym = kernel.check_symmetry(p)
+        sym = kernel.check_symmetry(i)
         if total != 1 or not sym:
             bad += 1
         rows.append(
             {
-                "point": point_to_text(p),
+                "point": point_to_text(graph.points[i]),
                 "weights": {f"{lbl}{'+' if d > 0 else '-'}": str(w) for lbl, d, _, w in row},
                 "row_sum": str(total),
                 "symmetric": sym,

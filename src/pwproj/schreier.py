@@ -34,9 +34,6 @@ class PreconditionViolatedError(ValueError):
     pass
 
 
-# the kernel's ray walks; attach_regions bounds its own by the graph's order
-_RAY_CAP = 1_000_000
-
 # a vertex id, or a point that is no vertex of the graph
 Node = Union[int, ExtendedPoint]
 
@@ -147,6 +144,8 @@ def build_orbit_graph(
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
+    if len(labels) != len(gens):
+        raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
     graph = OrbitGraph(
         gens=tuple(gens), inverses=tuple(gen.inverse() for gen in gens), labels=list(labels)
     )
@@ -185,58 +184,51 @@ def _in_closed(x: ExtendedPoint, lo: QuadraticNumber, hi: QuadraticNumber) -> bo
     return qn_compare(x, lo) >= 0 and qn_compare(x, hi) <= 0
 
 
-def _itself(x):
-    return x
-
-
 def _region_rule(
-    f: PiecewiseProjectiveMap,
-    g: PiecewiseProjectiveMap,
-    b: QuadraticNumber,
-    c: QuadraticNumber,
-    at: Callable,
-    up: Callable,
-    down: Callable,
-    known: Callable,
-    cap: int,
+    graph: OrbitGraph, pre: Prechain, tags: List[Tuple[str, int]], cap: int
 ) -> Callable[[Node], Tuple[str, int]]:
     """The rule placing a point in the orbit structure of the 2-prechain (f, g).
 
     ("A", 0) on [b, g^-1(c)], ("B", 0) on [f(b), c], ("C", 0) between them;
     ("f", n) below b and ("g", n) above c, where n is the first-entry count
     min(n >= 1 | f^n(x) in [b, c]) (g^-1 for "g") within the cap that the
-    caller passes.  The rule reads the point of x as at(x), and up and down
-    step x along its ray toward [b, c], by f and by g^-1: an edge lookup on
-    the graph, an apply in the kernel.  known(x) is the region already
-    decided for x, or None: a walk that reaches a point of its own ray adds
-    that point's count (f^n(x) = f^(n-m)(y) when y = f^m(x)), and one that
-    reaches a point inside [b, c] stops, without comparing again.
+    caller passes.  The rule takes a vertex id or a point off the graph, and
+    its ray walk steps by f or g^-1 along the graph's edges, applying the
+    map only where the graph records no image.  tags[i] is the region
+    already decided for vertex i < len(tags): a walk that reaches a vertex
+    of its own ray adds that vertex's count (f^n(x) = f^(n-m)(y) when
+    y = f^m(x)), and one that reaches a vertex inside [b, c] stops, without
+    comparing again.
     """
-    g_inv_c = g.inverse().apply(c)
+    f, b, c = pre.f, pre.b, pre.c
+    g_inv_c = pre.g.inverse().apply(c)
     f_b = f.apply(b)
+    image, at = graph.image, graph.point
 
-    def first_entry(kind: str, step: Callable, x: Node) -> int:
+    def first_entry(kind: str, x: Node) -> int:
         # x lies outside [b, c], so the test starts at the first step; it
         # stays two-sided: an orbit that steps over [b, c], as off a
-        # prechain, runs into the cap
+        # prechain, runs into the cap.  f steps the f-ray up, g^-1 steps
+        # the g-ray down
+        gi = 0 if kind == "f" else 1
         for n in range(1, cap + 1):
-            x = step(x)
-            tag = known(x)
-            if tag is None:
-                if _in_closed(at(x), b, c):
+            x = image(x, gi, gi == 1)
+            if x.__class__ is int and x < len(tags):
+                tag = tags[x]
+                if tag[1] == 0:
                     return n
-            elif tag[1] == 0:
+                if tag[0] == kind and n + tag[1] <= cap:
+                    return n + tag[1]
+            elif _in_closed(at(x), b, c):
                 return n
-            elif tag[0] == kind and n + tag[1] <= cap:
-                return n + tag[1]
         raise PreconditionViolatedError("iteration cap hit while entering [b, c]")
 
     def region(x: Node) -> Tuple[str, int]:
         p = at(x)
         if qn_compare(p, b) < 0:
-            return "f", first_entry("f", up, x)
+            return "f", first_entry("f", x)
         if qn_compare(p, c) > 0:
-            return "g", first_entry("g", down, x)
+            return "g", first_entry("g", x)
         if qn_compare(p, g_inv_c) <= 0:
             return "A", 0
         if qn_compare(p, f_b) >= 0:
@@ -252,6 +244,22 @@ def _check_generators(graph: OrbitGraph, f: PiecewiseProjectiveMap, g: Piecewise
         raise PreconditionViolatedError("graph's edges are for generators other than (f, g)")
 
 
+def _check_tags(
+    graph: OrbitGraph,
+    f: PiecewiseProjectiveMap,
+    g: PiecewiseProjectiveMap,
+    b: QuadraticNumber,
+    c: QuadraticNumber,
+) -> List[Tuple[str, int]]:
+    """The graph's region tags, which attach_regions must have made with f, g, b and c."""
+    _check_generators(graph, f, g)
+    if graph.regions is None:
+        raise PreconditionViolatedError("graph has no region tags")
+    if graph.tagged_with != (f, g, b, c):
+        raise PreconditionViolatedError("graph's region tags are for another f, g, b or c")
+    return graph.regions
+
+
 def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
     """Tag every vertex with its (kind, first-entry count) under the region rule.
 
@@ -263,20 +271,8 @@ def attach_regions(graph: OrbitGraph, pre: Prechain) -> None:
     PreconditionViolatedError.
     """
     _check_generators(graph, pre.f, pre.g)
-    image = graph.image
     tags: List[Tuple[str, int]] = []
-
-    def up(x):
-        return image(x, 0)
-
-    def down(x):
-        return image(x, 1, inverse=True)
-
-    def known(x):
-        return tags[x] if x.__class__ is int and x < len(tags) else None
-
-    cap = graph.order() - 1
-    region = _region_rule(pre.f, pre.g, pre.b, pre.c, graph.point, up, down, known, cap)
+    region = _region_rule(graph, pre, tags, graph.order() - 1)
     for i in range(graph.order()):
         tags.append(region(i))
     graph.regions = tags
@@ -309,12 +305,7 @@ def verify_tree_structure(
     rule's walk of every ray vertex back into [b, c] is the ray check of
     step (5).  A map is applied only where the graph records no image.
     """
-    _check_generators(graph, f, g)
-    regions = graph.regions
-    if regions is None:
-        raise PreconditionViolatedError("graph has no region tags")
-    if graph.tagged_with != (f, g, b, c):
-        raise PreconditionViolatedError("graph's region tags are for another f, g, b or c")
+    regions = _check_tags(graph, f, g, b, c)
     if graph.root != b:
         raise PreconditionViolatedError("graph root is not b")
     image, at, incomplete = graph.image, graph.point, graph.incomplete
@@ -424,6 +415,10 @@ _QUARTER = Fraction(1, 4)
 _THREE_QUARTER = Fraction(3, 4)
 _ZERO = Fraction(0)
 
+# the four steps of a row: label, generator index, direction
+_STEPS = (("f", 0, 1), ("f", 0, -1), ("g", 1, 1), ("g", 1, -1))
+
+
 class ComparisonKernel:
     """Doubly stochastic symmetric kernel majorized by the prechain SRW.
 
@@ -431,46 +426,29 @@ class ComparisonKernel:
     (below b) or the g-ray (above c) with first-entry count n steps only by
     its own generator: 3/4 on the step away from [b, c] at odd n and on the
     step toward it at even n, 1/4 on the other.
+
+    The kernel lives on an orbit graph of b that attach_regions has tagged
+    with the same prechain: a row's targets are the graph's edges and a
+    vertex's weights come from its tag.  Only an image that the graph does
+    not record, one step off a frontier vertex, is placed by the region rule.
     """
 
-    def __init__(
-        self,
-        f: PiecewiseProjectiveMap,
-        g: PiecewiseProjectiveMap,
-        a: QuadraticNumber,
-        b: QuadraticNumber,
-        c: QuadraticNumber,
-        d: QuadraticNumber,
-    ):
+    def __init__(self, graph: OrbitGraph, pre: Prechain):
+        f, g, b, c = pre.f, pre.g, pre.b, pre.c
         if g.apply(b) != b or f.apply(c) != c:
             raise PreconditionViolatedError("g must fix b and f must fix c")
-        supp_f = f.support_intervals()
-        supp_g = g.support_intervals()
-        if supp_f != [(a, c)]:
+        if f.support_intervals() != [(pre.a, c)]:
             raise PreconditionViolatedError("supp(f) must be exactly (a, c)")
-        if supp_g != [(b, d)]:
+        if g.support_intervals() != [(b, pre.d)]:
             raise PreconditionViolatedError("supp(g) must be exactly (b, d)")
-        # the four steps, in the order of a row
-        self._steps = {("f", 1): f, ("f", -1): f.inverse(), ("g", 1): g, ("g", -1): g.inverse()}
-        self.a, self.d = a, d
-        # pays on the kernel command (off-bench): check_symmetry asks again for
-        # each row's points; --cap 2000 --sample 2000 takes 0.20-0.25 s, 0.37-0.39 s without
-        self._regions: Dict[QuadraticNumber, Tuple[str, int]] = {}
-        g_inv = self._steps[("g", -1)]
-        self._rule = _region_rule(
-            f, g, b, c, _itself, f.apply, g_inv.apply, self._regions.get, _RAY_CAP
-        )
+        self._image = graph.image
+        self._regions = _check_tags(graph, f, g, b, c)
+        # an image off the graph is one step from a vertex, whose count is
+        # at most order() - 1
+        self._region = _region_rule(graph, pre, self._regions, graph.order())
 
-    def weight(self, x: QuadraticNumber, label: str, direction: int) -> Fraction:
-        region = self._regions.get(x)
-        if region is None:
-            # f and g fix every point outside (a, d): its ray walk would not end
-            if qn_compare(x, self.a) <= 0:
-                raise PreconditionViolatedError("point at or below a")
-            if qn_compare(x, self.d) >= 0:
-                raise PreconditionViolatedError("point at or beyond d")
-            region = self._regions[x] = self._rule(x)
-        kind, n = region
+    def weight(self, x: Node, label: str, direction: int) -> Fraction:
+        kind, n = self._regions[x] if x.__class__ is int else self._region(x)
         if n == 0:
             return _QUARTER
         if label != kind:
@@ -480,19 +458,19 @@ class ComparisonKernel:
         heavy = -toward if n % 2 else toward
         return _THREE_QUARTER if direction == heavy else _QUARTER
 
-    def row(self, x: QuadraticNumber) -> List[Tuple[str, int, ExtendedPoint, Fraction]]:
+    def row(self, i: int) -> List[Tuple[str, int, Node, Fraction]]:
+        """The steps out of vertex i: label, direction, target and weight."""
         return [
-            (label, direction, move.apply(x), self.weight(x, label, direction))
-            for (label, direction), move in self._steps.items()
+            (label, direction, self._image(i, gi, direction < 0), self.weight(i, label, direction))
+            for label, gi, direction in _STEPS
         ]
 
-    def check_symmetry(self, x: QuadraticNumber) -> bool:
-        """P(x, y) == P(y, x) along every step out of x (loops trivially ok)."""
-        for label, direction, target, w in self.row(x):
-            if target == x:
+    def check_symmetry(self, i: int) -> bool:
+        """P(i, y) == P(y, i) along every step out of vertex i (loops trivially ok)."""
+        for label, direction, target, w in self.row(i):
+            if target.__class__ is int and target == i:
                 continue
-            back = self.weight(target, label, -direction)
-            if back != w:
+            if self.weight(target, label, -direction) != w:
                 return False
         return True
 

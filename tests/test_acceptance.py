@@ -215,7 +215,7 @@ def _entry_steps(step, x, pre):
 
 
 def test_criterion_07_comparison_kernel(graph2000, pre3):
-    kernel = ComparisonKernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
+    kernel = ComparisonKernel(graph2000, pre3)
     quarter = Fraction(1, 4)
     three_quarter = Fraction(3, 4)
     checked = 0
@@ -223,24 +223,24 @@ def test_criterion_07_comparison_kernel(graph2000, pre3):
         if checked >= 200:
             break
         p = graph2000.points[i]
-        assert sum(w for *_, w in kernel.row(p)) == 1
-        assert kernel.check_symmetry(p)
+        assert sum(w for *_, w in kernel.row(i)) == 1
+        assert kernel.check_symmetry(i)
         kind, _ = graph2000.regions[i]
         if kind in ("A", "B", "C"):
             for lbl, d in (("f", 1), ("f", -1), ("g", 1), ("g", -1)):
-                assert kernel.weight(p, lbl, d) == quarter
+                assert kernel.weight(i, lbl, d) == quarter
         elif kind == "f":
             n = _entry_steps(pre3.f, p, pre3)
-            hi = kernel.weight(p, "f", -1 if n % 2 else 1)
-            lo = kernel.weight(p, "f", 1 if n % 2 else -1)
+            hi = kernel.weight(i, "f", -1 if n % 2 else 1)
+            lo = kernel.weight(i, "f", 1 if n % 2 else -1)
             assert (hi, lo) == (three_quarter, quarter)
-            assert kernel.weight(p, "g", 1) == 0
+            assert kernel.weight(i, "g", 1) == 0
         else:
             m = _entry_steps(pre3.g.inverse(), p, pre3)
-            hi = kernel.weight(p, "g", 1 if m % 2 else -1)
-            lo = kernel.weight(p, "g", -1 if m % 2 else 1)
+            hi = kernel.weight(i, "g", 1 if m % 2 else -1)
+            lo = kernel.weight(i, "g", -1 if m % 2 else 1)
             assert (hi, lo) == (three_quarter, quarter)
-            assert kernel.weight(p, "f", 1) == 0
+            assert kernel.weight(i, "f", 1) == 0
         checked += 1
     assert checked == 200
     print("ACCEPTANCE 7 PASS: kernel rows stochastic, symmetric, 4-case exact (200 vertices)")

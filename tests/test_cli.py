@@ -163,6 +163,15 @@ SEEDED_REPORTS = {
         ["kernel", "--s", "0+1*sqrt(3)", "--cap", "500", "--sample", "200"],
         "453cd8abe5c47d71d8d7d5e0751cabb027e53f2c9d2b19203b34be93906b20d3",
     ),
+    # the root's own images f^-1(b) and, at cap 1, f(b) lie off the graph
+    "kernel-cap-1": (
+        ["kernel", "--s", "0+1*sqrt(3)", "--cap", "1", "--sample", "1"],
+        "3a7bbce62c685b934684e373a5213aa1131c42c166f8a0368f5c0cc5f3bee991",
+    ),
+    "kernel-cap-2": (
+        ["kernel", "--s", "0+1*sqrt(3)", "--cap", "2", "--sample", "2"],
+        "6bffd2082d78ed9163cb253e8ad922d89ea18bbc1659af1e9f263c3c70e0547b",
+    ),
     "returns-prechain": (
         ["returns", "--target", "prechain", "--horizons", "100,1000"],
         "aba68d6112920780161113200949a5e65bca9bad3491d23e7465806fc15284ea",

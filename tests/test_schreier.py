@@ -53,6 +53,12 @@ def test_translation_orbit_path():
     assert graph.vertex(qn_from_text("3")) is None
 
 
+def test_labels_must_match_generators(pre3):
+    # the exports pair each label with its generator's edges
+    with pytest.raises(ValueError, match="1 labels for 2 generators"):
+        build_orbit_graph([pre3.f, pre3.g], pre3.b, 20, labels=["f"])
+
+
 def test_fixed_point_loop(pre3):
     hs = pre3.hs.map
     graph = build_orbit_graph([hs], SQRT3, 5, labels=["g0"])
@@ -252,41 +258,78 @@ def _entry_steps(step, x, pre):
 
 
 def test_kernel_weights(graph600, pre3):
-    ker = ComparisonKernel(pre3.f, pre3.g, pre3.a, pre3.b, pre3.c, pre3.d)
+    ker = ComparisonKernel(graph600, pre3)
     seen_cases = set()
-    for p in list(graph600.points)[:200]:
-        assert sum(w for *_, w in ker.row(p)) == 1
-        assert ker.check_symmetry(p)
+    for i in range(200):
+        p = graph600.points[i]
+        assert sum(w for *_, w in ker.row(i)) == 1
+        assert ker.check_symmetry(i)
         if qn_compare(p, pre3.b) >= 0 and qn_compare(p, pre3.c) <= 0:
             for lbl, d in (("f", 1), ("f", -1), ("g", 1), ("g", -1)):
-                assert ker.weight(p, lbl, d) == Fraction(1, 4)
+                assert ker.weight(i, lbl, d) == Fraction(1, 4)
             seen_cases.add("middle")
         elif qn_compare(p, pre3.b) < 0:
             n = _entry_steps(pre3.f, p, pre3)
             if n % 2 == 1:
-                assert ker.weight(p, "f", 1) == Fraction(1, 4)
-                assert ker.weight(p, "f", -1) == Fraction(3, 4)
+                assert ker.weight(i, "f", 1) == Fraction(1, 4)
+                assert ker.weight(i, "f", -1) == Fraction(3, 4)
                 seen_cases.add("below-odd")
             else:
-                assert ker.weight(p, "f", 1) == Fraction(3, 4)
-                assert ker.weight(p, "f", -1) == Fraction(1, 4)
+                assert ker.weight(i, "f", 1) == Fraction(3, 4)
+                assert ker.weight(i, "f", -1) == Fraction(1, 4)
                 seen_cases.add("below-even")
-            assert ker.weight(p, "g", 1) == 0
+            assert ker.weight(i, "g", 1) == 0
         else:
             m = _entry_steps(pre3.g.inverse(), p, pre3)
             if m % 2 == 1:
-                assert ker.weight(p, "g", 1) == Fraction(3, 4)
+                assert ker.weight(i, "g", 1) == Fraction(3, 4)
                 seen_cases.add("above-odd")
             else:
-                assert ker.weight(p, "g", -1) == Fraction(3, 4)
+                assert ker.weight(i, "g", -1) == Fraction(3, 4)
                 seen_cases.add("above-even")
-            assert ker.weight(p, "f", 1) == 0
+            assert ker.weight(i, "f", 1) == 0
     assert {"middle", "below-odd", "below-even", "above-odd", "above-even"} <= seen_cases
 
 
-def test_kernel_preconditions(pre3):
+def test_kernel_preconditions(graph600, pre3):
     with pytest.raises(PreconditionViolatedError):
-        ComparisonKernel(pre3.g, pre3.f, pre3.a, pre3.b, pre3.c, pre3.d)
+        ComparisonKernel(graph600, dataclasses.replace(pre3, f=pre3.g, g=pre3.f))
+    untagged = build_orbit_graph([pre3.f, pre3.g], pre3.b, 50, labels=["f", "g"])
+    with pytest.raises(PreconditionViolatedError, match="no region tags"):
+        ComparisonKernel(untagged, pre3)
+    # tagged with d for c: the tags do not describe [b, c]
+    other = _tagged_graph(dataclasses.replace(pre3, c=pre3.d), 50)
+    with pytest.raises(PreconditionViolatedError, match="region tags are for another"):
+        ComparisonKernel(other, pre3)
+
+
+def test_kernel_applies_maps_only_at_the_frontier(graph600, pre3, monkeypatch):
+    # rows read the recorded edges and the tags; a map is applied only to a
+    # frontier vertex and to its images that the cap left out of the graph
+    ker = ComparisonKernel(graph600, pre3)
+    moves = graph600.gens + graph600.inverses
+    off_graph = set()
+    for i in graph600.incomplete:
+        for move in moves:
+            y = move.apply(graph600.points[i])
+            if graph600.vertex(y) is None:
+                off_graph.add(y)
+    assert off_graph
+    applied = []
+    apply = PiecewiseProjectiveMap.apply
+
+    def counted(self, x):
+        applied.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(PiecewiseProjectiveMap, "apply", counted)
+    for i in range(graph600.order()):
+        ker.row(i)
+        assert ker.check_symmetry(i)
+    assert applied
+    for x in applied:
+        j = graph600.vertex(x)
+        assert j in graph600.incomplete if j is not None else x in off_graph
 
 
 def test_tree_structure_mirrored_base():
