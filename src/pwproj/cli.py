@@ -174,27 +174,26 @@ def cmd_verify_tree(args):
 def cmd_kernel(args):
     pre, graph = _tagged_graph_for(args)
     kernel = ComparisonKernel(graph, pre)
+    ids = graph.sorted_ids()[: args.sample]
     rows = []
     bad = 0
-    for i in graph.sorted_ids()[: args.sample]:
+    for i in ids:
         row = kernel.row(i)
         total = sum(w for _, _, _, w in row)
-        sym = kernel.check_symmetry(i)
+        sym = kernel.check_symmetry(i, row)
         if total != 1 or not sym:
             bad += 1
-        rows.append(
-            {
-                "point": point_to_text(graph.points[i]),
-                "weights": {f"{lbl}{'+' if d > 0 else '-'}": str(w) for lbl, d, _, w in row},
-                "row_sum": str(total),
-                "symmetric": sym,
-            }
-        )
-    return {
-        "checked": len(rows),
-        "violations": bad,
-        "rows": rows[: min(len(rows), 16)],
-    }, 2 if bad else 0
+        # every sampled row is checked, the first 16 are reported
+        if len(rows) < 16:
+            rows.append(
+                {
+                    "point": point_to_text(graph.points[i]),
+                    "weights": {f"{lbl}{'+' if d > 0 else '-'}": str(w) for lbl, d, _, w in row},
+                    "row_sum": str(total),
+                    "symmetric": sym,
+                }
+            )
+    return {"checked": len(ids), "violations": bad, "rows": rows}, 2 if bad else 0
 
 
 # the fraction options: the condition each must meet, as text and as a test

@@ -148,20 +148,30 @@ class PiecewiseProjectiveMap:
         of their images under inner: merging the images of inner's breaks
         with self's breaks walks the pieces of both maps left to right, and
         an image equal to a break of self is one break of the composite.
+        An identity factor leaves the other, already validated, as it is.
         """
+        if inner.is_identity:
+            return self
+        if self.is_identity:
+            return inner
         xs = inner.breaks
-        images = [p.apply(x) for p, x in zip(inner.pieces[1:], xs)]
         betas = self.breaks
         n, m = len(xs), len(betas)
+        # with no break of self to merge, no image is compared
+        images = [p.apply(x) for p, x in zip(inner.pieces[1:], xs)] if m else None
         i = j = 0
         breaks = []
         pieces = [self.pieces[0] * inner.pieces[0]]
+        # the inverse of inner's piece pulled_i, once for all its pulled-back breaks
+        pulled_i, pulled = -1, None
         while i < n or j < m:
             cmp = 1 if i == n else -1 if j == m else qn_compare(images[i], betas[j])
             if cmp > 0:
                 # a break of self inside the image of inner's piece i; that
                 # piece has no pole on its interval, so the preimage is finite
-                point = inner.pieces[i].inverse().apply(betas[j])
+                if pulled_i != i:
+                    pulled_i, pulled = i, inner.pieces[i].inverse()
+                point = pulled.apply(betas[j])
                 j += 1
             else:
                 point = xs[i]
@@ -265,7 +275,12 @@ def pm_from_matrix(m: ProjectiveMatrix) -> PiecewiseProjectiveMap:
 def pm_new(
     breaks: Sequence[QuadraticNumber], pieces: Sequence[ProjectiveMatrix]
 ) -> PiecewiseProjectiveMap:
-    """Validate, reduce and build a piecewise projective map."""
+    """Validate, reduce and build a piecewise projective map.
+
+    One pass over the breaks checks continuity and keeps the breaks whose
+    two pieces differ; the poles are then checked on the kept pieces over
+    their merged intervals.
+    """
     breaks = list(breaks)
     pieces = list(pieces)
     if len(pieces) != len(breaks) + 1:
@@ -276,44 +291,53 @@ def pm_new(
             raise NotIncreasingError("break points must be strictly increasing")
     if not pieces[0].is_translation or not pieces[-1].is_translation:
         raise EndGermNotTranslationError("unbounded pieces must be translations")
-    # the pieces L and R agree at beta = (A + B sqrt(k)) / D when L**-1 R
-    # fixes beta: p beta**2 + q beta + r == 0, whose rational and sqrt(k)
-    # parts, times D**2, are checked on the integers
+    # the index of each kept break among all breaks, to name a pole's piece
+    kept: List[int] = []
     for i, beta in enumerate(breaks):
-        aL, bL, cL, dL = pieces[i]
-        aR, bR, cR, dR = pieces[i + 1]
+        left = pieces[i]
+        right = pieces[i + 1]
+        aL, bL, cL, dL = left
         A, B, D, k = beta
+        if cL * A + dL * D == 0 and cL * B == 0:
+            # c_L beta + d_L == 0: L sends beta to INFINITY, and R must too
+            raise DiscontinuousError(beta)
+        if right == left:
+            # L**-1 R is the identity, which fixes beta: a removable break
+            continue
+        # L and R agree at beta = (A + B sqrt(k)) / D when L**-1 R fixes
+        # beta: p beta**2 + q beta + r == 0, whose rational and sqrt(k)
+        # parts, times D**2, are checked on the integers
+        aR, bR, cR, dR = right
         p = aL * cR - aR * cL
         q = aL * dR + bL * cR - aR * dL - bR * cL
         r = bL * dR - bR * dL
         if p * (A * A + B * B * k) + q * A * D + r * D * D or B and 2 * p * A + q * D:
             raise DiscontinuousError(beta)
-        if cL * A + dL * D == 0 and cL * B == 0:
-            # c_L beta + d_L == 0: L, and by the identity R, send beta to INFINITY
-            raise DiscontinuousError(beta)
-    # c x + d is monotone and, after the loop above, nonzero at every break,
-    # so a piece's pole lies in its interval iff the signs at its ends differ;
-    # the end pieces are translations, so every other piece has two finite ends
-    for i in range(1, len(breaks)):
-        piece = pieces[i]
-        _, _, c, d = piece
+        kept.append(i)
+    red_breaks = [breaks[i] for i in kept]
+    red_pieces = [pieces[0]] + [pieces[i + 1] for i in kept]
+    # c x + d is monotone and, after the pass above, nonzero at every break,
+    # so a piece's pole lies in its interval iff the signs at its ends differ,
+    # and in a merged interval iff in one of its parts; the end pieces are
+    # translations, so every other piece has two finite ends
+    for r in range(1, len(kept)):
+        _, _, c, d = red_pieces[r]
         if c == 0:
             continue
-        lo_A, lo_B, lo_D, lo_k = breaks[i - 1]
-        hi_A, hi_B, hi_D, hi_k = breaks[i]
+        lo_A, lo_B, lo_D, lo_k = red_breaks[r - 1]
+        hi_A, hi_B, hi_D, hi_k = red_breaks[r]
         lo_sign = _sign_root(c * lo_A + d * lo_D, c * lo_B, lo_k)
         if lo_sign != _sign_root(c * hi_A + d * hi_D, c * hi_B, hi_k):
+            # the part whose right end has the other sign holds the pole
+            i = kept[r - 1] + 1
+            while True:
+                A, B, D, k = breaks[i]
+                if _sign_root(c * A + d * D, c * B, k) != lo_sign:
+                    break
+                i += 1
             raise PoleInsidePieceError(
-                f"pole {piece.pole()} of piece {i} lies inside its interval"
+                f"pole {red_pieces[r].pole()} of piece {i} lies inside its interval"
             )
-    # reduce: drop breaks whose two germs agree
-    red_breaks: List[QuadraticNumber] = []
-    red_pieces: List[ProjectiveMatrix] = [pieces[0]]
-    for beta, piece in zip(breaks, pieces[1:]):
-        if piece == red_pieces[-1]:
-            continue
-        red_breaks.append(beta)
-        red_pieces.append(piece)
     return PiecewiseProjectiveMap(red_breaks, red_pieces)
 
 
@@ -355,11 +379,19 @@ def configuration(f: PiecewiseProjectiveMap, s: ExtendedPoint) -> Configuration:
 
 
 def config_act(g: PiecewiseProjectiveMap, conf: Configuration) -> Configuration:
-    """Action (g, C) -> C_g + C o g of the group on configurations."""
+    """Action (g, C) -> C_g + C o g of the group on configurations.
+
+    C o g is read at g**-1 of each point of C.  g**-1 breaks at the images
+    of g's breaks and its pieces are the inverses of g's, so it is read
+    from g's pieces without building the inverse map.
+    """
     result = configuration(g, conf.base)
-    g_inv = g.inverse()
+    pieces = g.pieces
+    images = [p.apply(b) for p, b in zip(pieces[1:], g.breaks)]
     for point, value in conf.entries.items():
-        gamma = g_inv.apply(point)
+        # the piece of g**-1 at point: the number of images at or below it
+        piece = pieces[bisect_right(images, point)]
+        gamma = point if piece.is_identity else piece.inverse().apply(point)
         new_val = result.entries.get(gamma, 0) + value
         if new_val:
             result.entries[gamma] = new_val

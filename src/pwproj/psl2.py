@@ -112,7 +112,13 @@ class ProjectiveMatrix(tuple):
     def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
         a, b, c, d = self
         e, f, g, h = other
-        return ProjectiveMatrix.make(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        # make's checks, inline: products are the hottest path through it
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        if a * d - b * c != 1:
+            raise DeterminantError(f"determinant of {ProjectiveMatrix(a, b, c, d).to_text()} is not 1")
+        if c < 0 or (c == 0 and d < 0):
+            return _new(ProjectiveMatrix, (-a, -b, -c, -d))
+        return _new(ProjectiveMatrix, (a, b, c, d))
 
     def inverse(self) -> "ProjectiveMatrix":
         a, b, c, d = self

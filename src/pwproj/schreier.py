@@ -465,9 +465,9 @@ class ComparisonKernel:
             for label, gi, direction in _STEPS
         ]
 
-    def check_symmetry(self, i: int) -> bool:
-        """P(i, y) == P(y, i) along every step out of vertex i (loops trivially ok)."""
-        for label, direction, target, w in self.row(i):
+    def check_symmetry(self, i: int, row: List[Tuple[str, int, Node, Fraction]]) -> bool:
+        """P(i, y) == P(y, i) along every step of row, vertex i's row (loops trivially ok)."""
+        for label, direction, target, w in row:
             if target.__class__ is int and target == i:
                 continue
             if self.weight(target, label, -direction) != w:

@@ -223,8 +223,9 @@ def test_criterion_07_comparison_kernel(graph2000, pre3):
         if checked >= 200:
             break
         p = graph2000.points[i]
-        assert sum(w for *_, w in kernel.row(i)) == 1
-        assert kernel.check_symmetry(i)
+        row = kernel.row(i)
+        assert sum(w for *_, w in row) == 1
+        assert kernel.check_symmetry(i, row)
         kind, _ = graph2000.regions[i]
         if kind in ("A", "B", "C"):
             for lbl, d in (("f", 1), ("f", -1), ("g", 1), ("g", -1)):

@@ -172,6 +172,11 @@ SEEDED_REPORTS = {
         ["kernel", "--s", "0+1*sqrt(3)", "--cap", "2", "--sample", "2"],
         "6bffd2082d78ed9163cb253e8ad922d89ea18bbc1659af1e9f263c3c70e0547b",
     ),
+    # every sampled row is checked and only the first 16 are reported
+    "kernel-cap-2000": (
+        ["kernel", "--s", "0+1*sqrt(3)", "--cap", "2000", "--sample", "2000"],
+        "ef1aa113ceea42734c32d701a7497b648b6fb345048ffeec0469a5b1a65fc547",
+    ),
     "returns-prechain": (
         ["returns", "--target", "prechain", "--horizons", "100,1000"],
         "aba68d6112920780161113200949a5e65bca9bad3491d23e7465806fc15284ea",

@@ -17,6 +17,7 @@ from pwproj.exactnum import (
     qn_to_text,
 )
 from pwproj.piecewise import (
+    Configuration,
     DiscontinuousError,
     EndGermNotTranslationError,
     NotIncreasingError,
@@ -249,6 +250,16 @@ def test_pm_new_poles_and_breaks_named_cases():
         with pytest.raises(DiscontinuousError) as info:
             pm_new(breaks, pieces)
         assert info.value.point == q(0)
+    # (2x+3)/(x+2) on [-3, m] and on [m, -1], pieces that reduction merges:
+    # its pole -2 is named in the piece given, 2 for m = -5/2, 1 for m = -3/2
+    m23 = ProjectiveMatrix.make(2, 3, 1, 2)
+    for middle, index in ((Fraction(-5, 2), 2), (Fraction(-3, 2), 1)):
+        breaks = [q(-3), q(middle), q(-1)]
+        pieces = [ProjectiveMatrix.translation(6), m23, m23, ProjectiveMatrix.translation(2)]
+        assert _assert_pm_new_as_by_images(breaks, pieces) is PoleInsidePieceError
+        message = f"^pole -2 of piece {index} lies inside its interval$"
+        with pytest.raises(PoleInsidePieceError, match=message):
+            pm_new(breaks, pieces)
     # L**-1 R = [[1, 2], [1, 3]] at sqrt(2): the rational part 1*2 + 2*0 - 2
     # is 0 and only the sqrt(2) part, 2*1*0 + 2*1, is not
     breaks, pieces = [q(0, 1, 2), q(5)], [IDENT, ProjectiveMatrix.make(1, 2, 1, 3), IDENT]
@@ -505,6 +516,41 @@ def test_config_act_matches_composition(hs3, pre3):
         left = config_act(g, configuration(h, SQRT3))
         right = configuration(h.compose(g), SQRT3)
         assert left == right
+
+
+def _config_act_by_inverse(g, conf):
+    """config_act as it read C o g before: at each point, the map g**-1."""
+    result = configuration(g, conf.base)
+    g_inv = g.inverse()
+    for point, value in conf.entries.items():
+        gamma = g_inv.apply(point)
+        result.entries[gamma] = result.entries.get(gamma, 0) + value
+    result.entries = {p: v for p, v in result.entries.items() if v}
+    return result
+
+
+def test_config_act_on_words(pre3):
+    # words of the witness measure, tail translation included; C holds the
+    # images of g's breaks, where g**-1 changes piece, and points beside them
+    translation = pm_from_matrix(ProjectiveMatrix.translation(1))
+    mu = witness_measure(pre3.hs.map, pre3.companion, translation)
+    s = pre3.hs.base
+    rng = random.Random(73)
+    tails = on_images = 0
+    for _ in range(80):
+        g = h = pm_identity()
+        for _ in range(rng.randint(1, 4)):
+            letter = mu.sample(rng)
+            tails += not letter.breaks
+            g = letter * g
+            h = mu.sample(rng) * h
+        images = g.inverse().breaks
+        on_images += len(images)
+        entries = {p: 1 for p in images}
+        entries.update({p + Fraction(1, 3): -2 for p in images})
+        for conf in (configuration(h, s), Configuration(s, entries)):
+            assert config_act(g, conf) == _config_act_by_inverse(g, conf)
+    assert tails >= 10 and on_images >= 100, (tails, on_images)
 
 
 def test_no_fixed_configuration_under_hs(hs3):
